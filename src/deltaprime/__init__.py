@@ -7,11 +7,10 @@ zero-range limits along squeeze paths, and the point-interaction
 boundary-condition families that reproduce them.
 """
 
-from .boundary import (BoundaryData, ConnectionMatrix, ProductParams,
-                       bc_from_product, bound_state, delta_prime_delta_matrix,
-                       matching_residual, params_from_resonance, propagate,
-                       resonant_matrix, scattering_from_matrix, seba_matrix,
-                       side_swap)
+from .boundary import (ConnectionMatrix, ProductParams, bc_from_product,
+                       bound_state, delta_prime_delta_matrix,
+                       params_from_resonance, resonant_matrix,
+                       scattering_from_matrix, seba_matrix)
 from .errors import (DeltaPrimeError, InvariantViolation, NotARootError,
                      PrecisionFloorError, SingularParameterError)
 from .limits import (EntryVerdict, LimitTrace, LimitVerdict, Peak, SweepResult,
@@ -28,10 +27,9 @@ from .transfer import (PRECISION_FLOOR, ScatteringAmplitudes, TransferMatrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryData", "ConnectionMatrix", "ProductParams", "bc_from_product",
-    "bound_state", "delta_prime_delta_matrix", "matching_residual",
-    "params_from_resonance", "propagate", "resonant_matrix",
-    "scattering_from_matrix", "seba_matrix", "side_swap",
+    "ConnectionMatrix", "ProductParams", "bc_from_product", "bound_state",
+    "delta_prime_delta_matrix", "params_from_resonance", "resonant_matrix",
+    "scattering_from_matrix", "seba_matrix",
     "DeltaPrimeError", "InvariantViolation", "NotARootError",
     "PrecisionFloorError", "SingularParameterError",
     "EntryVerdict", "LimitTrace", "LimitVerdict", "Peak", "SweepResult",

@@ -1,9 +1,9 @@
 """Point-interaction connection matrices and what they scatter and bind.
 
 A point interaction at the origin is a real 2x2 unit-determinant matrix
-(optionally with an overall phase) linking (psi, psi') on the left of the
-origin to the right.  This module builds the matrices that arise from the
-squeezed barrier-well limits, from the symmetrized distributional product,
+linking (psi, psi') on the left of the origin to the right.  This module
+builds the matrices that arise from the squeezed barrier-well limits, from
+the symmetrized distributional product,
 and from the two-parameter weighted product that reconciles the two, plus
 the scattering amplitudes and bound states carried by any such matrix.
 
@@ -33,12 +33,11 @@ from dataclasses import dataclass
 
 from . import _ddouble as dd
 from .errors import InvariantViolation, SingularParameterError
-from .transfer import ScatteringAmplitudes
+from .transfer import ScatteringAmplitudes, UnitDetMatrix, amplitudes
 
 __all__ = [
     "ConnectionMatrix",
     "ProductParams",
-    "BoundaryData",
     "resonant_matrix",
     "seba_matrix",
     "delta_prime_delta_matrix",
@@ -46,41 +45,25 @@ __all__ = [
     "params_from_resonance",
     "scattering_from_matrix",
     "bound_state",
-    "propagate",
-    "matching_residual",
-    "side_swap",
 ]
 
 
 @dataclass(frozen=True)
-class ConnectionMatrix:
-    """Boundary conditions (psi, psi')(+0) = exp(i*theta) * M (psi, psi')(-0).
+class ConnectionMatrix(UnitDetMatrix):
+    """Boundary conditions (psi, psi')(+0) = M (psi, psi')(-0).
 
-    The real part M must have unit determinant; the phase theta in [0, pi)
-    is stored but only theta = 0 matrices are analyzed for scattering and
-    bound states.
+    M must have unit determinant.
     """
 
     l11: float
     l12: float
     l21: float
     l22: float
-    theta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta < math.pi:
-            raise ValueError(f"theta must lie in [0, pi), got {self.theta}")
         if self.det_residual() > 1e-12:
             raise InvariantViolation(
                 f"connection matrix determinant {self.det} != 1")
-
-    @property
-    def det(self) -> float:
-        return self.l11 * self.l22 - self.l12 * self.l21
-
-    def det_residual(self) -> float:
-        scale = max(1.0, abs(self.l11 * self.l22), abs(self.l12 * self.l21))
-        return abs(self.det - 1.0) / scale
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return self.l11, self.l12, self.l21, self.l22
@@ -99,9 +82,6 @@ class ProductParams:
     alpha: float
     beta: float
     alpha_lo: float = 0.0
-
-    def alpha_dd(self) -> tuple[float, float]:
-        return self.alpha, self.alpha_lo
 
 
 def resonant_matrix(chi: float, g: float = 0.0) -> ConnectionMatrix:
@@ -139,7 +119,7 @@ def bc_from_product(params: ProductParams, lam: float) -> ConnectionMatrix:
     Raises :class:`SingularParameterError` on the two poles 1 - alpha*lam = 0
     and 1 + (1-alpha)*lam = 0.
     """
-    d1 = dd.sub(dd.from_float(1.0), dd.mul_f(params.alpha_dd(), lam))
+    d1 = dd.sub(dd.from_float(1.0), dd.mul_f((params.alpha, params.alpha_lo), lam))
     d2 = dd.add(d1, dd.from_float(lam))
     if dd.to_float(d1) == 0.0:
         raise SingularParameterError(
@@ -173,20 +153,9 @@ def params_from_resonance(lam_n: float, chi_n: float, g_n: float) -> ProductPara
 
 
 def scattering_from_matrix(cm: ConnectionMatrix, k: float) -> ScatteringAmplitudes:
-    """Reflection/transmission amplitudes of a zero-range connection matrix.
-
-    Same extraction as for finite-range transfer matrices, with the support
-    collapsed to a point (no propagation phase).  Only phase-free matrices
-    are supported.
-    """
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
-    if cm.theta != 0.0:
-        raise ValueError("scattering for theta != 0 matrices is not defined here")
-    delta = cm.l11 + cm.l22 - 1j * (k * cm.l12 - cm.l21 / k)
-    R = -(cm.l11 - cm.l22 + 1j * (k * cm.l12 + cm.l21 / k)) / delta
-    T = 2.0 / delta
-    return ScatteringAmplitudes(R=R, T=T)
+    """Reflection/transmission amplitudes of a zero-range connection matrix:
+    the finite-range extraction with the support collapsed to a point."""
+    return amplitudes(cm.l11, cm.l12, cm.l21, cm.l22, k)
 
 
 def bound_state(cm: ConnectionMatrix) -> list[float]:
@@ -197,8 +166,6 @@ def bound_state(cm: ConnectionMatrix) -> list[float]:
     determinant the discriminant is (l11-l22)**2 + 4 > 0, so the roots are
     always real; only strictly positive ones are normalizable and returned.
     """
-    if cm.theta != 0.0:
-        raise ValueError("bound states for theta != 0 matrices are not defined here")
     a, b, c = cm.l12, cm.l11 + cm.l22, cm.l21
     if a == 0.0:
         roots = [] if b == 0.0 else [-c / b]
@@ -211,49 +178,3 @@ def bound_state(cm: ConnectionMatrix) -> list[float]:
         q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
         roots = [q / a, c / q]
     return sorted(r for r in roots if r > 0.0)
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """One-sided limits (psi, psi') on the two sides of the origin."""
-
-    psi_minus: complex
-    dpsi_minus: complex
-    psi_plus: complex
-    dpsi_plus: complex
-
-
-def propagate(cm: ConnectionMatrix, psi_minus: complex, dpsi_minus: complex) -> BoundaryData:
-    """Boundary data whose right side is the matrix image of the left side."""
-    phase = complex(math.cos(cm.theta), math.sin(cm.theta))
-    return BoundaryData(
-        psi_minus=psi_minus,
-        dpsi_minus=dpsi_minus,
-        psi_plus=phase * (cm.l11 * psi_minus + cm.l12 * dpsi_minus),
-        dpsi_plus=phase * (cm.l21 * psi_minus + cm.l22 * dpsi_minus),
-    )
-
-
-def matching_residual(cm: ConnectionMatrix, data: BoundaryData) -> float:
-    """How far boundary data is from satisfying the matrix conditions."""
-    ref = propagate(cm, data.psi_minus, data.dpsi_minus)
-    scale = max(1.0, abs(data.psi_plus), abs(data.dpsi_plus))
-    return max(abs(data.psi_plus - ref.psi_plus),
-               abs(data.dpsi_plus - ref.dpsi_plus)) / scale
-
-
-def side_swap(data: BoundaryData, chi: float) -> BoundaryData:
-    """Swap-and-scale map psi(+-0) -> chi*psi(-+0), psi'(+-0) -> psi'(-+0)/chi.
-
-    Data satisfying the g = 0 matrix diag(chi, 1/chi) is carried onto data
-    satisfying its inverse diag(1/chi, chi), i.e. the map permutes the
-    diagonal family among itself.
-    """
-    if chi == 0:
-        raise ValueError("chi must be nonzero")
-    return BoundaryData(
-        psi_minus=chi * data.psi_plus,
-        dpsi_minus=data.dpsi_plus / chi,
-        psi_plus=chi * data.psi_minus,
-        dpsi_plus=data.dpsi_minus / chi,
-    )

@@ -22,14 +22,16 @@ from .errors import DeltaPrimeError, InvariantViolation
 from .limits import classify, trace, transmission_sweep
 from .paths import SqueezePath
 from .profile import RectProfile
-from .resonance import resonance_set, resonant_scattering
+from .resonance import (has_resonances, resonance_equation, resonance_set,
+                        resonant_scattering)
 from .transfer import piecewise_transfer, scattering, transfer_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_RESONANCE_PATHS = ("adjacent", "linear", "quadratic")
+_RESONANT_PATH_HELP = ("adjacent | linear[:C] | quadratic[:C] | "
+                       "power:C:TAU (TAU = 1 or >= 2)")
 
 
 class UsageError(Exception):
@@ -84,19 +86,10 @@ def _parse_path(spec: str, resonant_only: bool = False) -> SqueezePath:
         path = SqueezePath.parse(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if resonant_only:
-        name = spec.partition(":")[0]
-        if name not in _RESONANCE_PATHS:
-            raise UsageError(
-                f"path {spec!r} carries no resonance set; "
-                f"choose one of {', '.join(_RESONANCE_PATHS)}")
+    if resonant_only and not has_resonances(path):
+        raise UsageError(f"path {spec!r} carries no resonance set; "
+                         f"choose {_RESONANT_PATH_HELP}")
     return path
-
-
-def _equation_residual(path: SqueezePath, sigma: float) -> float:
-    c = path.c if path.tau == 1.0 else 0.0
-    th = math.tanh(sigma)
-    return abs(th / (1.0 + c * sigma * th) - math.tan(sigma))
 
 
 def cmd_resonances(args) -> int:
@@ -104,9 +97,10 @@ def cmd_resonances(args) -> int:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     path = _parse_path(args.path, resonant_only=True)
     k = 1.0
+    f = resonance_equation(path)
     rows = []
     for r in resonance_set(path, args.count):
-        if _equation_residual(r.path, r.sigma) > 1e-10:
+        if abs(f(r.sigma)) > 1e-10:
             raise InvariantViolation(f"root residual too large at n = {r.n}")
         amp = resonant_scattering(r.chi, r.g, k)
         if amp.conservation_residual > 1e-10:
@@ -245,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resonances", parents=[common], formatter_class=fmt_cls,
                        help="resonance table for a squeeze path")
     p.add_argument("--path", default="adjacent",
-                   help="adjacent | linear[:C] | quadratic[:C]")
+                   help=_RESONANT_PATH_HELP)
     p.add_argument("--count", type=int, default=5, help="number of resonances")
     p.set_defaults(func=cmd_resonances)
 
@@ -301,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bc-fit", parents=[common], formatter_class=fmt_cls,
                        help="fit product weights to a resonance")
     p.add_argument("--path", default="adjacent",
-                   help="adjacent | linear[:C] | quadratic[:C]")
+                   help=_RESONANT_PATH_HELP)
     p.add_argument("--n", type=int, required=True, help="resonance index")
     p.set_defaults(func=cmd_bc_fit)
     return parser

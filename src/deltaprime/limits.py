@@ -16,10 +16,9 @@ import numpy as np
 
 from .boundary import ConnectionMatrix, resonant_matrix
 from .errors import InvariantViolation, PrecisionFloorError
-from .paths import BARRIER_FIRST, POWER, SqueezePath
+from .paths import SqueezePath
 from .profile import RectProfile
-from .resonance import (chi_adjacent, chi_linear, g_quadratic,
-                        _bracket, _solve_bracketed)
+from .resonance import has_resonances, resonance_at, resonance_root
 from .transfer import PRECISION_FLOOR, scattering, transfer_matrix
 
 __all__ = [
@@ -199,53 +198,28 @@ def classify(tr: LimitTrace, *, divergence_slope: float = DIVERGENCE_SLOPE,
     return LimitVerdict(entries=verdicts)
 
 
-def _matching_root(lam: float, f, match_tol: float) -> float | None:
-    """Root of the bracketed resonance equation with sigma**2 within
-    ``match_tol`` of ``lam``, if any."""
-    guess = int(math.sqrt(lam) // math.pi)
-    for n in (guess, guess + 1):
-        if n < 1:
-            continue
-        sigma = _solve_bracketed(f, *_bracket(n))
-        if abs(lam - sigma * sigma) <= match_tol:
-            return sigma
-    return None
-
-
 def predict(path: SqueezePath, lam: float, *,
             match_tol: float = 1e-9) -> ConnectionMatrix | None:
     """Analytic zero-range limit of ``path`` at coupling ``lam``.
 
     Returns the limiting connection matrix when the path carries resonances
     and ``lam`` sits on one (within ``match_tol``), else None, meaning the
-    half-lines decouple and the point is opaque.
+    half-lines decouple and the point is opaque.  Only the two brackets
+    around sqrt(lam) are solved.
     """
     if lam <= 0:
         raise ValueError(f"coupling must be positive, got {lam}")
-    if path.kind == BARRIER_FIRST:
+    if not has_resonances(path):
         return None
-    if path.kind == POWER and path.tau < 2.0 and path.tau != 1.0:
-        return None
-
-    if path.kind == POWER and path.tau == 1.0:
-        c = path.c
-
-        def f(s: float) -> float:
-            th = math.tanh(s)
-            return th / (1.0 + c * s * th) - math.tan(s)
-
-        sigma = _matching_root(lam, f, match_tol)
-        if sigma is None:
-            return None
-        return resonant_matrix(chi_linear(sigma, c), 0.0)
-
-    # adjacent and power laws with tau >= 2 share the adjacent root set
-    sigma = _matching_root(lam, lambda s: math.tanh(s) - math.tan(s), match_tol)
-    if sigma is None:
-        return None
-    chi = chi_adjacent(sigma)
-    g = g_quadratic(sigma, path.c) if (path.kind == POWER and path.tau == 2.0) else 0.0
-    return resonant_matrix(chi, g)
+    guess = int(math.sqrt(lam) // math.pi)
+    for n in (guess, guess + 1):
+        if n < 1:
+            continue
+        sigma = resonance_root(path, n)
+        if abs(lam - sigma * sigma) <= match_tol:
+            r = resonance_at(path, sigma)
+            return resonant_matrix(r.chi, r.g)
+    return None
 
 
 @dataclass(frozen=True)

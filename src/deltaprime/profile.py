@@ -9,6 +9,7 @@ delta function of strength ``lam``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class RectProfile:
         l: width of the barrier and of the well, > 0.
         rho: separation between them, >= 0.
         lam: coupling constant multiplying the shape; any real value.
+
+    All three must be finite; NaN fails every check.
     """
 
     l: float
@@ -36,10 +39,13 @@ class RectProfile:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not self.l > 0:
-            raise ValueError(f"width l must be positive, got {self.l}")
-        if self.rho < 0:
-            raise ValueError(f"separation rho must be >= 0, got {self.rho}")
+        if not 0 < self.l < math.inf:
+            raise ValueError(f"width l must be positive and finite, got {self.l}")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(
+                f"separation rho must be >= 0 and finite, got {self.rho}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"coupling lam must be finite, got {self.lam}")
 
     @property
     def height(self) -> float:

@@ -6,8 +6,9 @@ with tau >= 2) the couplings that transmit in the zero-range limit solve
     tanh(s) = tan(s),        s = sqrt(lam),
 
 one root per bracket (n*pi, n*pi + pi/2), n >= 1.  On the linear rule
-rho = c*l the condition becomes tanh(s) / (1 + c*s*tanh(s)) = tan(s).  Each
-root carries the limiting connection-matrix data (chi, g) and, when g != 0,
+rho = c*l the condition becomes tanh(s) / (1 + c*s*tanh(s)) = tan(s), which
+is the first one at c = 0.  Other rules carry no resonances.  Each root
+carries the limiting connection-matrix data (chi, g) and, when g != 0,
 a bound state with decay constant kappa.
 
 Several of the limiting quantities have redundant closed forms; they are
@@ -21,10 +22,14 @@ from dataclasses import dataclass
 
 from .errors import NotARootError
 from .paths import ADJACENT, POWER, SqueezePath
-from .transfer import ScatteringAmplitudes
+from .transfer import ScatteringAmplitudes, amplitudes
 
 __all__ = [
     "Resonance",
+    "has_resonances",
+    "resonance_equation",
+    "resonance_root",
+    "resonance_at",
     "solve_adjacent",
     "solve_linear",
     "chi_adjacent",
@@ -102,9 +107,70 @@ def _index_of(sigma: float) -> int:
     return n
 
 
+def has_resonances(path: SqueezePath) -> bool:
+    """Whether ``path`` carries a resonance set: the adjacent rule and power
+    laws with tau = 1 or tau >= 2."""
+    return path.kind == ADJACENT or (
+        path.kind == POWER and (path.tau == 1.0 or path.tau >= 2.0))
+
+
+def _linear_c(path: SqueezePath) -> float:
+    """Constant c of the path's resonance equation, 0 off the linear rule."""
+    if not has_resonances(path):
+        raise ValueError(
+            f"squeeze rule {path.describe()} admits no resonance set")
+    return path.c if path.kind == POWER and path.tau == 1.0 else 0.0
+
+
+def resonance_equation(path: SqueezePath):
+    """Resonance condition of ``path`` as f(s), zero at s = sigma_n.
+
+    f(s) = tanh(s)/(1 + c*s*tanh(s)) - tan(s) with the constant c of the
+    linear rule, and c = 0 (tanh(s) = tan(s), exactly) on the other rules
+    that carry resonances.
+    """
+    c = _linear_c(path)
+
+    def f(s: float) -> float:
+        th = math.tanh(s)
+        return th / (1.0 + c * s * th) - math.tan(s)
+
+    return f
+
+
+def resonance_root(path: SqueezePath, n: int) -> float:
+    """Root sigma_n of the resonance equation of ``path`` in its n-th
+    bracket (n*pi, n*pi + pi/2)."""
+    return _solve_bracketed(resonance_equation(path), *_bracket(n))
+
+
+def resonance_at(path: SqueezePath, sigma: float) -> Resonance:
+    """Limiting data of ``path`` at the root ``sigma`` of its equation."""
+    c = _linear_c(path)
+    chi = chi_linear(sigma, c) if c > 0 else chi_adjacent(sigma)
+    quadratic = path.kind == POWER and path.tau == 2.0
+    g = g_quadratic(sigma, path.c) if quadratic else 0.0
+    return Resonance(n=_index_of(sigma), sigma=sigma, lam=sigma * sigma,
+                     chi=chi, g=g, kappa=bound_state_kappa(chi, g) or 0.0,
+                     path=path)
+
+
+def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
+    """First ``count`` resonances of a squeeze rule that admits them.
+
+    Adjacent and power laws with tau > 2 share the adjacent resonance set
+    with g = 0; tau = 2 adds the nonzero g (and a bound state); tau = 1 has
+    its own roots.  Other rules give separated half-lines and raise.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return [resonance_at(path, resonance_root(path, n))
+            for n in range(1, count + 1)]
+
+
 def solve_adjacent(count: int) -> list[Resonance]:
     """First ``count`` resonances of the adjacent squeeze rule (gap = 0)."""
-    return solve_linear(0.0, count)
+    return resonance_set(SqueezePath.adjacent(), count)
 
 
 def solve_linear(c: float, count: int) -> list[Resonance]:
@@ -116,21 +182,7 @@ def solve_linear(c: float, count: int) -> list[Resonance]:
     """
     if c < 0:
         raise ValueError(f"path constant c must be >= 0, got {c}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-
-    def f(s: float) -> float:
-        th = math.tanh(s)
-        return th / (1.0 + c * s * th) - math.tan(s)
-
-    path = SqueezePath.power_law(c, 1.0)
-    out = []
-    for n in range(1, count + 1):
-        sigma = _solve_bracketed(f, *_bracket(n))
-        chi = chi_linear(sigma, c) if c > 0 else chi_adjacent(sigma)
-        out.append(Resonance(n=n, sigma=sigma, lam=sigma * sigma,
-                             chi=chi, g=0.0, kappa=0.0, path=path))
-    return out
+    return resonance_set(SqueezePath.power_law(c, 1.0), count)
 
 
 def _consistent(forms: list[float], tol: float) -> bool:
@@ -175,15 +227,13 @@ def chi_linear(sigma: float, c: float) -> float:
     return forms[2]
 
 
-def g_quadratic(sigma: float, c: float, n: int | None = None) -> float:
+def g_quadratic(sigma: float, c: float) -> float:
     """Limiting lower-left entry on the quadratic rule rho = c*l**2.
 
     Two equivalent forms, -c*s**2*sinh(s)*sin(s) and
     (-1)**(n+1)*c*s**2*sinh(s)**2/sqrt(cosh(2s)); the first is returned.
     The quadratic rule keeps tanh(s) = tan(s) as its resonance condition.
     """
-    if n is None:
-        n = _index_of(sigma)
     g = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
     return g + 0.0  # normalize -0.0 at c = 0
 
@@ -207,11 +257,7 @@ def resonant_scattering(chi: float, g: float, k: float) -> ScatteringAmplitudes:
     """
     if chi == 0:
         raise ValueError("chi must be nonzero")
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
-    denom = 1.0 / chi + chi + 1j * g / k
-    return ScatteringAmplitudes(R=(1.0 / chi - chi - 1j * g / k) / denom,
-                                T=2.0 / denom)
+    return amplitudes(chi, 0.0, g, 1.0 / chi, k)
 
 
 def bound_state_kappa(chi: float, g: float) -> float | None:
@@ -227,33 +273,3 @@ def bound_state_kappa(chi: float, g: float) -> float | None:
         raise ValueError("chi must be nonzero")
     kappa = -g / (chi + 1.0 / chi)
     return kappa if kappa > 0 else None
-
-
-def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
-    """Resonance data for a squeeze rule that admits resonances.
-
-    Adjacent and power laws with tau > 2 share the adjacent resonance set
-    with g = 0; tau = 2 adds the nonzero g (and a bound state); tau = 1 has
-    its own roots.  Other rules give separated half-lines and raise.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if path.kind == ADJACENT:
-        return solve_adjacent(count)
-    if path.kind == POWER:
-        if path.tau == 1.0:
-            return solve_linear(path.c, count)
-        if path.tau == 2.0:
-            out = []
-            for r in solve_adjacent(count):
-                g = g_quadratic(r.sigma, path.c, r.n)
-                kappa = bound_state_kappa(r.chi, g) or 0.0
-                out.append(Resonance(n=r.n, sigma=r.sigma, lam=r.lam,
-                                     chi=r.chi, g=g, kappa=kappa, path=path))
-            return out
-        if path.tau > 2.0:
-            return [Resonance(n=r.n, sigma=r.sigma, lam=r.lam, chi=r.chi,
-                              g=0.0, kappa=0.0, path=path)
-                    for r in solve_adjacent(count)]
-    raise ValueError(
-        f"squeeze rule {path.describe()} admits no resonance set")

@@ -24,9 +24,11 @@ __all__ = [
     "WaveParams",
     "TransferMatrix",
     "ScatteringAmplitudes",
+    "UnitDetMatrix",
     "transfer_matrix",
     "piecewise_transfer",
     "scattering",
+    "amplitudes",
 ]
 
 # Below this width the 1/l cancellations in the lower-left entry eat more
@@ -71,21 +73,15 @@ class WaveParams:
         return cls.for_barrier(profile.lam, profile.l, E)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 unit-determinant matrix carrying (psi, psi') from 0 to ``x0``."""
+class UnitDetMatrix:
+    """Entries l11, l12, l21, l22 of a 2x2 matrix with unit determinant.
 
-    l11: complex
-    l12: complex
-    l21: complex
-    l22: complex
-    x0: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.l11, self.l12], [self.l21, self.l22]])
+    Shared by transfer matrices and point-interaction connection matrices;
+    subclasses declare the four entries as fields.
+    """
 
     @property
-    def det(self) -> complex:
+    def det(self):
         return self.l11 * self.l22 - self.l12 * self.l21
 
     def det_residual(self) -> float:
@@ -99,13 +95,19 @@ class TransferMatrix:
         scale = max(1.0, abs(self.l11 * self.l22), abs(self.l12 * self.l21))
         return abs(self.det - 1.0) / scale
 
+
+@dataclass(frozen=True)
+class TransferMatrix(UnitDetMatrix):
+    """2x2 unit-determinant matrix carrying (psi, psi') from 0 to ``x0``."""
+
+    l11: complex
+    l12: complex
+    l21: complex
+    l22: complex
+    x0: float
+
     def entry_scale(self) -> float:
         return max(abs(self.l11), abs(self.l12), abs(self.l21), abs(self.l22))
-
-    def is_real(self, tol: float = 1e-9) -> bool:
-        m = max(1.0, self.entry_scale())
-        return max(abs(self.l11.imag), abs(self.l12.imag),
-                   abs(self.l21.imag), abs(self.l22.imag)) <= tol * m
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,14 @@ def piecewise_transfer(profile: RectProfile, E: float) -> TransferMatrix:
 
 
 def scattering(tm: TransferMatrix, k: float) -> ScatteringAmplitudes:
-    """Reflection/transmission amplitudes of a transfer matrix at wavenumber k.
+    """Reflection/transmission amplitudes of a transfer matrix at wavenumber k."""
+    return amplitudes(tm.l11, tm.l12, tm.l21, tm.l22, k, tm.x0)
+
+
+def amplitudes(l11, l12, l21, l22, k: float,
+               x0: float = 0.0) -> ScatteringAmplitudes:
+    """Left-incidence amplitudes of the matrix carrying (psi, psi') from 0
+    to ``x0`` (0 for a point interaction) at wavenumber k.
 
     For real entries with unit determinant, |Delta|**2 = (l11+l22)**2 +
     (k*l12 - l21/k)**2 >= 4, so the denominator can never vanish; a smaller
@@ -196,10 +205,13 @@ def scattering(tm: TransferMatrix, k: float) -> ScatteringAmplitudes:
     """
     if k <= 0:
         raise ValueError(f"wavenumber must be positive, got {k}")
-    delta = tm.l11 + tm.l22 - 1j * (k * tm.l12 - tm.l21 / k)
-    if tm.is_real() and abs(delta) < 2.0 - 1e-9:
-        raise InvariantViolation(
-            f"|Delta| = {abs(delta)} < 2 for a real unit-determinant matrix")
-    R = -(tm.l11 - tm.l22 + 1j * (k * tm.l12 + tm.l21 / k)) / delta
-    T = 2.0 / delta * cmath.exp(-1j * k * tm.x0)
+    delta = l11 + l22 - 1j * (k * l12 - l21 / k)
+    if abs(delta) < 2.0 - 1e-9:
+        entries = (l11, l12, l21, l22)
+        scale = max(1.0, *(abs(v) for v in entries))
+        if max(abs(v.imag) for v in entries) <= 1e-9 * scale:
+            raise InvariantViolation(
+                f"|Delta| = {abs(delta)} < 2 for a real unit-determinant matrix")
+    R = -(l11 - l22 + 1j * (k * l12 + l21 / k)) / delta
+    T = 2.0 / delta * cmath.exp(-1j * k * x0)
     return ScatteringAmplitudes(R=R, T=T)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from deltaprime import SqueezePath, resonance_set
 from deltaprime.cli import main
 
 LAM1 = 15.418205716980063
@@ -58,9 +59,20 @@ def test_resonances_bad_count_is_usage_error(capsys):
 
 
 def test_resonances_rejects_non_resonant_path(capsys):
-    code, _, err = run_cli(capsys, "resonances", "--path", "barrier-first:0.5")
-    assert code == 2
-    assert "resonance" in err
+    for spec in ("barrier-first:0.5", "power:1:1.5"):
+        code, _, err = run_cli(capsys, "resonances", "--path", spec)
+        assert code == 2
+        assert "resonance" in err
+
+
+def test_resonances_power_path_defers_to_library(capsys):
+    # any rule the library resolves is accepted, not only the named ones
+    code, out, _ = run_cli(capsys, "resonances", "--path", "power:1:3",
+                           "--count", "3")
+    assert code == 0
+    _, rows = parse_csv(out)
+    want = resonance_set(SqueezePath.power_law(1.0, 3.0), 3)
+    assert [float(row["sigma"]) for row in rows] == [r.sigma for r in want]
 
 
 def test_unknown_path_spec_is_usage_error(capsys):
@@ -93,6 +105,17 @@ def test_transfer_usage_errors(capsys):
     assert run_cli(capsys, "transfer", "--l", "0", "--lambda", "1")[0] == 2
     assert run_cli(capsys, "transfer", "--l", "1", "--lambda", "1",
                    "--E", "-1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("transfer", "--l", "1e-3", "--lambda", "nan"),
+    ("transfer", "--l", "1e-3", "--rho", "nan", "--lambda", "3"),
+])
+def test_transfer_nan_input_is_numeric_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "finite" in err
 
 
 def test_limit_trace_resonant_verdict(capsys):
