@@ -61,7 +61,7 @@ class ConnectionMatrix(UnitDetMatrix):
     l22: float
 
     def __post_init__(self):
-        if self.det_residual() > 1e-12:
+        if not self.det_residual() <= 1e-12:
             raise InvariantViolation(
                 f"connection matrix determinant {self.det} != 1")
 
@@ -95,11 +95,7 @@ def resonant_matrix(chi: float, g: float = 0.0) -> ConnectionMatrix:
 def seba_matrix(lam: float) -> ConnectionMatrix:
     """Diagonal matrix diag(A, 1/A), A = (2+lam)/(2-lam), of the
     symmetrized (half/half) distributional product."""
-    if lam == 2.0 or lam == -2.0:
-        raise SingularParameterError(
-            f"lam = {lam} is a pole of A = (2+lam)/(2-lam)")
-    a = (2.0 + lam) / (2.0 - lam)
-    return ConnectionMatrix(a, 0.0, 0.0, (2.0 - lam) / (2.0 + lam))
+    return delta_prime_delta_matrix(0.0, lam)
 
 
 def delta_prime_delta_matrix(gamma: float, lam: float) -> ConnectionMatrix:
@@ -109,7 +105,7 @@ def delta_prime_delta_matrix(gamma: float, lam: float) -> ConnectionMatrix:
         raise SingularParameterError(
             f"lam = {lam} is a pole of A = (2+lam)/(2-lam)")
     a = (2.0 + lam) / (2.0 - lam)
-    b = gamma / (1.0 - lam * lam / 4.0)
+    b = gamma / (1.0 - lam * lam / 4.0) + 0.0  # drop -0.0 when |lam| > 2
     return ConnectionMatrix(a, 0.0, b, (2.0 - lam) / (2.0 + lam))
 
 

@@ -22,8 +22,7 @@ from .errors import DeltaPrimeError, InvariantViolation
 from .limits import classify, trace, transmission_sweep
 from .paths import SqueezePath
 from .profile import RectProfile
-from .resonance import (has_resonances, resonance_equation, resonance_set,
-                        resonant_scattering)
+from .resonance import has_resonances, resonance_set, resonant_scattering
 from .transfer import piecewise_transfer, scattering, transfer_matrix
 
 EXIT_OK = 0
@@ -35,7 +34,11 @@ _RESONANT_PATH_HELP = ("adjacent | linear[:C] | quadratic[:C] | "
 
 
 class UsageError(Exception):
-    """Bad command-line arguments detected before dispatch."""
+    """Bad command-line arguments detected before dispatch.
+
+    The range guards on float options let NaN through on purpose: the
+    library's own guards reject non-finite values (exit 3).
+    """
 
 
 def _fmt(v) -> str:
@@ -97,14 +100,9 @@ def cmd_resonances(args) -> int:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     path = _parse_path(args.path, resonant_only=True)
     k = 1.0
-    f = resonance_equation(path)
     rows = []
     for r in resonance_set(path, args.count):
-        if abs(f(r.sigma)) > 1e-10:
-            raise InvariantViolation(f"root residual too large at n = {r.n}")
         amp = resonant_scattering(r.chi, r.g, k)
-        if amp.conservation_residual > 1e-10:
-            raise InvariantViolation(f"conservation violated at n = {r.n}")
         rows.append({"n": r.n, "sigma": r.sigma, "lambda": r.lam,
                      "chi": r.chi, "g": r.g, "kappa": r.kappa,
                      "R": amp.R, "T": amp.T, "k": k})
@@ -121,12 +119,9 @@ def cmd_transfer(args) -> int:
         raise UsageError(f"--E must be positive, got {args.E}")
     profile = RectProfile(l=args.l, rho=args.rho, lam=args.lam)
     tm = transfer_matrix(profile, args.E)
-    if tm.det_residual() > 1e-12:
+    if not tm.det_residual() <= 1e-12:
         raise InvariantViolation(f"determinant residual {tm.det_residual()}")
     amp = scattering(tm, math.sqrt(args.E))
-    if amp.conservation_residual > 1e-10:
-        raise InvariantViolation(
-            f"conservation residual {amp.conservation_residual}")
     row = {"l": args.l, "rho": args.rho, "lambda": args.lam, "E": args.E,
            "L11": tm.l11, "L12": tm.l12, "L21": tm.l21, "L22": tm.l22,
            "det": tm.det, "R": amp.R, "T": amp.T, "T2": amp.T2,
@@ -136,7 +131,7 @@ def cmd_transfer(args) -> int:
         scale = max(1.0, tm.entry_scale(), ref.entry_scale())
         resid = max(abs(tm.l11 - ref.l11), abs(tm.l12 - ref.l12),
                     abs(tm.l21 - ref.l21), abs(tm.l22 - ref.l22)) / scale
-        if resid > 1e-10:
+        if not resid <= 1e-10:
             raise InvariantViolation(f"oracle disagreement {resid}")
         row["oracle_residual"] = resid
     _emit(args, [row])
@@ -196,9 +191,6 @@ def cmd_bc(args) -> int:
     cm = bc_from_product(ProductParams(alpha=args.alpha, beta=args.beta),
                          args.lam)
     amp = scattering_from_matrix(cm, args.k)
-    if amp.conservation_residual > 1e-10:
-        raise InvariantViolation(
-            f"conservation residual {amp.conservation_residual}")
     row = {"alpha": args.alpha, "beta": args.beta, "lambda": args.lam,
            "k": args.k, "A": cm.l11, "B": cm.l21, "R": amp.R, "T": amp.T}
     _emit(args, [row], extras={"bound_states": bound_state(cm)})

@@ -35,7 +35,7 @@ class SqueezePath:
 
     @classmethod
     def barrier_first(cls, rho: float) -> "SqueezePath":
-        if rho <= 0:
+        if not rho > 0:
             raise ValueError(f"barrier-first separation must be positive, got {rho}")
         return cls(kind=BARRIER_FIRST, rho=rho)
 
@@ -45,9 +45,9 @@ class SqueezePath:
 
     @classmethod
     def power_law(cls, c: float, tau: float) -> "SqueezePath":
-        if c < 0:
+        if not c >= 0:
             raise ValueError(f"path constant c must be >= 0, got {c}")
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError(f"path exponent tau must be positive, got {tau}")
         if c == 0:
             return cls.adjacent()

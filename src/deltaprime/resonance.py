@@ -43,6 +43,7 @@ __all__ = [
 # Bracket endpoints are pulled in to keep clear of tan's zero and pole.
 _MARGIN = 1e-9
 _WIDTH_TOL = 1e-13
+_ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ def _solve_bracketed(f, lo: float, hi: float) -> float:
 
     tan's poles make unguarded Newton-style iteration unsafe; inside a
     width-1e-13 bracket the secant step is harmless and shaves the last
-    couple of ulps.
+    couple of ulps.  A sign change that is not a zero (a pole or a jump)
+    leaves |f| large at the end and raises :class:`NotARootError`.
     """
     flo, fhi = f(lo), f(hi)
     if not (flo > 0 > fhi):
@@ -97,6 +99,8 @@ def _solve_bracketed(f, lo: float, hi: float) -> float:
             fc = f(cand)
             if abs(fc) < abs(fr):
                 root, fr = cand, fc
+    if not abs(fr) <= _ROOT_TOL:
+        raise NotARootError(f"residual {fr} at the sign change {root}")
     return root
 
 
@@ -146,8 +150,7 @@ def resonance_root(path: SqueezePath, n: int) -> float:
 
 def resonance_at(path: SqueezePath, sigma: float) -> Resonance:
     """Limiting data of ``path`` at the root ``sigma`` of its equation."""
-    c = _linear_c(path)
-    chi = chi_linear(sigma, c) if c > 0 else chi_adjacent(sigma)
+    chi = chi_linear(sigma, _linear_c(path))
     quadratic = path.kind == POWER and path.tau == 2.0
     g = g_quadratic(sigma, path.c) if quadratic else 0.0
     return Resonance(n=_index_of(sigma), sigma=sigma, lam=sigma * sigma,
@@ -180,48 +183,39 @@ def solve_linear(c: float, count: int) -> list[Resonance]:
     tanh(s)/(1 + c*s*tanh(s)) = tan(s) stays inside (0, 1), so every bracket
     (n*pi, n*pi + pi/2) holds exactly one root.
     """
-    if c < 0:
-        raise ValueError(f"path constant c must be >= 0, got {c}")
     return resonance_set(SqueezePath.power_law(c, 1.0), count)
 
 
-def _consistent(forms: list[float], tol: float) -> bool:
-    scale = max(1.0, *(abs(v) for v in forms))
-    spread = max(forms) - min(forms)
-    return spread <= tol * scale
-
-
 def chi_adjacent(sigma: float) -> float:
-    """Limiting upper-left entry at a root of tanh(s) = tan(s).
-
-    The three equivalent expressions cosh/cos, sinh/sin and the signed
-    square root of cosh(2s) are all evaluated; a relative spread beyond
-    1e-6 means the input was not actually a root.
-    """
-    n = _index_of(sigma)
-    forms = [
-        math.cosh(sigma) / math.cos(sigma),
-        math.sinh(sigma) / math.sin(sigma),
-        (-1.0) ** n * math.sqrt(math.cosh(2.0 * sigma)),
-    ]
-    if not _consistent(forms, 1e-6):
-        raise NotARootError(
-            f"sigma = {sigma} is not a root: chi forms spread {forms}")
-    return forms[2]
+    """Limiting upper-left entry at a root of tanh(s) = tan(s): the linear
+    rule's entry at c = 0, where its signed square root is sqrt(cosh(2s))."""
+    return chi_linear(sigma, 0.0)
 
 
 def chi_linear(sigma: float, c: float) -> float:
-    """Limiting upper-left entry at a root of the linear-rule equation."""
-    if c < 0:
+    """Limiting upper-left entry at a root of the linear-rule equation.
+
+    The three equivalent expressions u/cos(s), sinh(s)/sin(s) and the signed
+    square root of u**2 + sinh(s)**2, with u = cosh(s) + c*s*sinh(s), are
+    all evaluated; a relative spread beyond 1e-6 means the input was not
+    actually a root.  The square root is expanded as cosh(2s) +
+    c*s*sinh(2s) + (c*s*sinh(s))**2, which is exactly sqrt(cosh(2s)) at
+    c = 0.
+    """
+    if not c >= 0:
         raise ValueError(f"path constant c must be >= 0, got {c}")
     n = _index_of(sigma)
-    u = math.cosh(sigma) + c * sigma * math.sinh(sigma)
+    cs = c * sigma
+    u = math.cosh(sigma) + cs * math.sinh(sigma)
     forms = [
         u / math.cos(sigma),
         math.sinh(sigma) / math.sin(sigma),
-        (-1.0) ** n * math.sqrt(u * u + math.sinh(sigma) ** 2),
+        (-1.0) ** n * math.sqrt(math.cosh(2.0 * sigma)
+                                + cs * math.sinh(2.0 * sigma)
+                                + (cs * math.sinh(sigma)) ** 2),
     ]
-    if not _consistent(forms, 1e-6):
+    scale = max(1.0, *(abs(v) for v in forms))
+    if not max(forms) - min(forms) <= 1e-6 * scale:
         raise NotARootError(
             f"sigma = {sigma} is not a root at c = {c}: chi forms spread {forms}")
     return forms[2]

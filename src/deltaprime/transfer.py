@@ -58,7 +58,7 @@ class WaveParams:
 
     @classmethod
     def for_barrier(cls, lam: float, l: float, E: float) -> "WaveParams":
-        if E <= 0:
+        if not E > 0:
             raise ValueError(f"scattering energy must be positive, got {E}")
         scale = lam / (l * l)
         return cls(
@@ -177,7 +177,7 @@ def piecewise_transfer(profile: RectProfile, E: float) -> TransferMatrix:
     matrices in order.  Independent of :func:`transfer_matrix` and used as
     its oracle.
     """
-    if E <= 0:
+    if not E > 0:
         raise ValueError(f"scattering energy must be positive, got {E}")
     scale = profile.lam / (profile.l * profile.l)
     m = (
@@ -202,16 +202,23 @@ def amplitudes(l11, l12, l21, l22, k: float,
     For real entries with unit determinant, |Delta|**2 = (l11+l22)**2 +
     (k*l12 - l21/k)**2 >= 4, so the denominator can never vanish; a smaller
     value means the matrix is corrupt and is flagged as an internal error.
+    Every result is checked for flux conservation, |R|**2 + |T|**2 = 1 to
+    1e-10, which also rejects non-finite amplitudes.
     """
-    if k <= 0:
+    if not k > 0:
         raise ValueError(f"wavenumber must be positive, got {k}")
     delta = l11 + l22 - 1j * (k * l12 - l21 / k)
-    if abs(delta) < 2.0 - 1e-9:
+    if not abs(delta) >= 2.0 - 1e-9:
         entries = (l11, l12, l21, l22)
         scale = max(1.0, *(abs(v) for v in entries))
         if max(abs(v.imag) for v in entries) <= 1e-9 * scale:
             raise InvariantViolation(
-                f"|Delta| = {abs(delta)} < 2 for a real unit-determinant matrix")
+                f"|Delta| = {abs(delta)}, not >= 2, for a real "
+                "unit-determinant matrix")
     R = -(l11 - l22 + 1j * (k * l12 + l21 / k)) / delta
     T = 2.0 / delta * cmath.exp(-1j * k * x0)
-    return ScatteringAmplitudes(R=R, T=T)
+    amp = ScatteringAmplitudes(R=R, T=T)
+    if not amp.conservation_residual <= 1e-10:
+        raise InvariantViolation(
+            f"conservation residual {amp.conservation_residual}")
+    return amp

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -116,6 +117,50 @@ def test_transfer_nan_input_is_numeric_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert "finite" in err
+
+
+# Every float option of the numeric subcommands, and the constant of each
+# path-spec form on every subcommand that takes --path, set to nan, inf and
+# -inf.  '=' keeps argparse from reading '-inf' as an option name.
+FLOAT_OPTIONS = {
+    "transfer": {"--l": "1e-3", "--rho": "0", "--lambda": "15", "--E": "1"},
+    "limit-trace": {"--lambda": "15", "--E": "1", "--l-start": "0.1",
+                    "--l-end": "1e-4"},
+    "sweep": {"--l": "1e-3", "--lambda-min": "1", "--lambda-max": "60",
+              "--E": "1"},
+    "bc": {"--alpha": "0.5", "--beta": "0", "--lambda": "1", "--k": "1"},
+}
+PATH_SPECS = ("linear:{}", "quadratic:{}", "power:{}:2", "power:1:{}",
+              "barrier-first:{}")
+PATH_COMMANDS = {"resonances": ["--count=3"], "limit-trace": ["--lambda=15"],
+                 "sweep": ["--samples=200"], "bc-fit": ["--n=2"]}
+NON_FINITE_TOKEN = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+def non_finite_argvs():
+    for value in ("nan", "inf", "-inf"):
+        for cmd, opts in FLOAT_OPTIONS.items():
+            for name in opts:
+                yield [cmd] + [f"{k}={value if k == name else v}"
+                               for k, v in opts.items()]
+        for cmd, extra in PATH_COMMANDS.items():
+            for spec in PATH_SPECS:
+                yield [cmd, "--path=" + spec.format(value)] + extra
+
+
+@pytest.mark.parametrize("argv", list(non_finite_argvs()), ids=" ".join)
+def test_non_finite_input_fails_cleanly(capsys, argv):
+    # either a typed failure with nothing on stdout, or finite output
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects its arguments this way
+        code = exc.code
+    out = capsys.readouterr().out
+    if code == 0:
+        assert not NON_FINITE_TOKEN.search(out)
+    else:
+        assert code in (2, 3)
+        assert out == ""
 
 
 def test_limit_trace_resonant_verdict(capsys):

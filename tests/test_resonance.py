@@ -6,7 +6,7 @@ from conftest import adjacent_root_oracle, linear_root_oracle
 from deltaprime import (NotARootError, SqueezePath, bound_state_kappa,
                         chi_adjacent, chi_linear, g_quadratic, resonance_set,
                         resonant_scattering, solve_adjacent, solve_linear)
-from deltaprime.resonance import g_quadratic_forms
+from deltaprime.resonance import _solve_bracketed, g_quadratic_forms
 
 # frozen reference values (independent bisection + direct evaluation)
 SIGMA1 = 3.9266023120479188
@@ -89,6 +89,12 @@ def test_chi_adjacent_rejects_non_root():
         chi_adjacent(4.2)
     with pytest.raises(NotARootError):
         chi_adjacent(1.0)  # below the first bracket
+
+
+def test_solve_bracketed_rejects_a_jump():
+    # a sign change without a zero: bisection closes in on the jump at 4.5
+    with pytest.raises(NotARootError, match="residual"):
+        _solve_bracketed(lambda s: 1.0 if s < 4.5 else -1.0, 4.0, 5.0)
 
 
 def test_chi_linear_reduces_and_chains():

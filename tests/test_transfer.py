@@ -4,8 +4,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltaprime import (RectProfile, TransferMatrix, WaveParams,
-                        piecewise_transfer, scattering, transfer_matrix)
+from deltaprime import (InvariantViolation, RectProfile, TransferMatrix,
+                        WaveParams, piecewise_transfer, scattering,
+                        transfer_matrix)
 
 LAM1 = 15.418205716980063  # first adjacent resonance coupling, sigma_1**2
 SIGMA1 = 3.926602312047919
@@ -87,6 +88,12 @@ def test_scattering_identity_matrix():
     amp = scattering(TransferMatrix(1.0, 0.0, 0.0, 1.0, x0=0.0), k=1.0)
     assert amp.R == 0.0
     assert amp.T == pytest.approx(1.0, abs=1e-15)
+
+
+def test_scattering_rejects_non_conserving_matrix():
+    # det = 4: |Delta| = 4 passes the |Delta| >= 2 test, but T = 0.5, R = 0
+    with pytest.raises(InvariantViolation, match="conservation"):
+        scattering(TransferMatrix(2.0, 0.0, 0.0, 2.0, x0=0.0), 1.0)
 
 
 def test_conservation_simple_case():
