@@ -21,8 +21,7 @@ from .resonance import (Resonance, bound_state_kappa, chi_adjacent,
                         chi_linear, g_quadratic, resonance_set,
                         resonant_scattering, solve_adjacent, solve_linear)
 from .transfer import (PRECISION_FLOOR, ScatteringAmplitudes, TransferMatrix,
-                       WaveParams, piecewise_transfer, scattering,
-                       transfer_matrix)
+                       piecewise_transfer, scattering, transfer_matrix)
 
 __version__ = "0.1.0"
 
@@ -38,6 +37,6 @@ __all__ = [
     "Resonance", "bound_state_kappa", "chi_adjacent", "chi_linear",
     "g_quadratic", "resonance_set", "resonant_scattering", "solve_adjacent",
     "solve_linear",
-    "PRECISION_FLOOR", "ScatteringAmplitudes", "TransferMatrix", "WaveParams",
+    "PRECISION_FLOOR", "ScatteringAmplitudes", "TransferMatrix",
     "piecewise_transfer", "scattering", "transfer_matrix",
 ]

@@ -100,12 +100,12 @@ def cmd_resonances(args) -> int:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     path = _parse_path(args.path, resonant_only=True)
     k = 1.0
-    rows = []
-    for r in resonance_set(path, args.count):
-        amp = resonant_scattering(r.chi, r.g, k)
-        rows.append({"n": r.n, "sigma": r.sigma, "lambda": r.lam,
-                     "chi": r.chi, "g": r.g, "kappa": r.kappa,
-                     "R": amp.R, "T": amp.T, "k": k})
+    rs = resonance_set(path, args.count)
+    amp = resonant_scattering(np.array([r.chi for r in rs]),
+                              np.array([r.g for r in rs]), k)
+    rows = [{"n": r.n, "sigma": r.sigma, "lambda": r.lam, "chi": r.chi,
+             "g": r.g, "kappa": r.kappa, "R": R, "T": T, "k": k}
+            for r, R, T in zip(rs, amp.R, amp.T)]
     _emit(args, rows)
     return EXIT_OK
 

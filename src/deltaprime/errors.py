@@ -1,4 +1,7 @@
-"""Typed errors shared across the library."""
+"""Typed errors shared across the library, and the elementwise check that
+raises them."""
+
+import numpy as np
 
 __all__ = [
     "DeltaPrimeError",
@@ -6,6 +9,7 @@ __all__ = [
     "PrecisionFloorError",
     "NotARootError",
     "InvariantViolation",
+    "require",
 ]
 
 
@@ -27,3 +31,18 @@ class NotARootError(DeltaPrimeError):
 
 class InvariantViolation(DeltaPrimeError):
     """A computed result failed one of its built-in consistency checks."""
+
+
+def require(ok, error: type[Exception], message: str, *values) -> None:
+    """Raise ``error`` unless ``ok`` holds at every element.
+
+    ``ok`` is a boolean scalar or array; a bound on a computed value is
+    written so that NaN fails it (``x <= tol``).  ``message`` is formatted
+    with the elements of ``values``, broadcast to the shape of ``ok``, at
+    the first position where it fails.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise error(message.format(
+            *(np.broadcast_to(v, ok.shape).flat[i].item() for v in values)))

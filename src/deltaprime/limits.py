@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import ConnectionMatrix, resonant_matrix
-from .errors import InvariantViolation, PrecisionFloorError
+from .errors import InvariantViolation, PrecisionFloorError, require
 from .paths import SqueezePath
-from .profile import RectProfile
 from .resonance import has_resonances, resonance_at, resonance_root
-from .transfer import PRECISION_FLOOR, scattering, transfer_matrix
+from .transfer import (PRECISION_FLOOR, amplitudes, det_residual,
+                       transfer_entries)
 
 __all__ = [
     "LimitTrace",
@@ -47,14 +47,18 @@ _TINY_TAIL = 1e-6
 _RICHARDSON_DEPTH = 8
 _MATCH_TOL = 1e-9
 
+# Couplings per transfer-kernel call in a sweep: bounds the kernel's
+# temporaries (a few dozen arrays of this length) on long grids, while the
+# CLI default of 2000 samples stays one call.
+SWEEP_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class LimitTrace:
     """Transfer-matrix entries along a shrinking-width sequence.
 
-    ``entries`` has shape (points, 4) ordered (L11, L12, L21, L22); entries
-    are stored as reals (for positive coupling and energy the closed forms
-    are real, which is checked at build time).
+    ``entries`` has shape (points, 4) ordered (L11, L12, L21, L22); the
+    closed forms are real.
     """
 
     path: SqueezePath
@@ -120,34 +124,29 @@ def trace(path: SqueezePath, lam: float, E: float,
           l_start: float, l_end: float, points: int) -> LimitTrace:
     """Evaluate the transfer matrix on a geometric width grid along ``path``.
 
-    Requires points >= 8 and l_end >= the double-precision floor; every
-    record is checked against the unit-determinant invariant.
+    Requires points >= 8, a finite l_start > l_end >= the double-precision
+    floor and a finite lam >= 0; every point is checked against the
+    unit-determinant invariant.
     """
     if points < 8:
         raise ValueError(f"need at least 8 trace points, got {points}")
     if not l_end >= PRECISION_FLOOR:
         raise PrecisionFloorError(
             f"l_end = {l_end} below the precision floor {PRECISION_FLOOR}")
-    if not l_start > l_end:
-        raise ValueError(f"need l_start > l_end, got {l_start} <= {l_end}")
-    if not lam >= 0:
-        raise ValueError(f"coupling must be >= 0, got {lam}")
+    if not l_end < l_start < math.inf:
+        raise ValueError(f"need a finite l_start > l_end, got l_start = "
+                         f"{l_start}, l_end = {l_end}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"coupling must be finite and >= 0, got {lam}")
 
     ls = np.geomspace(l_start, l_end, points)
-    rhos = np.array([path.rho_of(l) for l in ls])
-    raw = np.empty((points, 4), dtype=complex)
-    for i, (l, rho) in enumerate(zip(ls, rhos)):
-        tm = transfer_matrix(RectProfile(l=l, rho=rho, lam=lam), E)
-        if not tm.det_residual() <= 1e-10:
-            raise InvariantViolation(
-                f"determinant residual {tm.det_residual()} at l = {l}")
-        raw[i] = (tm.l11, tm.l12, tm.l21, tm.l22)
-
-    scale = max(1.0, abs(raw).max())
-    if not abs(raw.imag).max() <= 1e-9 * scale:
-        raise InvariantViolation("trace entries acquired imaginary parts")
+    rhos = np.zeros(points) + path.rho_of(ls)  # rho_of may give a scalar
+    entries = transfer_entries(ls, rhos, lam, E)
+    residual = det_residual(*entries)
+    require(residual <= 1e-10, InvariantViolation,
+            "determinant residual {} at l = {}", residual, ls)
     return LimitTrace(path=path, lam=lam, E=E, l_values=ls,
-                      rho_values=rhos, entries=raw.real.copy())
+                      rho_values=rhos, entries=np.stack(entries, axis=1))
 
 
 def _richardson(values: np.ndarray, ratio: float) -> tuple[float, float]:
@@ -245,35 +244,38 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
                        lam_max: float, samples: int, E: float = 1.0) -> SweepResult:
     """|T|^2 and |R|^2 over an evenly spaced coupling grid at width ``l``.
 
-    Peaks are strict local maxima of |T|^2 over the grid, refined by a
-    parabola through the three surrounding samples (the refinement never
-    leaves the neighbouring half-intervals).
+    The grid is evaluated in blocks of ``SWEEP_BLOCK`` couplings.  Peaks are
+    strict local maxima of |T|^2 over the grid, refined by a parabola
+    through the three surrounding samples (the refinement never leaves the
+    neighbouring half-intervals).
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if not l >= PRECISION_FLOOR:
         raise PrecisionFloorError(
             f"l = {l} below the precision floor {PRECISION_FLOOR}")
+    for name, value in (("l", l), ("lam_min", lam_min), ("lam_max", lam_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not lam_max > lam_min:
         raise ValueError(f"need lam_max > lam_min, got {lam_max} <= {lam_min}")
-    if not E > 0:
-        raise ValueError(f"energy must be positive, got {E}")
 
     lams = np.linspace(lam_min, lam_max, samples)
     rho = path.rho_of(l)
-    k = math.sqrt(E)
     t2 = np.empty(samples)
     r2 = np.empty(samples)
-    for i, lam in enumerate(lams):
-        amp = scattering(transfer_matrix(RectProfile(l=l, rho=rho, lam=lam), E), k)
-        t2[i], r2[i] = amp.T2, amp.R2
+    for start in range(0, samples, SWEEP_BLOCK):
+        block = slice(start, start + SWEEP_BLOCK)
+        entries = transfer_entries(l, rho, lams[block], E)
+        amp = amplitudes(*entries, math.sqrt(E), 2.0 * l + rho)
+        t2[block], r2[block] = amp.T2, amp.R2
 
     h = lams[1] - lams[0]
-    peaks = []
-    for i in range(1, samples - 1):
-        if t2[i] > t2[i - 1] and t2[i] > t2[i + 1]:
-            denom = t2[i - 1] - 2.0 * t2[i] + t2[i + 1]
-            off = 0.5 * h * (t2[i - 1] - t2[i + 1]) / denom if denom != 0.0 else 0.0
-            peaks.append(Peak(lam=float(lams[i] + off), T2=float(t2[i])))
+    i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
+    denom = t2[i - 1] - 2.0 * t2[i] + t2[i + 1]
+    off = np.divide(0.5 * h * (t2[i - 1] - t2[i + 1]), denom,
+                    out=np.zeros(len(i)), where=denom != 0.0)
+    peaks = [Peak(lam=float(lam), T2=float(t)) for lam, t in
+             zip(lams[i] + off, t2[i])]
     return SweepResult(path=path, l=l, E=E, lambdas=lams, T2=t2, R2=r2,
                        peaks=peaks)

@@ -78,8 +78,9 @@ class SqueezePath:
             raise ValueError(f"bad squeeze-path spec {spec!r}: {exc}") from None
         raise ValueError(f"bad squeeze-path spec {spec!r}")
 
-    def rho_of(self, l: float) -> float:
-        """Gap width at barrier width ``l``."""
+    def rho_of(self, l):
+        """Gap width at barrier width ``l`` (a scalar or an array; a rule
+        with a constant gap returns a scalar)."""
         if self.kind == BARRIER_FIRST:
             return self.rho
         if self.kind == ADJACENT:

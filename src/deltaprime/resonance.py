@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotARootError
+from .errors import NotARootError, require
 from .paths import ADJACENT, POWER, SqueezePath
 from .transfer import ScatteringAmplitudes, amplitudes
 
@@ -247,10 +247,9 @@ def resonant_scattering(chi: float, g: float, k: float) -> ScatteringAmplitudes:
 
     For g = 0 both amplitudes are real and independent of k; at adjacent
     resonances they reduce to R = -tanh(s)**2 and
-    T = (-1)**n * sqrt(1 - tanh(s)**4).
+    T = (-1)**n * sqrt(1 - tanh(s)**4).  Scalars or arrays, elementwise.
     """
-    if chi == 0:
-        raise ValueError("chi must be nonzero")
+    require(chi != 0, ValueError, "chi must be nonzero, got {}", chi)
     return amplitudes(chi, 0.0, g, 1.0 / chi, k)
 
 

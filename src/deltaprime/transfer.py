@@ -3,9 +3,13 @@
 Two independent constructions of the same 2x2 matrix carrying (psi, psi')
 across the potential's support: closed-form entries, and an ordered product
 of per-region propagation matrices obtained by matching the solution at the
-four interfaces.  The second exists purely to validate the first.  Complex
-arithmetic is used throughout so energies above the barrier top need no
-special casing.
+four interfaces.  The second exists purely to validate the first; it works
+in complex arithmetic, while the closed form is written in real functions
+of p**2 and q**2 that hold on either side of the barrier top.
+
+The closed form and the scattering extraction take scalars or numpy arrays,
+elementwise, with numpy's floating-point warnings off: an overflow gives
+inf or NaN values, which the per-element invariant checks report.
 """
 
 from __future__ import annotations
@@ -16,15 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, require
 from .profile import RectProfile
 
 __all__ = [
     "PRECISION_FLOOR",
-    "WaveParams",
     "TransferMatrix",
     "ScatteringAmplitudes",
     "UnitDetMatrix",
+    "det_residual",
+    "transfer_entries",
     "transfer_matrix",
     "piecewise_transfer",
     "scattering",
@@ -35,42 +40,12 @@ __all__ = [
 # than ~10 significant digits at couplings up to ~50.
 PRECISION_FLOOR = 1e-6
 
-# Evaluating the entries at p -> 0 (energy exactly at the barrier top)
-# through a tiny p lands on the correct limits, e.g. sinh(p*l)/p -> l,
-# without a separate branch.
-_TINY = 1e-200
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-@dataclass(frozen=True)
-class WaveParams:
-    """Wavenumbers of the solution regions at energy ``E``.
-
-    ``k`` is the outside wavenumber sqrt(E); ``p`` and ``q`` are the decay
-    constant inside the barrier and the wavenumber inside the well,
-    sqrt(lam/l**2 -+ E).  ``p`` is real below the barrier top and purely
-    imaginary above it (principal square-root branch), so q**2 - p**2 = 2E.
-    """
-
-    E: float
-    k: float
-    p: complex
-    q: complex
-
-    @classmethod
-    def for_barrier(cls, lam: float, l: float, E: float) -> "WaveParams":
-        if not E > 0:
-            raise ValueError(f"scattering energy must be positive, got {E}")
-        scale = lam / (l * l)
-        return cls(
-            E=E,
-            k=math.sqrt(E),
-            p=cmath.sqrt(complex(scale - E)),
-            q=cmath.sqrt(complex(scale + E)),
-        )
-
-    @classmethod
-    def from_profile(cls, profile: RectProfile, E: float) -> "WaveParams":
-        return cls.for_barrier(profile.lam, profile.l, E)
+def _check_energy(E) -> None:
+    require((E > 0) & (E < math.inf), ValueError,
+            "scattering energy must be positive and finite, got {}", E)
 
 
 class UnitDetMatrix:
@@ -85,15 +60,24 @@ class UnitDetMatrix:
         return self.l11 * self.l22 - self.l12 * self.l21
 
     def det_residual(self) -> float:
-        """|det - 1| scaled by the size of the two entry products.
+        """Scaled determinant residual, see :func:`det_residual`."""
+        return det_residual(self.l11, self.l12, self.l21, self.l22)
 
-        The determinant is identically 1, but it is evaluated as a
-        difference of products that individually grow like 1/l**2 under
-        squeezing, so the meaningful residual is relative to that scale
-        (it reduces to the absolute residual for O(1) matrices).
-        """
-        scale = max(1.0, abs(self.l11 * self.l22), abs(self.l12 * self.l21))
-        return abs(self.det - 1.0) / scale
+
+def det_residual(l11, l12, l21, l22):
+    """|det - 1| scaled by the size of the two entry products, elementwise.
+
+    The determinant is identically 1, but it is evaluated as a difference
+    of products that individually grow like 1/l**2 under squeezing, so the
+    meaningful residual is relative to that scale (it reduces to the
+    absolute residual for O(1) matrices).  NaN entries give NaN.
+    """
+    a, b = l11 * l22, l12 * l21
+    if isinstance(a, np.ndarray):
+        scale = np.maximum(np.maximum(1.0, abs(a)), abs(b))
+    else:  # the builtin is several times faster than a ufunc on scalars
+        scale = max(1.0, abs(a), abs(b))
+    return abs(a - b - 1.0) / scale
 
 
 @dataclass(frozen=True)
@@ -112,7 +96,8 @@ class TransferMatrix(UnitDetMatrix):
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
-    """Left-incidence reflection and transmission amplitudes."""
+    """Left-incidence reflection and transmission amplitudes, scalars or
+    arrays of one shape."""
 
     R: complex
     T: complex
@@ -130,32 +115,59 @@ class ScatteringAmplitudes:
         return abs(self.R2 + self.T2 - 1.0)
 
 
-def transfer_matrix(profile: RectProfile, E: float) -> TransferMatrix:
-    """Closed-form transfer matrix of the barrier-well pair at energy ``E``.
+def _phase(s, l):
+    """(cosh(a*l), sinh(a*l)/a, a*sinh(a*l)) for a = sqrt(s), elementwise.
 
-    Entries are combinations of cosh/sinh of the barrier phase p*l, cos/sin
-    of the well phase q*l and cos/sin of the gap phase k*rho.  Valid for any
-    real coupling; E must be positive.
+    All three are real for real s: where s < 0 they are the cos/sin forms
+    (cos(b*l), sin(b*l)/b, -b*sin(b*l)) with b = sqrt(-s), and at s = 0
+    their limits (1, l, 0).
     """
-    wp = WaveParams.from_profile(profile, E)
-    l, rho, k = profile.l, profile.rho, wp.k
-    p = wp.p if wp.p != 0 else complex(_TINY)
-    q = wp.q if wp.q != 0 else complex(_TINY)
+    a = np.sqrt(np.abs(s))
+    x = a * l
+    grows = s > 0
+    sn = np.where(grows, np.sinh(x), np.sin(x))
+    return (np.where(grows, np.cosh(x), np.cos(x)),
+            np.where(a == 0, l, sn / a),
+            np.where(grows, a, -a) * sn)
 
-    sp, cp = cmath.sinh(p * l), cmath.cosh(p * l)
-    sq, cq = cmath.sin(q * l), cmath.cos(q * l)
-    skr, ckr = math.sin(k * rho), math.cos(k * rho)
 
-    l11 = (cp * cq + (p / q) * sp * sq) * ckr \
-        + ((p / k) * sp * cq - (k / q) * cp * sq) * skr
-    l12 = (sp * cq / p + cp * sq / q) * ckr \
-        + (cp * cq / k - k * sp * sq / (p * q)) * skr
-    l21 = (p * sp * cq - q * cp * sq) * ckr \
-        - (k * cp * cq + (p * q / k) * sp * sq) * skr
-    l22 = (cp * cq - (q / p) * sp * sq) * ckr \
-        - ((k / p) * sp * cq + (q / k) * cp * sq) * skr
+def transfer_entries(l, rho, lam, E):
+    """Closed-form entries (l11, l12, l21, l22) of the transfer matrix of the
+    barrier-well pair, elementwise over broadcast arrays of width ``l``, gap
+    ``rho``, coupling ``lam`` and energy ``E``.
 
-    return TransferMatrix(l11, l12, l21, l22, x0=2.0 * l + rho)
+    With k = sqrt(E), p**2 = lam/l**2 - E in the barrier and
+    q**2 = lam/l**2 + E in the well, the barrier contributes cp = cosh(p*l),
+    sp = sinh(p*l)/p and dp = p*sinh(p*l), the well cq = cos(q*l),
+    sq = sin(q*l)/q and dq = q*sin(q*l), and the gap cos/sin of k*rho.
+    Each is real for real p**2 and q**2, so the entries are evaluated in
+    real arithmetic above and below the barrier top alike.  Valid for any
+    real coupling; E must be positive and finite.  Callers validate the
+    geometry (l > 0, rho >= 0, all finite).
+    """
+    l, rho, lam, E = (np.asarray(v, dtype=float) for v in (l, rho, lam, E))
+    _check_energy(E)
+    with np.errstate(**_QUIET):
+        scale = lam / (l * l)
+        k = np.sqrt(E)
+        cp, sp, dp = _phase(scale - E, l)
+        cq, sq, minus_dq = _phase(-(scale + E), l)
+        dq = -minus_dq
+        skr, ckr = np.sin(k * rho), np.cos(k * rho)
+
+        l11 = (cp * cq + dp * sq) * ckr + (dp * cq / k - k * cp * sq) * skr
+        l12 = (sp * cq + cp * sq) * ckr + (cp * cq / k - k * sp * sq) * skr
+        l21 = (dp * cq - cp * dq) * ckr - (k * cp * cq + dp * dq / k) * skr
+        l22 = (cp * cq - sp * dq) * ckr - (k * sp * cq + cp * dq / k) * skr
+    return l11, l12, l21, l22
+
+
+def transfer_matrix(profile: RectProfile, E: float) -> TransferMatrix:
+    """Transfer matrix of ``profile`` at energy ``E``: the closed form of
+    :func:`transfer_entries` at one point."""
+    l11, l12, l21, l22 = (complex(v) for v in transfer_entries(
+        profile.l, profile.rho, profile.lam, E))
+    return TransferMatrix(l11, l12, l21, l22, x0=2.0 * profile.l + profile.rho)
 
 
 def _slab(local_ksq: complex, width: float) -> np.ndarray:
@@ -177,8 +189,7 @@ def piecewise_transfer(profile: RectProfile, E: float) -> TransferMatrix:
     matrices in order.  Independent of :func:`transfer_matrix` and used as
     its oracle.
     """
-    if not E > 0:
-        raise ValueError(f"scattering energy must be positive, got {E}")
+    _check_energy(E)
     scale = profile.lam / (profile.l * profile.l)
     m = (
         _slab(E + scale, profile.l)      # well
@@ -194,31 +205,35 @@ def scattering(tm: TransferMatrix, k: float) -> ScatteringAmplitudes:
     return amplitudes(tm.l11, tm.l12, tm.l21, tm.l22, k, tm.x0)
 
 
-def amplitudes(l11, l12, l21, l22, k: float,
-               x0: float = 0.0) -> ScatteringAmplitudes:
+def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
     """Left-incidence amplitudes of the matrix carrying (psi, psi') from 0
     to ``x0`` (0 for a point interaction) at wavenumber k.
 
-    For real entries with unit determinant, |Delta|**2 = (l11+l22)**2 +
+    Scalars or arrays, broadcast elementwise; every check holds at each
+    element, and an error names the first value that fails it.  For real
+    entries with unit determinant, |Delta|**2 = (l11+l22)**2 +
     (k*l12 - l21/k)**2 >= 4, so the denominator can never vanish; a smaller
     value means the matrix is corrupt and is flagged as an internal error.
     Every result is checked for flux conservation, |R|**2 + |T|**2 = 1 to
     1e-10, which also rejects non-finite amplitudes.
     """
-    if not k > 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
-    delta = l11 + l22 - 1j * (k * l12 - l21 / k)
-    if not abs(delta) >= 2.0 - 1e-9:
-        entries = (l11, l12, l21, l22)
-        scale = max(1.0, *(abs(v) for v in entries))
-        if max(abs(v.imag) for v in entries) <= 1e-9 * scale:
-            raise InvariantViolation(
-                f"|Delta| = {abs(delta)}, not >= 2, for a real "
-                "unit-determinant matrix")
-    R = -(l11 - l22 + 1j * (k * l12 + l21 / k)) / delta
-    T = 2.0 / delta * cmath.exp(-1j * k * x0)
-    amp = ScatteringAmplitudes(R=R, T=T)
-    if not amp.conservation_residual <= 1e-10:
-        raise InvariantViolation(
-            f"conservation residual {amp.conservation_residual}")
+    require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
+    with np.errstate(**_QUIET):
+        delta = l11 + l22 - 1j * (k * l12 - l21 / k)
+        size = np.abs(delta)
+        small = ~(size >= 2.0 - 1e-9)
+        if small.any():
+            *e, size = (np.broadcast_to(v, np.shape(delta))[small]
+                        for v in (l11, l12, l21, l22, size))
+            e = np.array(e)
+            real = (np.abs(e.imag).max(axis=0)
+                    <= 1e-9 * np.fmax(1.0, np.abs(e).max(axis=0)))
+            require(~real, InvariantViolation, "|Delta| = {}, not >= 2, for "
+                    "a real unit-determinant matrix", size)
+        R = -(l11 - l22 + 1j * (k * l12 + l21 / k)) / delta
+        T = 2.0 / delta * np.exp(-1j * k * x0)
+        amp = ScatteringAmplitudes(R=R, T=T)
+        residual = amp.conservation_residual
+    require(residual <= 1e-10, InvariantViolation,
+            "conservation residual {}", residual)
     return amp

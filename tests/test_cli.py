@@ -300,6 +300,18 @@ def test_module_entry_point_runs():
     assert proc.stdout.startswith("n,sigma,lambda,")
 
 
+@pytest.mark.parametrize("extra", [[], ["--samples", "100"]])
+def test_sweep_overflow_is_clean_numeric_error(extra):
+    # cosh(p*l) overflows on most of this coupling grid
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltaprime", "sweep", "--path", "adjacent",
+         "--lambda-max", "1e7", *extra],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Warning" not in proc.stderr
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from deltaprime import (PrecisionFloorError, SqueezePath, classify, predict,
-                        trace, transmission_sweep)
+from deltaprime import (PrecisionFloorError, RectProfile, SqueezePath,
+                        classify, limits, predict, scattering, trace,
+                        transfer_matrix, transmission_sweep)
 
 LAM1 = 15.418205716980063
 CHI1 = -35.874573920759161
@@ -35,6 +36,10 @@ def test_trace_rejects_bad_arguments():
         make_trace(ADJ, -1.0)
     with pytest.raises(ValueError):
         make_trace(ADJ, LAM1, E=0.0)
+    with pytest.raises(ValueError, match="energy"):
+        make_trace(ADJ, LAM1, E=np.inf)
+    with pytest.raises(ValueError, match="l_start"):
+        make_trace(ADJ, LAM1, l_start=np.inf)
 
 
 def test_trace_rows_keep_unit_determinant():
@@ -163,3 +168,29 @@ def test_sweep_rejects_bad_arguments():
         transmission_sweep(ADJ, 1e-8, 1.0, 60.0, 10)
     with pytest.raises(ValueError):
         transmission_sweep(ADJ, 1e-3, 5.0, 1.0, 10)
+    with pytest.raises(ValueError, match="lam_max must be finite, got inf"):
+        transmission_sweep(ADJ, 1e-3, 1.0, np.inf, 10)
+    with pytest.raises(ValueError, match="lam_min must be finite, got -inf"):
+        transmission_sweep(ADJ, 1e-3, -np.inf, 60.0, 10)
+
+
+def test_sweep_matches_scalar_loop():
+    path = SqueezePath.power_law(1.0, 2.0)
+    l, E = 1e-3, 2.0
+    res = transmission_sweep(path, l, 0.0, 120.0, 601, E=E)
+    for lam, t2, r2 in zip(res.lambdas, res.T2, res.R2):
+        amp = scattering(transfer_matrix(
+            RectProfile(l=l, rho=path.rho_of(l), lam=lam), E), np.sqrt(E))
+        assert abs(t2 - amp.T2) <= 1e-14
+        assert abs(r2 - amp.R2) <= 1e-14
+
+
+def test_blocked_sweep_equals_one_block(monkeypatch):
+    assert limits.SWEEP_BLOCK >= 2000  # the CLI default is one block
+    samples = 2 * limits.SWEEP_BLOCK + 7
+    blocked = transmission_sweep(ADJ, 1e-3, 1.0, 60.0, samples)
+    monkeypatch.setattr(limits, "SWEEP_BLOCK", samples)
+    whole = transmission_sweep(ADJ, 1e-3, 1.0, 60.0, samples)
+    np.testing.assert_array_equal(blocked.T2, whole.T2)
+    np.testing.assert_array_equal(blocked.R2, whole.R2)
+    assert blocked.peaks == whole.peaks

@@ -1,12 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltaprime import (InvariantViolation, RectProfile, TransferMatrix,
-                        WaveParams, piecewise_transfer, scattering,
-                        transfer_matrix)
+                        piecewise_transfer, scattering, transfer_matrix)
+from deltaprime.transfer import amplitudes, transfer_entries
 
 LAM1 = 15.418205716980063  # first adjacent resonance coupling, sigma_1**2
 SIGMA1 = 3.926602312047919
@@ -16,14 +17,6 @@ def agreement_residual(a: TransferMatrix, b: TransferMatrix) -> float:
     scale = max(1.0, a.entry_scale(), b.entry_scale())
     return max(abs(a.l11 - b.l11), abs(a.l12 - b.l12),
                abs(a.l21 - b.l21), abs(a.l22 - b.l22)) / scale
-
-
-def test_wave_params_relations():
-    wp = WaveParams.for_barrier(lam=3.0, l=0.2, E=2.0)
-    assert wp.k == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert wp.p ** 2 == pytest.approx(3.0 / 0.04 - 2.0, rel=1e-14)
-    assert wp.q ** 2 == pytest.approx(3.0 / 0.04 + 2.0, rel=1e-14)
-    assert (wp.q ** 2 - wp.p ** 2).real == pytest.approx(2 * wp.E, rel=1e-12)
 
 
 def test_free_propagation_entries():
@@ -84,6 +77,16 @@ def test_oracle_agreement_random(random_quads):
         assert b.det_residual() < 1e-12
 
 
+def test_transfer_entries_array_matches_oracle(random_quads):
+    l, rho, lam, E = np.array(random_quads).T
+    entries = transfer_entries(l, rho, lam, E)
+    assert all(v.shape == (len(random_quads),) for v in entries)
+    for i, quad in enumerate(random_quads):
+        a = TransferMatrix(*(complex(v[i]) for v in entries), x0=0.0)
+        b = piecewise_transfer(RectProfile(*quad[:3]), quad[3])
+        assert agreement_residual(a, b) < 1e-10
+
+
 def test_scattering_identity_matrix():
     amp = scattering(TransferMatrix(1.0, 0.0, 0.0, 1.0, x0=0.0), k=1.0)
     assert amp.R == 0.0
@@ -94,6 +97,19 @@ def test_scattering_rejects_non_conserving_matrix():
     # det = 4: |Delta| = 4 passes the |Delta| >= 2 test, but T = 0.5, R = 0
     with pytest.raises(InvariantViolation, match="conservation"):
         scattering(TransferMatrix(2.0, 0.0, 0.0, 2.0, x0=0.0), 1.0)
+
+
+def test_batch_checks_name_first_failing_element():
+    # only the middle matrix has det = 4 (T = 0.5, R = 0)
+    ones, zeros = np.ones(3), np.zeros(3)
+    diag = np.array([1.0, 2.0, 1.0])
+    with pytest.raises(InvariantViolation, match="conservation residual 0.75"):
+        amplitudes(diag, zeros, zeros, diag, 1.0)
+    with pytest.raises(ValueError, match="wavenumber must be positive, got nan"):
+        amplitudes(ones, zeros, zeros, ones, np.array([1.0, np.nan, 0.0]))
+    nan_middle = np.array([1.0, np.nan, 1.0])
+    with pytest.raises(InvariantViolation, match=r"\|Delta\| = nan"):
+        amplitudes(nan_middle, zeros, zeros, nan_middle, 1.0)
 
 
 def test_conservation_simple_case():
@@ -112,7 +128,7 @@ def test_resonant_transmission_near_limit():
 
 def test_rejects_nonpositive_energy():
     profile = RectProfile(l=1.0, rho=0.0, lam=1.0)
-    for E in (0.0, -1.0):
+    for E in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             transfer_matrix(profile, E)
         with pytest.raises(ValueError):
