@@ -9,6 +9,7 @@ __all__ = [
     "PrecisionFloorError",
     "NotARootError",
     "InvariantViolation",
+    "holds",
     "require",
 ]
 
@@ -33,6 +34,15 @@ class InvariantViolation(DeltaPrimeError):
     """A computed result failed one of its built-in consistency checks."""
 
 
+def holds(ok) -> bool:
+    """Whether ``ok``, a boolean scalar or array, holds at every element.
+
+    Scalars are tested directly: reducing a numpy scalar costs more than a
+    one-point evaluation of the transfer kernel's arithmetic.
+    """
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
 def require(ok, error: type[Exception], message: str, *values) -> None:
     """Raise ``error`` unless ``ok`` holds at every element.
 
@@ -41,8 +51,9 @@ def require(ok, error: type[Exception], message: str, *values) -> None:
     with the elements of ``values``, broadcast to the shape of ``ok``, at
     the first position where it fails.
     """
+    if holds(ok):
+        return
     ok = np.asarray(ok)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise error(message.format(
-            *(np.broadcast_to(v, ok.shape).flat[i].item() for v in values)))
+    i = int(np.argmin(ok))
+    raise error(message.format(
+        *(np.broadcast_to(v, ok.shape).flat[i].item() for v in values)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, require
+from .errors import InvariantViolation, holds, require
 from .profile import RectProfile
 
 __all__ = [
@@ -73,11 +73,14 @@ def det_residual(l11, l12, l21, l22):
     absolute residual for O(1) matrices).  NaN entries give NaN.
     """
     a, b = l11 * l22, l12 * l21
-    if isinstance(a, np.ndarray):
-        scale = np.maximum(np.maximum(1.0, abs(a)), abs(b))
-    else:  # the builtin is several times faster than a ufunc on scalars
-        scale = max(1.0, abs(a), abs(b))
-    return abs(a - b - 1.0) / scale
+    return abs(a - b - 1.0) / _max(_max(1.0, abs(a)), abs(b))
+
+
+def _max(x, y):
+    """Elementwise max(x, y), exact to rounding, in plain arithmetic: on the
+    scalars of every connection-matrix check a ufunc call costs several
+    times more."""
+    return 0.5 * (x + y + abs(x - y))
 
 
 @dataclass(frozen=True)
@@ -115,50 +118,74 @@ class ScatteringAmplitudes:
         return abs(self.R2 + self.T2 - 1.0)
 
 
-def _phase(s, l):
-    """(cosh(a*l), sinh(a*l)/a, a*sinh(a*l)) for a = sqrt(s), elementwise.
+def _where(cond, a, b):
+    """``np.where`` that keeps scalars scalar: a 0-d array would make every
+    later operation of a one-point evaluation several times slower."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
-    All three are real for real s: where s < 0 they are the cos/sin forms
-    (cos(b*l), sin(b*l)/b, -b*sin(b*l)) with b = sqrt(-s), and at s = 0
-    their limits (1, l, 0).
+
+def _region(s, l):
+    """Propagation matrix of psi'' = s * psi over width ``l``, elementwise,
+    split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a).
+
+    For s = a**2 > 0 the region grows: c = exp(-a*l), t = d = 0 and
+    g = sinh(a*l), so the sum is [[cosh, sinh/a], [a*sinh, cosh]] while
+    the exponentially large part stays a separate rank-one term.  For
+    s = -b**2 < 0 the split part vanishes (g = 0) and [[c, t], [d, c]] is
+    [[cos, sin/b], [-b*sin, cos]]; at s = 0 it is [[1, l], [0, 1]].  All
+    five are real.
     """
     a = np.sqrt(np.abs(s))
     x = a * l
     grows = s > 0
-    sn = np.where(grows, np.sinh(x), np.sin(x))
-    return (np.where(grows, np.cosh(x), np.cos(x)),
-            np.where(a == 0, l, sn / a),
-            np.where(grows, a, -a) * sn)
+    sn = np.sin(x)
+    return (_where(grows, np.exp(-x), np.cos(x)),
+            _where(grows, 0.0, _where(a == 0, l, sn / a)),
+            _where(grows, 0.0, -a * sn),
+            _where(grows, np.sinh(x), 0.0),
+            _where(grows, a, 1.0))
 
 
 def transfer_entries(l, rho, lam, E):
     """Closed-form entries (l11, l12, l21, l22) of the transfer matrix of the
-    barrier-well pair, elementwise over broadcast arrays of width ``l``, gap
-    ``rho``, coupling ``lam`` and energy ``E``.
+    barrier-well pair, elementwise over scalars or broadcast numpy arrays of
+    width ``l``, gap ``rho``, coupling ``lam`` and energy ``E``.
 
-    With k = sqrt(E), p**2 = lam/l**2 - E in the barrier and
-    q**2 = lam/l**2 + E in the well, the barrier contributes cp = cosh(p*l),
-    sp = sinh(p*l)/p and dp = p*sinh(p*l), the well cq = cos(q*l),
-    sq = sin(q*l)/q and dq = q*sin(q*l), and the gap cos/sin of k*rho.
-    Each is real for real p**2 and q**2, so the entries are evaluated in
-    real arithmetic above and below the barrier top alike.  Valid for any
-    real coupling; E must be positive and finite.  Callers validate the
-    geometry (l > 0, rho >= 0, all finite).
+    The matrix is the product well @ gap @ barrier of the three region
+    matrices, with p**2 = lam/l**2 - E in the barrier, q**2 = lam/l**2 + E
+    in the well and k = sqrt(E) in the gap, each real for real p**2 and
+    q**2.  Above the barrier top the barrier's cosh and sinh grow like
+    exp(p*l) and nearly cancel in the entries near a resonance; keeping
+    their common growth as the rank-one term of :func:`_region` makes that
+    cancellation happen in the combinations (n_i1 + p*n_i2) of the
+    well-gap product instead, where its rounding moves det only by about
+    eps (the entries lose the same digits either way).
+    Valid for any real coupling; E must be positive and finite.  Callers
+    validate the geometry (l > 0, rho >= 0, all finite).
     """
-    l, rho, lam, E = (np.asarray(v, dtype=float) for v in (l, rho, lam, E))
     _check_energy(E)
     with np.errstate(**_QUIET):
-        scale = lam / (l * l)
+        scale = lam / np.square(l)  # numpy division: l**2 may underflow
+        c, t, d, g, p = _region(scale - E, l)
+        wc, wt, wd, wg, wa = _region(-(scale + E), l)
+        cq, sq, dq = wc + wg, wt + wg / wa, wd + wg * wa
         k = np.sqrt(E)
-        cp, sp, dp = _phase(scale - E, l)
-        cq, sq, minus_dq = _phase(-(scale + E), l)
-        dq = -minus_dq
-        skr, ckr = np.sin(k * rho), np.cos(k * rho)
+        ckr, skr = np.cos(k * rho), np.sin(k * rho)
 
-        l11 = (cp * cq + dp * sq) * ckr + (dp * cq / k - k * cp * sq) * skr
-        l12 = (sp * cq + cp * sq) * ckr + (cp * cq / k - k * sp * sq) * skr
-        l21 = (dp * cq - cp * dq) * ckr - (k * cp * cq + dp * dq / k) * skr
-        l22 = (cp * cq - sp * dq) * ckr - (k * sp * cq + cp * dq / k) * skr
+        # well @ gap
+        n11 = cq * ckr - k * sq * skr
+        n12 = cq * skr / k + sq * ckr
+        n21 = dq * ckr - k * cq * skr
+        n22 = dq * skr / k + cq * ckr
+        # (well @ gap) @ barrier
+        g1 = g * (n11 + p * n12)
+        g2 = g * (n21 + p * n22)
+        l11 = c * n11 + d * n12 + g1
+        l12 = t * n11 + c * n12 + g1 / p
+        l21 = c * n21 + d * n22 + g2
+        l22 = t * n21 + c * n22 + g2 / p
     return l11, l12, l21, l22
 
 
@@ -220,9 +247,10 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
     require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
     with np.errstate(**_QUIET):
         delta = l11 + l22 - 1j * (k * l12 - l21 / k)
-        size = np.abs(delta)
-        small = ~(size >= 2.0 - 1e-9)
-        if small.any():
+        size = abs(delta)
+        large = size >= 2.0 - 1e-9
+        if not holds(large):
+            small = ~np.asarray(large)
             *e, size = (np.broadcast_to(v, np.shape(delta))[small]
                         for v in (l11, l12, l21, l22, size))
             e = np.array(e)

@@ -300,16 +300,30 @@ def test_module_entry_point_runs():
     assert proc.stdout.startswith("n,sigma,lambda,")
 
 
-@pytest.mark.parametrize("extra", [[], ["--samples", "100"]])
-def test_sweep_overflow_is_clean_numeric_error(extra):
-    # cosh(p*l) overflows on most of this coupling grid
-    proc = subprocess.run(
-        [sys.executable, "-m", "deltaprime", "sweep", "--path", "adjacent",
-         "--lambda-max", "1e7", *extra],
-        capture_output=True, text=True)
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--path", "adjacent", "--lambda-max", "1e7"],
+    ["sweep", "--path", "adjacent", "--lambda-max", "1e7", "--samples", "100"],
+    ["limit-trace", "--lambda", "1e7"],
+    ["transfer", "--l", "1e-200", "--lambda", "1"],
+])
+def test_overflow_is_clean_numeric_error(argv):
+    # cosh(p*l) overflows on most of this coupling grid and at every width
+    # of the trace; l**2 underflows to 0 at l = 1e-200
+    proc = subprocess.run([sys.executable, "-m", "deltaprime", *argv],
+                          capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "Warning" not in proc.stderr
+
+
+def test_limit_trace_near_resonance_passes_determinant_check(capsys):
+    # lambda_2 of the adjacent rule on a tau = 3 rule at E = 0.5: trace's
+    # determinant residual at l = 1.8e-4 used to read 1.08e-10 > 1e-10
+    code, out, err = run_cli(
+        capsys, "limit-trace", "--path", "power:2.0839490771026323:3",
+        "--lambda", "49.96486203180023", "--E", "0.5")
+    assert code == 0, err
+    assert trailing_json(out)["verdict"]["variant"] == "resonant"
 
 
 def test_missing_subcommand_exits_2():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from deltaprime import (PrecisionFloorError, RectProfile, SqueezePath,
-                        classify, limits, predict, scattering, trace,
-                        transfer_matrix, transmission_sweep)
+                        classify, limits, predict, resonance_set, scattering,
+                        trace, transfer_matrix, transmission_sweep)
+from deltaprime.transfer import det_residual
 
 LAM1 = 15.418205716980063
 CHI1 = -35.874573920759161
@@ -48,6 +49,20 @@ def test_trace_rows_keep_unit_determinant():
             - tr.entries[:, 1] * tr.entries[:, 2])
     scale = np.maximum(1.0, np.abs(tr.entries).max(axis=1) ** 2)
     assert (np.abs(dets - 1.0) / scale < 1e-10).all()
+
+
+@pytest.mark.parametrize("spec", ["adjacent", "linear:2",
+                                  "power:2.0839490771026323:3"])
+def test_trace_keeps_unit_determinant_near_resonances(spec):
+    # At resonant couplings the entries stay O(1) while the barrier's cosh
+    # and sinh grow like exp(sigma): formed as separate products, their
+    # rounding put det - 1 at up to 4e-7 on these grids, past trace's 1e-10
+    # check (at l = 1.8e-4 for the tau = 3 rule, lambda_2 and E = 0.5).
+    path = SqueezePath.parse(spec)
+    for r in resonance_set(path, 6):
+        for E in (0.5, 1.0, 2.0):
+            tr = make_trace(path, r.lam, E=E)
+            assert det_residual(*tr.entries.T).max() < 1e-14
 
 
 def test_quadratic_path_extrapolates_to_resonance_data():
