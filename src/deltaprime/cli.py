@@ -10,6 +10,7 @@ verdicts, peak lists, bound states) append it as a JSON block.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,6 +213,7 @@ def cmd_bc_fit(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     fmt_cls = argparse.ArgumentDefaultsHelpFormatter
     common = argparse.ArgumentParser(add_help=False)

@@ -7,6 +7,7 @@ only on the limiting distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["SqueezePath", "BARRIER_FIRST", "ADJACENT", "POWER"]
@@ -35,8 +36,9 @@ class SqueezePath:
 
     @classmethod
     def barrier_first(cls, rho: float) -> "SqueezePath":
-        if not rho > 0:
-            raise ValueError(f"barrier-first separation must be positive, got {rho}")
+        if not 0 < rho < math.inf:
+            raise ValueError(
+                f"barrier-first separation must be positive and finite, got {rho}")
         return cls(kind=BARRIER_FIRST, rho=rho)
 
     @classmethod
@@ -45,10 +47,11 @@ class SqueezePath:
 
     @classmethod
     def power_law(cls, c: float, tau: float) -> "SqueezePath":
-        if not c >= 0:
-            raise ValueError(f"path constant c must be >= 0, got {c}")
-        if not tau > 0:
-            raise ValueError(f"path exponent tau must be positive, got {tau}")
+        if not 0 <= c < math.inf:
+            raise ValueError(f"path constant c must be finite and >= 0, got {c}")
+        if not 0 < tau < math.inf:
+            raise ValueError(
+                f"path exponent tau must be positive and finite, got {tau}")
         if c == 0:
             return cls.adjacent()
         return cls(kind=POWER, c=c, tau=tau)

@@ -11,6 +11,11 @@ is the first one at c = 0.  Other rules carry no resonances.  Each root
 carries the limiting connection-matrix data (chi, g) and, when g != 0,
 a bound state with decay constant kappa.
 
+Roots are found by Illinois regula falsi on the pole-free form
+cos(s)*lhs(s) - sin(s), whose only zero in the bracket is the root, so the
+bracket is the whole interval.  It stops on a residual of 2**-50, not on
+the bracket width, and takes 3 to 9 evaluations a root for n <= 112.
+
 Several of the limiting quantities have redundant closed forms; they are
 evaluated side by side and their agreement doubles as a built-in self test.
 """
@@ -40,10 +45,10 @@ __all__ = [
     "resonance_set",
 ]
 
-# Bracket endpoints are pulled in to keep clear of tan's zero and pole.
-_MARGIN = 1e-9
-_WIDTH_TOL = 1e-13
 _ROOT_TOL = 1e-10
+# Residual at which the solver stops: a few ulps of the pole-free form, whose
+# slope at a root is about 1.
+_STOP_TOL = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -70,35 +75,44 @@ class Resonance:
     path: SqueezePath
 
 
-def _bracket(n: int) -> tuple[float, float]:
-    return n * math.pi + _MARGIN, n * math.pi + math.pi / 2 - _MARGIN
+def _solve_bracketed(g, lo: float, hi: float, f) -> float:
+    """Illinois regula falsi for the zero of ``g`` on [lo, hi].
 
-
-def _solve_bracketed(f, lo: float, hi: float) -> float:
-    """Bisection to a 1e-13 bracket, then one guarded secant polish.
-
-    tan's poles make unguarded Newton-style iteration unsafe; inside a
-    width-1e-13 bracket the secant step is harmless and shaves the last
-    couple of ulps.  A sign change that is not a zero (a pole or a jump)
-    leaves |f| large at the end and raises :class:`NotARootError`.
+    Needs g(lo) > 0 > g(hi).  Each step takes the secant point of the
+    bracket; an endpoint kept twice in a row has its value halved, which
+    keeps the convergence superlinear.  The iteration stops once |g| <=
+    2**-50 or once the next secant point no longer falls strictly inside
+    the bracket, i.e. the bracket is as tight as rounding allows; as every
+    step shrinks the bracket, the loop always ends.  The best point is then
+    checked against ``f``, the equation ``g`` stands in for: a sign change
+    that is not a zero (a pole or a jump) leaves |f| large and raises
+    :class:`NotARootError`.
     """
-    flo, fhi = f(lo), f(hi)
-    if not (flo > 0 > fhi):
+    glo, ghi = g(lo), g(hi)
+    if not (glo > 0 > ghi):
         raise NotARootError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > _WIDTH_TOL:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm > 0:
-            lo, flo = mid, fm
+    root, groot = (lo, glo) if glo < -ghi else (hi, ghi)
+    kept = 0  # endpoint the last step kept: +1 lo, -1 hi
+    while True:
+        x = hi - ghi * (hi - lo) / (ghi - glo)
+        if not lo < x < hi:
+            break
+        gx = g(x)
+        if abs(gx) <= abs(groot):
+            root, groot = x, gx
+        if not abs(gx) > _STOP_TOL:
+            break
+        if gx > 0:
+            lo, glo = x, gx
+            if kept < 0:
+                ghi *= 0.5
+            kept = -1
         else:
-            hi, fhi = mid, fm
-    root, fr = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-    if fhi != flo:
-        cand = hi - fhi * (hi - lo) / (fhi - flo)
-        if lo <= cand <= hi:
-            fc = f(cand)
-            if abs(fc) < abs(fr):
-                root, fr = cand, fc
+            hi, ghi = x, gx
+            if kept > 0:
+                glo *= 0.5
+            kept = 1
+    fr = f(root)
     if not abs(fr) <= _ROOT_TOL:
         raise NotARootError(f"residual {fr} at the sign change {root}")
     return root
@@ -126,6 +140,17 @@ def _linear_c(path: SqueezePath) -> float:
     return path.c if path.kind == POWER and path.tau == 1.0 else 0.0
 
 
+def _resonance_lhs(path: SqueezePath):
+    """Left side tanh(s)/(1 + c*s*tanh(s)) of the resonance equation."""
+    c = _linear_c(path)
+
+    def lhs(s: float) -> float:
+        th = math.tanh(s)
+        return th / (1.0 + c * s * th)
+
+    return lhs
+
+
 def resonance_equation(path: SqueezePath):
     """Resonance condition of ``path`` as f(s), zero at s = sigma_n.
 
@@ -133,19 +158,29 @@ def resonance_equation(path: SqueezePath):
     linear rule, and c = 0 (tanh(s) = tan(s), exactly) on the other rules
     that carry resonances.
     """
-    c = _linear_c(path)
+    lhs = _resonance_lhs(path)
 
     def f(s: float) -> float:
-        th = math.tanh(s)
-        return th / (1.0 + c * s * th) - math.tan(s)
+        return lhs(s) - math.tan(s)
 
     return f
 
 
 def resonance_root(path: SqueezePath, n: int) -> float:
     """Root sigma_n of the resonance equation of ``path`` in its n-th
-    bracket (n*pi, n*pi + pi/2)."""
-    return _solve_bracketed(resonance_equation(path), *_bracket(n))
+    bracket (n*pi, n*pi + pi/2).
+
+    The solver runs on (-1)**n*(cos(s)*lhs(s) - sin(s)) = f(s)*|cos(s)|:
+    the same single zero, no pole, > 0 at n*pi and -1 at n*pi + pi/2.
+    """
+    lhs = _resonance_lhs(path)
+    sign = -1.0 if n % 2 else 1.0
+
+    def g(s: float) -> float:
+        return sign * (math.cos(s) * lhs(s) - math.sin(s))
+
+    lo = n * math.pi
+    return _solve_bracketed(g, lo, lo + 0.5 * math.pi, resonance_equation(path))
 
 
 def resonance_at(path: SqueezePath, sigma: float) -> Resonance:

@@ -150,17 +150,37 @@ def non_finite_argvs():
 
 @pytest.mark.parametrize("argv", list(non_finite_argvs()), ids=" ".join)
 def test_non_finite_input_fails_cleanly(capsys, argv):
-    # either a typed failure with nothing on stdout, or finite output
+    # either a typed failure with nothing on stdout, or finite output; a
+    # non-finite path constant is always a usage error
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects its arguments this way
         code = exc.code
     out = capsys.readouterr().out
+    if argv[1].startswith("--path="):
+        assert code == 2
     if code == 0:
         assert not NON_FINITE_TOKEN.search(out)
     else:
         assert code in (2, 3)
         assert out == ""
+
+
+def test_repeated_calls_share_no_state(capsys):
+    # the parser is built once; flags of one call must not leak into the next
+    check = ("transfer", "--l", "0.01", "--lambda", "15.42")
+    code, out, _ = run_cli(capsys, *check, "--check")
+    assert code == 0 and parse_csv(out)[0][-1] == "oracle_residual"
+    code, out, _ = run_cli(capsys, *check)
+    assert code == 0 and "oracle_residual" not in parse_csv(out)[0]
+    code, out, _ = run_cli(capsys, "resonances", "--count", "2",
+                           "--format", "json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 2
+    code, out, _ = run_cli(capsys, "resonances", "--count", "2")
+    assert code == 0 and parse_csv(out)[0][0] == "n"
+    assert run_cli(capsys, "bc-fit", "--n", "0")[0] == 2
+    code, out, _ = run_cli(capsys, "bc-fit", "--n", "1")
+    assert code == 0 and parse_csv(out)[1][0]["n"] == "1"
 
 
 def test_limit_trace_resonant_verdict(capsys):

@@ -22,6 +22,18 @@ def test_constructor_validation():
         SqueezePath.power_law(1.0, 0.0)
 
 
+@pytest.mark.parametrize("build,name", [
+    (lambda v: SqueezePath.barrier_first(v), "separation"),
+    (lambda v: SqueezePath.power_law(v, 2.0), "path constant c"),
+    (lambda v: SqueezePath.power_law(1.0, v), "exponent tau"),
+])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_constructor_rejects_non_finite_constants(build, name, value):
+    # rho = c*l**inf would silently be the adjacent rule
+    with pytest.raises(ValueError, match=name):
+        build(value)
+
+
 @pytest.mark.parametrize("spec,expected", [
     ("adjacent", SqueezePath.adjacent()),
     ("barrier-first:0.5", SqueezePath.barrier_first(0.5)),

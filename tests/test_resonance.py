@@ -6,7 +6,9 @@ from conftest import adjacent_root_oracle, linear_root_oracle
 from deltaprime import (NotARootError, SqueezePath, bound_state_kappa,
                         chi_adjacent, chi_linear, g_quadratic, resonance_set,
                         resonant_scattering, solve_adjacent, solve_linear)
-from deltaprime.resonance import _solve_bracketed, g_quadratic_forms
+from deltaprime import resonance
+from deltaprime.resonance import (_solve_bracketed, g_quadratic_forms,
+                                  resonance_root)
 
 # frozen reference values (independent bisection + direct evaluation)
 SIGMA1 = 3.9266023120479188
@@ -92,9 +94,73 @@ def test_chi_adjacent_rejects_non_root():
 
 
 def test_solve_bracketed_rejects_a_jump():
-    # a sign change without a zero: bisection closes in on the jump at 4.5
+    # a sign change without a zero: the secant points close in on the jump
+    # at 4.5 until the bracket cannot shrink, and |f| there is still 1
+    def step(s):
+        return 1.0 if s < 4.5 else -1.0
+
     with pytest.raises(NotARootError, match="residual"):
-        _solve_bracketed(lambda s: 1.0 if s < 4.5 else -1.0, 4.0, 5.0)
+        _solve_bracketed(step, 4.0, 5.0, step)
+
+
+# Rules whose roots are checked against 40-digit mpmath, by the constant c
+# of tanh(s)/(1 + c*s*tanh(s)) = tan(s); the quadratic and tau > 2 rules
+# share the adjacent roots (c = 0).
+ORACLE_RULES = {"adjacent": (SqueezePath.adjacent(), 0),
+                "linear:0.1": (SqueezePath.power_law(0.1, 1.0), "0.1"),
+                "linear:1": (SqueezePath.power_law(1.0, 1.0), 1),
+                "linear:3": (SqueezePath.power_law(3.0, 1.0), 3)}
+MAX_INDEX = 112
+
+
+@pytest.mark.parametrize("rule", list(ORACLE_RULES))
+def test_roots_match_mpmath_to_two_ulp(rule):
+    mpmath = pytest.importorskip("mpmath")
+    path, c = ORACLE_RULES[rule]
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+
+        def g(s):  # the pole-free form, bracketed on the whole interval
+            th = mpmath.tanh(s)
+            return mpmath.cos(s) * th / (1 + c * s * th) - mpmath.sin(s)
+
+        for n in range(1, MAX_INDEX + 1):
+            lo = n * mpmath.pi
+            want = mpmath.findroot(g, (lo, lo + mpmath.pi / 2),
+                                   solver="anderson")
+            got = resonance_root(path, n)
+            assert abs(got - want) <= 2 * math.ulp(got), (rule, n)
+
+
+def test_each_root_takes_at_most_twelve_evaluations(monkeypatch):
+    counts = []
+    solve = resonance._solve_bracketed
+
+    def counting(g, lo, hi, f):
+        def counted(s):
+            counts[-1] += 1
+            return g(s)
+        counts.append(0)
+        return solve(counted, lo, hi, f)
+
+    monkeypatch.setattr(resonance, "_solve_bracketed", counting)
+    paths = [SqueezePath.adjacent(), SqueezePath.power_law(1.0, 2.0)]
+    paths += [SqueezePath.power_law(c, 1.0)
+              for c in (0.1, 0.7, 1.0, 2.0, 3.0, 1e3, 1e6)]
+    for path in paths:
+        for n in range(1, MAX_INDEX + 1):
+            resonance_root(path, n)
+    assert len(counts) == len(paths) * MAX_INDEX
+    assert max(counts) <= 12
+
+
+def test_root_next_to_the_bracket_end():
+    # on linear:1e12 the root sits about 1/(c*pi) = 3.2e-13 above pi, next
+    # to the end of its bracket
+    sigma = resonance_root(SqueezePath.power_law(1e12, 1.0), 1)
+    assert sigma - math.pi == pytest.approx(1.0 / (1e12 * math.pi), rel=5e-3)
+    th = math.tanh(sigma)
+    assert abs(th / (1.0 + 1e12 * sigma * th) - math.tan(sigma)) < 1e-15
 
 
 def test_chi_linear_reduces_and_chains():
