@@ -18,12 +18,14 @@ jump of psi to the delta term.  The resulting matrix is diagonal
 
 Inverting A = chi, B = g at a resonance gives
 
-    alpha = 1/lam + 1/(1-chi),    beta = chi*g/(1-chi)**2.
+    alpha = 1/lam + delta,    beta = (chi*delta) * (g*delta),
 
-The map alpha -> A is violently ill-conditioned exactly where those fits
-live (1 - alpha*lam is tiny when |chi| is huge), so alpha is carried with a
-double-double tail and the two denominators are evaluated with compensated
-arithmetic; see :class:`ProductParams`.
+with the pole offset delta = 1/(1-chi).  The fits live next to the pole
+1 - alpha*lam = 0, where the map alpha -> A has condition number ~ |chi|,
+so alpha is never used there: a fit keeps delta and its coupling lam_f,
+and 1 - alpha*lam is evaluated as (1 - lam/lam_f) - lam*delta, which at
+lam = lam_f is exactly -lam*delta, with no cancellation.  Hand-built
+parameters have lam_f = inf and delta = alpha, the plain formula.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _ddouble as dd
 from .errors import InvariantViolation, SingularParameterError
 from .transfer import ScatteringAmplitudes, UnitDetMatrix, amplitudes
 
@@ -73,15 +74,21 @@ class ConnectionMatrix(UnitDetMatrix):
 class ProductParams:
     """Weights (alpha, beta) of the two-parameter product rule.
 
-    ``alpha_lo`` is an optional extended-precision tail of alpha: the
-    resonance fits place 1 - alpha*lam within ~1/chi of zero, so a bare
-    double loses up to half the significand in the matrix round trip.
-    Fits populate it; hand-built parameters can leave it at 0.
+    alpha = 1/lam_fit + offset.  A resonance fit sets the fitted coupling
+    ``lam_fit`` and the pole offset ``offset`` = 1/(1-chi), from which
+    :func:`bc_from_product` forms 1 - alpha*lam without cancellation; alpha
+    itself is only reported.  Hand-built parameters give alpha and beta
+    alone: lam_fit is then inf and the offset defaults to alpha - 1/lam_fit.
     """
 
     alpha: float
     beta: float
-    alpha_lo: float = 0.0
+    lam_fit: float = math.inf
+    offset: float | None = None
+
+    def __post_init__(self):
+        if self.offset is None:
+            object.__setattr__(self, "offset", self.alpha - 1.0 / self.lam_fit)
 
 
 def resonant_matrix(chi: float, g: float = 0.0) -> ConnectionMatrix:
@@ -113,39 +120,41 @@ def bc_from_product(params: ProductParams, lam: float) -> ConnectionMatrix:
     """Connection matrix of the weighted product rule at coupling ``lam``.
 
     Raises :class:`SingularParameterError` on the two poles 1 - alpha*lam = 0
-    and 1 + (1-alpha)*lam = 0.
+    and 1 + (1-alpha)*lam = 0, and ``ValueError`` on a non-finite ``lam``.
     """
-    d1 = dd.sub(dd.from_float(1.0), dd.mul_f((params.alpha, params.alpha_lo), lam))
-    d2 = dd.add(d1, dd.from_float(lam))
-    if dd.to_float(d1) == 0.0:
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    # 1 - alpha*lam; at lam = lam_fit, lam/lam_fit = 1 exactly
+    d1 = (1.0 - lam / params.lam_fit) - lam * params.offset
+    d2 = d1 + lam  # 1 + (1-alpha)*lam
+    if d1 == 0.0:
         raise SingularParameterError(
             f"1 - alpha*lam = 0 at alpha = {params.alpha}, lam = {lam}")
-    if dd.to_float(d2) == 0.0:
+    if d2 == 0.0:
         raise SingularParameterError(
             f"1 + (1-alpha)*lam = 0 at alpha = {params.alpha}, lam = {lam}")
-    a = dd.to_float(dd.div(d2, d1))
-    a_inv = dd.to_float(dd.div(d1, d2))
-    b = params.beta * lam * lam / dd.to_float(d1) / dd.to_float(d2)
-    return ConnectionMatrix(a, 0.0, b, a_inv)
+    b = params.beta * lam * lam / d1 / d2
+    return ConnectionMatrix(d2 / d1, 0.0, b, d1 / d2)
 
 
 def params_from_resonance(lam_n: float, chi_n: float, g_n: float) -> ProductParams:
     """Product weights reproducing the resonance data (chi_n, g_n).
 
-    alpha = 1/lam + 1/(1-chi) and beta = chi*g/(1-chi)**2; the matrix round
-    trip through :func:`bc_from_product` recovers (chi_n, g_n) to double
-    precision.  chi = 1 (the pure-delta regime) has no inverse here.
+    With the pole offset delta = 1/(1-chi): alpha = 1/lam + delta and
+    beta = (chi*delta)*(g*delta), a form that stays finite wherever chi and
+    g are.  The fit keeps lam and delta, so the matrix round trip through
+    :func:`bc_from_product` recovers (chi_n, g_n) to a few ulps.  chi = 1
+    (the pure-delta regime) has no inverse here.
     """
     if chi_n == 1.0:
         raise SingularParameterError(
             "chi = 1 is the pure-delta regime; 1/(1-chi) is undefined")
     if lam_n == 0.0:
         raise SingularParameterError("lam = 0 has no product-rule inverse")
-    alpha = dd.add(dd.reciprocal(dd.from_float(lam_n)),
-                   dd.reciprocal(dd.two_sum(1.0, -chi_n)))
-    one_minus_chi = 1.0 - chi_n
-    beta = chi_n * g_n / (one_minus_chi * one_minus_chi) + 0.0  # drop -0.0
-    return ProductParams(alpha=alpha[0], beta=beta, alpha_lo=alpha[1])
+    delta = 1.0 / (1.0 - chi_n)
+    beta = (chi_n * delta) * (g_n * delta) + 0.0  # drop -0.0
+    return ProductParams(alpha=1.0 / lam_n + delta, beta=beta,
+                         lam_fit=lam_n, offset=delta)
 
 
 def scattering_from_matrix(cm: ConnectionMatrix, k: float) -> ScatteringAmplitudes:

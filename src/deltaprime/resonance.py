@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotARootError, require
+from .errors import DeltaPrimeError, NotARootError, require
 from .paths import ADJACENT, POWER, SqueezePath
 from .transfer import ScatteringAmplitudes, amplitudes
 
@@ -233,26 +233,39 @@ def chi_linear(sigma: float, c: float) -> float:
     The three equivalent expressions u/cos(s), sinh(s)/sin(s) and the signed
     square root of u**2 + sinh(s)**2, with u = cosh(s) + c*s*sinh(s), are
     all evaluated; a relative spread beyond 1e-6 means the input was not
-    actually a root.  The square root is expanded as cosh(2s) +
+    actually a root.  A root is known only to within ulp(s), which moves
+    each form by ulp(s) times its logarithmic slope in s; that bound is
+    added to the 1e-6, as sinh(s)/sin(s) is ill-conditioned where the root
+    sits next to n*pi (large c).  The square root is expanded as cosh(2s) +
     c*s*sinh(2s) + (c*s*sinh(s))**2, which is exactly sqrt(cosh(2s)) at
-    c = 0.
+    c = 0.  Raises :class:`DeltaPrimeError` where a form overflows.
     """
     if not c >= 0:
         raise ValueError(f"path constant c must be >= 0, got {c}")
     n = _index_of(sigma)
     cs = c * sigma
-    u = math.cosh(sigma) + cs * math.sinh(sigma)
-    forms = [
-        u / math.cos(sigma),
-        math.sinh(sigma) / math.sin(sigma),
-        (-1.0) ** n * math.sqrt(math.cosh(2.0 * sigma)
-                                + cs * math.sinh(2.0 * sigma)
-                                + (cs * math.sinh(sigma)) ** 2),
-    ]
-    scale = max(1.0, *(abs(v) for v in forms))
-    if not max(forms) - min(forms) <= 1e-6 * scale:
-        raise NotARootError(
-            f"sigma = {sigma} is not a root at c = {c}: chi forms spread {forms}")
+    try:
+        sh, ch = math.sinh(sigma), math.cosh(sigma)
+        square = (math.cosh(2.0 * sigma) + cs * math.sinh(2.0 * sigma)
+                  + (cs * sh) ** 2)
+    except OverflowError:
+        square = math.inf
+    if not square < math.inf:
+        raise DeltaPrimeError(
+            f"chi overflows at sigma = {sigma} (n = {n}, c = {c})")
+    u = ch + cs * sh
+    sn, cn = math.sin(sigma), math.cos(sigma)
+    forms = [u / cn, sh / sn, (-1.0) ** n * math.sqrt(square)]
+    spread = (max(forms) - min(forms)) / max(1.0, *(abs(v) for v in forms))
+    if not spread <= 1e-6:
+        # d/ds log|form|; that of the square root is a weighted mean of the
+        # slopes of u and of sinh(s), so their larger one bounds it
+        du_u = ((1.0 + c) * sh + cs * ch) / u
+        coth = ch / sh
+        slopes = du_u + sn / cn, coth - cn / sn, max(du_u, coth)
+        if not spread <= 1e-6 + math.ulp(sigma) * sum(map(abs, slopes)):
+            raise NotARootError(f"sigma = {sigma} is not a root at c = {c}: "
+                                f"chi forms spread {forms}")
     return forms[2]
 
 

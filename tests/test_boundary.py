@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,47 @@ def test_round_trip_adjacent_and_quadratic():
             cm = bc_from_product(params, r.lam)
             assert rel(cm.l11, r.chi) < 1e-12
             assert rel(cm.l21, r.g) < 1e-12
+
+
+ROUND_TRIP_RULES = ("adjacent", "linear:0.1", "linear:3", "quadratic:1",
+                    "quadratic:3", "power:2:3")
+
+
+def assert_round_trip(r):
+    params = params_from_resonance(r.lam, r.chi, r.g)
+    cm = bc_from_product(params, r.lam)
+    assert rel(cm.l11, r.chi) < 1e-12, r.n
+    assert rel(cm.l21, r.g) < 1e-12, r.n
+    assert rel(cm.l22, 1.0 / r.chi) < 1e-12, r.n
+
+
+@pytest.mark.parametrize("spec", ROUND_TRIP_RULES)
+def test_round_trip_to_n_100(spec):
+    for r in resonance_set(SqueezePath.parse(spec), 100):
+        assert_round_trip(r)
+
+
+def test_round_trip_quadratic_at_largest_index():
+    # chi*g/(1-chi)**2 overflows here; (chi*delta)*(g*delta) does not
+    r = resonance_set(SqueezePath.parse("quadratic:3"), 112)[-1]
+    assert abs(r.chi * r.g) == math.inf
+    assert_round_trip(r)
+
+
+def test_hand_built_params_have_no_fitted_coupling():
+    params = ProductParams(0.25, 1.0)
+    assert params.lam_fit == math.inf
+    assert params.offset == 0.25
+    assert params == ProductParams(0.25, 1.0, math.inf, 0.25)
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_product_rule_rejects_non_finite_coupling(lam):
+    r = resonance_set(SqueezePath.adjacent(), 3)[-1]
+    fitted = params_from_resonance(r.lam, r.chi, r.g)
+    for params in (ProductParams(0.5, 0.0), fitted):
+        with pytest.raises(ValueError, match="finite"):
+            bc_from_product(params, lam)
 
 
 def test_params_from_resonance_rejects_poles():

@@ -279,6 +279,39 @@ def test_bc_fit_quadratic_round_trip(capsys):
     assert float(rows[0]["residual"]) < 1e-12
 
 
+def test_bc_fit_keeps_double_precision_at_large_chi(capsys):
+    # chi_25 ~ -2e34: the fit used to print a residual of 0.066
+    code, out, _ = run_cli(capsys, "bc-fit", "--n", "25")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert float(rows[0]["residual"]) <= 1e-12
+    code, out, err = run_cli(capsys, "bc-fit", "--path", "quadratic:1",
+                             "--n", "100")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert float(rows[0]["residual"]) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["resonances", "--count", "113"],
+    ["resonances", "--path", "linear:0.7", "--count", "115"],
+    ["bc-fit", "--path", "linear:0.7", "--n", "112"],
+])
+def test_chi_overflow_is_numeric_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert re.search(r"chi overflows at sigma = [0-9.]+ \(n = 11[23]", err)
+
+
+def test_resonance_next_to_its_bracket_end(capsys):
+    code, out, err = run_cli(capsys, "resonances", "--path", "linear:1e12",
+                             "--count", "1")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert float(rows[0]["chi"]) == pytest.approx(-3.6281434723e13, rel=1e-9)
+
+
 def test_json_format(capsys):
     code, out, _ = run_cli(capsys, "resonances", "--count", "2",
                            "--format", "json")

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from conftest import adjacent_root_oracle, linear_root_oracle
-from deltaprime import (NotARootError, SqueezePath, bound_state_kappa,
-                        chi_adjacent, chi_linear, g_quadratic, resonance_set,
-                        resonant_scattering, solve_adjacent, solve_linear)
+from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
+                        bound_state_kappa, chi_adjacent, chi_linear,
+                        g_quadratic, resonance_set, resonant_scattering,
+                        solve_adjacent, solve_linear)
 from deltaprime import resonance
 from deltaprime.resonance import (_solve_bracketed, g_quadratic_forms,
                                   resonance_root)
@@ -174,6 +175,30 @@ def test_chi_linear_reduces_and_chains():
         assert rel(a, b) < 1e-9
         assert rel(a, c) < 1e-9
         assert math.copysign(1.0, r.chi) == (-1.0) ** r.n
+
+
+def test_chi_linear_weighs_each_form_by_its_conditioning():
+    # next to n*pi, sinh(s)/sin(s) carries ulp(s)*|cot(s)| ~ 1e-3 of
+    # rounding: the root is accepted, a root moved by 1e-6 is not
+    path = SqueezePath.power_law(1e12, 1.0)
+    sigma = resonance_root(path, 1)
+    assert chi_linear(sigma, 1e12) < -3e13
+    with pytest.raises(NotARootError, match="spread"):
+        chi_linear(sigma + 1e-6, 1e12)
+    for c in (0.0, 1.0):
+        root = resonance_root(SqueezePath.power_law(c, 1.0), 3)
+        chi_linear(root, c)
+        with pytest.raises(NotARootError, match="spread"):
+            chi_linear(root + 1e-6, c)
+
+
+def test_chi_overflow_is_a_typed_error():
+    # cosh(2s) overflows from n = 113 on
+    root = resonance_root(SqueezePath.adjacent(), 113)
+    with pytest.raises(DeltaPrimeError, match=r"sigma = .*\(n = 113"):
+        chi_linear(root, 0.0)
+    assert math.isfinite(chi_linear(resonance_root(SqueezePath.adjacent(),
+                                                   112), 0.0))
 
 
 def test_g_quadratic_value_and_forms():
