@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, SingularParameterError
+from .errors import (DeltaPrimeError, InvariantViolation,
+                     SingularParameterError)
 from .transfer import ScatteringAmplitudes, UnitDetMatrix, amplitudes
 
 __all__ = [
@@ -120,7 +121,9 @@ def bc_from_product(params: ProductParams, lam: float) -> ConnectionMatrix:
     """Connection matrix of the weighted product rule at coupling ``lam``.
 
     Raises :class:`SingularParameterError` on the two poles 1 - alpha*lam = 0
-    and 1 + (1-alpha)*lam = 0, and ``ValueError`` on a non-finite ``lam``.
+    and 1 + (1-alpha)*lam = 0, ``ValueError`` on a non-finite ``lam``, and
+    :class:`DeltaPrimeError` where an entry overflows (or is NaN, as with
+    alpha = inf).
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
@@ -133,8 +136,12 @@ def bc_from_product(params: ProductParams, lam: float) -> ConnectionMatrix:
     if d2 == 0.0:
         raise SingularParameterError(
             f"1 + (1-alpha)*lam = 0 at alpha = {params.alpha}, lam = {lam}")
-    b = params.beta * lam * lam / d1 / d2
-    return ConnectionMatrix(d2 / d1, 0.0, b, d1 / d2)
+    a, b, a_inv = d2 / d1, params.beta * lam * lam / d1 / d2, d1 / d2
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(a_inv)):
+        raise DeltaPrimeError(
+            f"product-rule matrix overflows at alpha = {params.alpha}, "
+            f"beta = {params.beta}, lam = {lam}")
+    return ConnectionMatrix(a, 0.0, b, a_inv)
 
 
 def params_from_resonance(lam_n: float, chi_n: float, g_n: float) -> ProductParams:

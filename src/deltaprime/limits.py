@@ -9,7 +9,9 @@ everywhere except on resonance-carrying paths at resonant couplings.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,13 +54,22 @@ _MATCH_TOL = 1e-9
 # CLI default of 2000 samples stays one call.
 SWEEP_BLOCK = 4096
 
+# Size caps, checked before anything is allocated.  A trace needs a few
+# dozen widths; 10**4 keeps the width-grid cache below
+# _GRID_CACHE_SIZE * MAX_TRACE_POINTS * 8 bytes = 1.3 MB.  A sweep holds
+# its couplings, |T|^2 and |R|^2 in full: 96 MB at MAX_SWEEP_SAMPLES.
+MAX_TRACE_POINTS = 10_000
+MAX_SWEEP_SAMPLES = 4_000_000
+_GRID_CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class LimitTrace:
     """Transfer-matrix entries along a shrinking-width sequence.
 
     ``entries`` has shape (points, 4) ordered (L11, L12, L21, L22); the
-    closed forms are real.
+    closed forms are real.  ``l_values`` is shared by every trace on the
+    same grid and is read-only.
     """
 
     path: SqueezePath
@@ -120,16 +131,30 @@ class LimitVerdict:
         return "mixed"
 
 
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
+def _width_grid(l_start: float, l_end: float, points: int) -> np.ndarray:
+    """``np.geomspace(l_start, l_end, points)``, built once per grid and
+    shared read-only."""
+    ls = np.geomspace(l_start, l_end, points)
+    ls.flags.writeable = False
+    return ls
+
+
 def trace(path: SqueezePath, lam: float, E: float,
           l_start: float, l_end: float, points: int) -> LimitTrace:
     """Evaluate the transfer matrix on a geometric width grid along ``path``.
 
-    Requires points >= 8, a finite l_start > l_end >= the double-precision
-    floor and a finite lam >= 0; every point is checked against the
-    unit-determinant invariant.
+    Requires 8 <= points <= ``MAX_TRACE_POINTS``, a finite
+    l_start > l_end >= the double-precision floor and a finite lam >= 0;
+    every point is checked against the unit-determinant invariant.  The
+    width grid is cached (``_GRID_CACHE_SIZE`` grids, at most 1.3 MB), so
+    ``l_values`` is shared between traces and read-only.
     """
-    if points < 8:
+    if not points >= 8:
         raise ValueError(f"need at least 8 trace points, got {points}")
+    if not points <= MAX_TRACE_POINTS:
+        raise ValueError(f"points = {points} exceeds the cap of "
+                         f"{MAX_TRACE_POINTS} trace points")
     if not l_end >= PRECISION_FLOOR:
         raise PrecisionFloorError(
             f"l_end = {l_end} below the precision floor {PRECISION_FLOOR}")
@@ -139,7 +164,7 @@ def trace(path: SqueezePath, lam: float, E: float,
     if not 0 <= lam < math.inf:
         raise ValueError(f"coupling must be finite and >= 0, got {lam}")
 
-    ls = np.geomspace(l_start, l_end, points)
+    ls = _width_grid(l_start, l_end, points)
     rhos = np.zeros(points) + path.rho_of(ls)  # rho_of may give a scalar
     entries = transfer_entries(ls, rhos, lam, E)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the check
@@ -150,14 +175,20 @@ def trace(path: SqueezePath, lam: float, E: float,
                       rho_values=rhos, entries=np.stack(entries, axis=1))
 
 
-def _richardson(values: np.ndarray, ratio: float) -> tuple[float, float]:
+def _richardson(values: Sequence[float], ratio: float) -> tuple[float, float]:
     """Limit estimate for a geometric-grid sequence with a power-series
     error model; the error estimate is the smallest change produced by an
-    extrapolation level."""
-    prev = [float(v) for v in values]
+    extrapolation level.
+
+    Level j of the extrapolation triangle is only read at its last element,
+    which depends on the last j + 1 values, so only the last
+    ``_RICHARDSON_DEPTH + 1`` values are combined.
+    """
+    depth = min(len(values) - 1, _RICHARDSON_DEPTH)
+    prev = [float(v) for v in values[-depth - 1:]]
     best = prev[-1]
     best_err = abs(prev[-1] - prev[-2])
-    for j in range(1, min(len(values), _RICHARDSON_DEPTH + 1)):
+    for j in range(1, depth + 1):
         f = ratio ** j
         cur = [(f * prev[i] - prev[i - 1]) / (f - 1.0)
                for i in range(1, len(prev))]
@@ -176,29 +207,32 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     ``DIVERGENCE_SLOPE`` (magnitudes growing as l shrinks give negative
     slopes).  Entries that stay below 1e-6 in the tail, or change sign
     there, carry no usable slope and are classified by their extrapolated
-    value instead.
+    value instead.  The four entries are tested together, one row each.
     """
     half = tr.points // 2
     x = np.log(tr.l_values[half:])
     x -= x.mean()
+    tail = tr.entries[half:].T.copy()  # C-contiguous rows, one per entry
+    flat = ((np.abs(tail) < _TINY_TAIL).all(axis=1)
+            | (tail[:, :-1] * tail[:, 1:] <= 0.0).any(axis=1)).tolist()
+    # least-squares slopes in closed form, one dot product per sloped row:
+    # np.polyfit costs several times more on these few points, and a
+    # strided column or a matrix-vector product rounds differently
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat rows may hold 0
+        y = np.log(np.abs(tail))
+        y -= y.mean(axis=1, keepdims=True)
+    xx = x @ x
+    ratio = tr.ratio
+    last_values = tr.entries[-_RICHARDSON_DEPTH - 1:].T.tolist()
     verdicts: dict[str, EntryVerdict] = {}
     for j, name in enumerate(ENTRY_NAMES):
-        v = tr.entries[:, j]
-        vt = v[half:]
-        crosses = bool(np.any(vt[:-1] * vt[1:] <= 0.0))
-        if np.all(np.abs(vt) < _TINY_TAIL) or crosses:
-            est, err = _richardson(v, tr.ratio)
-            verdicts[name] = EntryVerdict(kind=CONVERGES, value=est, error=err)
-            continue
-        # least-squares slope in closed form: np.polyfit costs several
-        # times more on these few points
-        y = np.log(np.abs(vt))
-        slope = float(x @ (y - y.mean()) / (x @ x))
-        if slope <= DIVERGENCE_SLOPE:
-            verdicts[name] = EntryVerdict(kind=DIVERGENT, exponent=slope)
-        else:
-            est, err = _richardson(v, tr.ratio)
-            verdicts[name] = EntryVerdict(kind=CONVERGES, value=est, error=err)
+        if not flat[j]:
+            slope = float(x @ y[j] / xx)
+            if slope <= DIVERGENCE_SLOPE:
+                verdicts[name] = EntryVerdict(kind=DIVERGENT, exponent=slope)
+                continue
+        est, err = _richardson(last_values[j], ratio)
+        verdicts[name] = EntryVerdict(kind=CONVERGES, value=est, error=err)
     return LimitVerdict(entries=verdicts)
 
 
@@ -250,13 +284,17 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
                        lam_max: float, samples: int, E: float = 1.0) -> SweepResult:
     """|T|^2 and |R|^2 over an evenly spaced coupling grid at width ``l``.
 
-    The grid is evaluated in blocks of ``SWEEP_BLOCK`` couplings.  Peaks are
+    Requires 2 <= samples <= ``MAX_SWEEP_SAMPLES``.  The grid is evaluated
+    in blocks of ``SWEEP_BLOCK`` couplings.  Peaks are
     strict local maxima of |T|^2 over the grid, refined by a parabola
     through the three surrounding samples (the refinement never leaves the
     neighbouring half-intervals).
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    if not samples <= MAX_SWEEP_SAMPLES:
+        raise ValueError(f"samples = {samples} exceeds the cap of "
+                         f"{MAX_SWEEP_SAMPLES} sweep samples")
     if not l >= PRECISION_FLOOR:
         raise PrecisionFloorError(
             f"l = {l} below the precision floor {PRECISION_FLOOR}")

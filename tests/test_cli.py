@@ -369,6 +369,37 @@ def test_overflow_is_clean_numeric_error(argv):
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit-trace", "--lambda", "1", "--points", "100000000000"],
+    ["sweep", "--samples", "100000000000"],
+])
+def test_oversized_grid_is_clean_numeric_error(argv):
+    # numpy used to fail allocating these grids, with a traceback (exit 1)
+    proc = subprocess.run([sys.executable, "-m", "deltaprime", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "= 100000000000 exceeds the cap" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bc", "--alpha", "0.5", "--beta", "1e308", "--lambda", "1e200", "--k", "1"],
+     "alpha = 0.5, beta = 1e+308, lam = 1e+200"),
+    (["bc", "--alpha", "1e308", "--beta", "1", "--lambda", "10", "--k", "1"],
+     "alpha = 1e+308, beta = 1.0, lam = 10.0"),
+    (["bc", "--alpha", "inf", "--lambda", "3"],
+     "alpha = inf, beta = 0.0, lam = 3.0"),
+])
+def test_bc_overflow_is_named(capsys, argv, named):
+    # beta*lam**2 or 1 - alpha*lam overflows; the determinant check used to
+    # report the NaN that followed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert f"product-rule matrix overflows at {named}" in err
+
+
 def test_limit_trace_near_resonance_passes_determinant_check(capsys):
     # lambda_2 of the adjacent rule on a tau = 3 rule at E = 0.5: trace's
     # determinant residual at l = 1.8e-4 used to read 1.08e-10 > 1e-10

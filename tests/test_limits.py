@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deltaprime import (PrecisionFloorError, RectProfile, SqueezePath,
                         classify, limits, predict, resonance_set, scattering,
@@ -41,6 +44,33 @@ def test_trace_rejects_bad_arguments():
         make_trace(ADJ, LAM1, E=np.inf)
     with pytest.raises(ValueError, match="l_start"):
         make_trace(ADJ, LAM1, l_start=np.inf)
+
+
+def test_trace_width_grid_is_shared_and_read_only():
+    expected = np.geomspace(1e-1, 1e-4, 13).tobytes()
+    tr = make_trace(ADJ, LAM1)
+    assert tr.l_values.tobytes() == expected
+    assert not tr.l_values.flags.writeable
+    with pytest.raises(ValueError):
+        tr.l_values[0] = 1.0
+    with pytest.raises(ValueError):
+        tr.l_values *= 2.0
+    again = make_trace(QUAD, LAM1)
+    assert again.l_values is tr.l_values
+    assert again.l_values.tobytes() == expected
+
+
+def test_trace_and_sweep_cap_their_sizes():
+    cap = limits.MAX_TRACE_POINTS
+    with pytest.raises(ValueError, match=f"points = {cap + 1} exceeds"):
+        make_trace(ADJ, LAM1, points=cap + 1)
+    with pytest.raises(ValueError):
+        make_trace(ADJ, LAM1, points=float("nan"))
+    assert make_trace(ADJ, LAM1, points=40).points == 40
+    cap = limits.MAX_SWEEP_SAMPLES
+    assert cap > 1_000_000
+    with pytest.raises(ValueError, match=f"samples = {cap + 1} exceeds"):
+        transmission_sweep(ADJ, 1e-3, 1.0, 60.0, cap + 1)
 
 
 def test_trace_rows_keep_unit_determinant():
@@ -209,3 +239,88 @@ def test_blocked_sweep_equals_one_block(monkeypatch):
     np.testing.assert_array_equal(blocked.T2, whole.T2)
     np.testing.assert_array_equal(blocked.R2, whole.R2)
     assert blocked.peaks == whole.peaks
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+def _full_richardson(values, ratio):
+    """Every level of the extrapolation triangle over the whole sequence."""
+    prev = [float(v) for v in values]
+    best = prev[-1]
+    best_err = abs(prev[-1] - prev[-2])
+    for j in range(1, min(len(values), limits._RICHARDSON_DEPTH + 1)):
+        f = ratio ** j
+        cur = [(f * prev[i] - prev[i - 1]) / (f - 1.0)
+               for i in range(1, len(prev))]
+        err = abs(cur[-1] - prev[-1])
+        if err < best_err:
+            best, best_err = cur[-1], err
+        prev = cur
+    return best, best_err
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.integers(8, 40), ratio=st.floats(1.05, 4.0),
+       coeffs=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+       power=st.floats(0.25, 3.0), zero=st.sampled_from([None, 0, -2, -1]))
+@example(points=13, ratio=10 ** 0.25, coeffs=[2.5, 0.0, 0.0], power=1.0,
+         zero=None)  # constant
+@example(points=8, ratio=2.0, coeffs=[1.0, -3.0, 0.5], power=1.0, zero=-1)
+def test_tail_richardson_equals_full_triangle(points, ratio, coeffs, power,
+                                              zero):
+    l = ratio ** -np.arange(points, dtype=float)
+    values = coeffs[0] + coeffs[1] * l ** power + coeffs[2] * l ** (2 * power)
+    if zero is not None:
+        values[zero] = 0.0
+    got = limits._richardson(values, ratio)
+    want = _full_richardson(values, ratio)
+    assert list(map(_bits, got)) == list(map(_bits, want))
+
+
+def _reference_classify(tr):
+    """One entry at a time, with one dot product per entry."""
+    half = tr.points // 2
+    x = np.log(tr.l_values[half:])
+    x -= x.mean()
+    out = {}
+    for j, name in enumerate(limits.ENTRY_NAMES):
+        v = tr.entries[:, j]
+        vt = v[half:]
+        crosses = bool(np.any(vt[:-1] * vt[1:] <= 0.0))
+        if not (np.all(np.abs(vt) < limits._TINY_TAIL) or crosses):
+            y = np.log(np.abs(vt))
+            slope = float(x @ (y - y.mean()) / (x @ x))
+            if slope <= limits.DIVERGENCE_SLOPE:
+                out[name] = (limits.DIVERGENT, slope, None, None)
+                continue
+        est, err = _full_richardson(v, tr.ratio)
+        out[name] = (limits.CONVERGES, None, est, err)
+    return out
+
+
+SEVEN_RULES = ["adjacent", "barrier-first:0.5", "linear:1.3", "quadratic:0.7",
+               "power:1.1:0.5", "power:0.9:1.5", "power:2.1:3"]
+
+
+@pytest.mark.parametrize("spec", SEVEN_RULES)
+def test_classify_matches_per_entry_reference_bit_for_bit(spec):
+    path = SqueezePath.parse(spec)
+    lams = [0.0, 0.8, 10.0, LAM1, 123.4, 377.7]
+    if spec in ("adjacent", "linear:1.3", "quadratic:0.7", "power:2.1:3"):
+        lams += [r.lam for r in resonance_set(path, 6)]
+    kinds = set()
+    for lam in lams:
+        for E, points in ((1.0, 13), (0.5, 8), (2.0, 24), (1.0, 40)):
+            tr = make_trace(path, lam, E=E, points=points)
+            got = classify(tr).entries
+            want = _reference_classify(tr)
+            assert list(got) == list(want)
+            for name, (kind, exponent, value, error) in want.items():
+                v = got[name]
+                kinds.add(kind)
+                assert v.kind == kind, (spec, lam, name)
+                assert [_bits(v.exponent), _bits(v.value), _bits(v.error)] == \
+                    [_bits(exponent), _bits(value), _bits(error)], (spec, lam, name)
+    assert kinds == {limits.DIVERGENT, limits.CONVERGES}
