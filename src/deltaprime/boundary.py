@@ -136,7 +136,8 @@ def bc_from_product(params: ProductParams, lam: float) -> ConnectionMatrix:
     if d2 == 0.0:
         raise SingularParameterError(
             f"1 + (1-alpha)*lam = 0 at alpha = {params.alpha}, lam = {lam}")
-    a, b, a_inv = d2 / d1, params.beta * lam * lam / d1 / d2, d1 / d2
+    # beta*lam**2/(d1*d2), ordered so no intermediate exceeds |beta*lam|
+    a, b, a_inv = d2 / d1, params.beta * lam / d1 * lam / d2, d1 / d2
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(a_inv)):
         raise DeltaPrimeError(
             f"product-rule matrix overflows at alpha = {params.alpha}, "

@@ -69,16 +69,25 @@ def _write(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _emit(args, rows: list[dict], extras: dict | None = None) -> None:
+def _cells(col) -> list[str]:
+    """CSV cells of one column; a float64 array in one list repr (a float's
+    repr never contains ", ", so each cell is exactly ``repr(float(v))``)."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return repr(col.tolist())[1:-1].split(", ")
+    return [_fmt(v) for v in col]
+
+
+def _emit(args, cols: dict, extras: dict | None = None) -> None:
+    """Write a table given as columns: name -> array or list, all one length."""
     if args.format == "json":
-        doc = {"rows": [{k: _jsonable(v) for k, v in row.items()}
-                        for row in rows]}
+        values = [[_jsonable(v) for v in col] for col in cols.values()]
+        doc = {"rows": [dict(zip(cols, row)) for row in zip(*values)]}
         if extras:
             doc.update(extras)
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        lines = [",".join(rows[0].keys())]
-        lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
+        cells = [_cells(col) for col in cols.values()]
+        lines = [",".join(cols), *map(",".join, zip(*cells))]
         text = "\n".join(lines) + "\n"
         if extras:
             text += "\n" + json.dumps(extras, indent=2) + "\n"
@@ -102,12 +111,12 @@ def cmd_resonances(args) -> int:
     path = _parse_path(args.path, resonant_only=True)
     k = 1.0
     rs = resonance_set(path, args.count)
-    amp = resonant_scattering(np.array([r.chi for r in rs]),
-                              np.array([r.g for r in rs]), k)
-    rows = [{"n": r.n, "sigma": r.sigma, "lambda": r.lam, "chi": r.chi,
-             "g": r.g, "kappa": r.kappa, "R": R, "T": T, "k": k}
-            for r, R, T in zip(rs, amp.R, amp.T)]
-    _emit(args, rows)
+    sigma, lam, chi, g, kappa = np.array(
+        [(r.sigma, r.lam, r.chi, r.g, r.kappa) for r in rs]).T
+    amp = resonant_scattering(chi, g, k)
+    _emit(args, {"n": [r.n for r in rs], "sigma": sigma, "lambda": lam,
+                 "chi": chi, "g": g, "kappa": kappa, "R": amp.R, "T": amp.T,
+                 "k": [k] * len(rs)})
     return EXIT_OK
 
 
@@ -123,10 +132,11 @@ def cmd_transfer(args) -> int:
     if not tm.det_residual() <= 1e-12:
         raise InvariantViolation(f"determinant residual {tm.det_residual()}")
     amp = scattering(tm, math.sqrt(args.E))
-    row = {"l": args.l, "rho": args.rho, "lambda": args.lam, "E": args.E,
-           "L11": tm.l11, "L12": tm.l12, "L21": tm.l21, "L22": tm.l22,
-           "det": tm.det, "R": amp.R, "T": amp.T, "T2": amp.T2,
-           "conservation_residual": amp.conservation_residual}
+    cols = {"l": [args.l], "rho": [args.rho], "lambda": [args.lam],
+            "E": [args.E], "L11": [tm.l11], "L12": [tm.l12], "L21": [tm.l21],
+            "L22": [tm.l22], "det": [tm.det], "R": [amp.R], "T": [amp.T],
+            "T2": [amp.T2],
+            "conservation_residual": [amp.conservation_residual]}
     if args.check:
         ref = piecewise_transfer(profile, args.E)
         scale = max(1.0, tm.entry_scale(), ref.entry_scale())
@@ -134,8 +144,8 @@ def cmd_transfer(args) -> int:
                     abs(tm.l21 - ref.l21), abs(tm.l22 - ref.l22)) / scale
         if not resid <= 1e-10:
             raise InvariantViolation(f"oracle disagreement {resid}")
-        row["oracle_residual"] = resid
-    _emit(args, [row])
+        cols["oracle_residual"] = [resid]
+    _emit(args, cols)
     return EXIT_OK
 
 
@@ -159,13 +169,11 @@ def cmd_limit_trace(args) -> int:
         raise UsageError("--l-start must exceed --l-end")
     path = _parse_path(args.path)
     tr = trace(path, args.lam, args.E, args.l_start, args.l_end, args.points)
-    rows = []
-    for i in range(tr.points):
-        l11, l12, l21, l22 = tr.entries[i]
-        rows.append({"l": float(tr.l_values[i]), "rho": float(tr.rho_values[i]),
-                     "L11": l11, "L12": l12, "L21": l21, "L22": l22,
-                     "det": l11 * l22 - l12 * l21})
-    _emit(args, rows, extras={"verdict": _verdict_block(classify(tr))})
+    e = tr.entries.T
+    _emit(args, {"l": tr.l_values, "rho": tr.rho_values, "L11": e[0],
+                 "L12": e[1], "L21": e[2], "L22": e[3],
+                 "det": e[0] * e[3] - e[1] * e[2]},
+          extras={"verdict": _verdict_block(classify(tr))})
     return EXIT_OK
 
 
@@ -179,10 +187,9 @@ def cmd_sweep(args) -> int:
     path = _parse_path(args.path)
     res = transmission_sweep(path, args.l, args.lambda_min, args.lambda_max,
                              args.samples, args.E)
-    rows = [{"lambda": float(res.lambdas[i]), "T2": float(res.T2[i]),
-             "R2": float(res.R2[i])} for i in range(args.samples)]
     peaks = [{"lambda": p.lam, "T2": p.T2} for p in res.peaks]
-    _emit(args, rows, extras={"peaks": peaks})
+    _emit(args, {"lambda": res.lambdas, "T2": res.T2, "R2": res.R2},
+          extras={"peaks": peaks})
     return EXIT_OK
 
 
@@ -192,9 +199,10 @@ def cmd_bc(args) -> int:
     cm = bc_from_product(ProductParams(alpha=args.alpha, beta=args.beta),
                          args.lam)
     amp = scattering_from_matrix(cm, args.k)
-    row = {"alpha": args.alpha, "beta": args.beta, "lambda": args.lam,
-           "k": args.k, "A": cm.l11, "B": cm.l21, "R": amp.R, "T": amp.T}
-    _emit(args, [row], extras={"bound_states": bound_state(cm)})
+    _emit(args, {"alpha": [args.alpha], "beta": [args.beta],
+                 "lambda": [args.lam], "k": [args.k], "A": [cm.l11],
+                 "B": [cm.l21], "R": [amp.R], "T": [amp.T]},
+          extras={"bound_states": bound_state(cm)})
     return EXIT_OK
 
 
@@ -207,9 +215,9 @@ def cmd_bc_fit(args) -> int:
     cm = bc_from_product(params, r.lam)
     residual = max(abs(cm.l11 - r.chi) / max(1.0, abs(r.chi)),
                    abs(cm.l21 - r.g) / max(1.0, abs(r.g)))
-    _emit(args, [{"n": r.n, "lambda": r.lam, "chi": r.chi, "g": r.g,
-                  "alpha": params.alpha, "beta": params.beta,
-                  "residual": residual}])
+    _emit(args, {"n": [r.n], "lambda": [r.lam], "chi": [r.chi], "g": [r.g],
+                 "alpha": [params.alpha], "beta": [params.beta],
+                 "residual": [residual]})
     return EXIT_OK
 
 

@@ -172,7 +172,7 @@ def trace(path: SqueezePath, lam: float, E: float,
     require(residual <= 1e-10, InvariantViolation,
             "determinant residual {} at l = {}", residual, ls)
     return LimitTrace(path=path, lam=lam, E=E, l_values=ls,
-                      rho_values=rhos, entries=np.stack(entries, axis=1))
+                      rho_values=rhos, entries=np.array(entries).T.copy())
 
 
 def _richardson(values: Sequence[float], ratio: float) -> tuple[float, float]:

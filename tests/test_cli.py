@@ -1,13 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from deltaprime import SqueezePath, resonance_set
-from deltaprime.cli import main
+from deltaprime import SqueezePath, resonance_set, transmission_sweep
+from deltaprime.cli import _build_parser, _emit, _fmt, _jsonable, main
 
 LAM1 = 15.418205716980063
 
@@ -231,6 +236,22 @@ def test_sweep_peaks_block(capsys):
     assert any(abs(p["lambda"] - LAM1) < 0.1 for p in peaks)
 
 
+def test_sweep_csv_cells_are_the_library_values_bit_for_bit(capsys):
+    args = _build_parser().parse_args(["sweep"])
+    res = transmission_sweep(SqueezePath.parse(args.path), args.l,
+                             args.lambda_min, args.lambda_max, args.samples,
+                             args.E)
+    code, out, _ = run_cli(capsys, "sweep")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["lambda", "T2", "R2"]
+    assert len(rows) == args.samples
+    for name, want in (("lambda", res.lambdas), ("T2", res.T2),
+                       ("R2", res.R2)):
+        got = np.array([float(row[name]) for row in rows])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sweep_samples_usage_error(capsys):
     assert run_cli(capsys, "sweep", "--samples", "1")[0] == 2
 
@@ -400,6 +421,15 @@ def test_bc_overflow_is_named(capsys, argv, named):
     assert f"product-rule matrix overflows at {named}" in err
 
 
+def test_bc_large_coupling_has_representable_entries(capsys):
+    # beta*lam**2 = 1e400 overflows, but the entry beta*lam**2/(d1*d2) is -4
+    code, out, err = run_cli(capsys, "bc", "--alpha", "0.5", "--beta", "1",
+                             "--lambda", "1e200", "--k", "1")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert (rows[0]["A"], rows[0]["B"]) == ("-1.0", "-4.0")
+
+
 def test_limit_trace_near_resonance_passes_determinant_check(capsys):
     # lambda_2 of the adjacent rule on a tau = 3 rule at E = 0.5: trace's
     # determinant residual at l = 1.8e-4 used to read 1.08e-10 > 1e-10
@@ -423,3 +453,59 @@ def test_help_lists_defaults(capsys):
     out = capsys.readouterr().out
     assert "default: 1.0" in out  # E default is printed
     assert "default: csv" in out
+
+
+def _emit_rows_reference(fmt, rows, extras):
+    """The dict-per-row emitter that the column emitter replaced."""
+    if fmt == "json":
+        doc = {"rows": [{k: _jsonable(v) for k, v in row.items()}
+                        for row in rows]}
+        if extras:
+            doc.update(extras)
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [",".join(rows[0].keys())]
+    lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if extras:
+        text += "\n" + json.dumps(extras, indent=2) + "\n"
+    return text
+
+
+_FLOATS = st.one_of(
+    st.sampled_from((-0.0, 5e-324, 1e-5, 9.999999999999999e-05, 1e16, 0.1)),
+    st.floats())
+_INTS = st.one_of(st.integers(),
+                  st.integers(-2**63, 2**63 - 1).map(np.int64))
+_COMPLEX = st.one_of(st.complex_numbers(),
+                     _FLOATS.map(lambda x: complex(x, 0.0)))
+# column kind -> (cell values, how the column holds them)
+_COLUMN_KINDS = {
+    "float array": (_FLOATS, np.array),
+    "float list": (_FLOATS, list),
+    "int list": (_INTS, list),
+    "complex array": (_COMPLEX, lambda v: np.array(v, dtype=complex)),
+    "complex list": (_COMPLEX, list),
+}
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)),
+                          min_size=1, max_size=5))
+    cols = {}
+    for i, kind in enumerate(kinds):
+        cells, holder = _COLUMN_KINDS[kind]
+        cols[f"c{i}"] = holder(draw(st.lists(cells, min_size=n, max_size=n)))
+    return cols
+
+
+@given(cols=_tables(), fmt=st.sampled_from(("csv", "json")),
+       extras=st.sampled_from((None, {"peaks": [{"lambda": 1.5, "T2": 1.0}]})))
+def test_column_emitter_matches_row_reference(cols, fmt, extras):
+    n = len(next(iter(cols.values())))
+    rows = [{name: col[i] for name, col in cols.items()} for i in range(n)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(argparse.Namespace(format=fmt, out=None), cols, extras)
+    assert buf.getvalue() == _emit_rows_reference(fmt, rows, extras)
