@@ -140,15 +140,13 @@ def _linear_c(path: SqueezePath) -> float:
     return path.c if path.kind == POWER and path.tau == 1.0 else 0.0
 
 
-def _resonance_lhs(path: SqueezePath):
-    """Left side tanh(s)/(1 + c*s*tanh(s)) of the resonance equation."""
-    c = _linear_c(path)
-
-    def lhs(s: float) -> float:
+def _equation(c: float):
+    """f(s) = tanh(s)/(1 + c*s*tanh(s)) - tan(s)."""
+    def f(s: float) -> float:
         th = math.tanh(s)
-        return th / (1.0 + c * s * th)
+        return th / (1.0 + c * s * th) - math.tan(s)
 
-    return lhs
+    return f
 
 
 def resonance_equation(path: SqueezePath):
@@ -158,12 +156,19 @@ def resonance_equation(path: SqueezePath):
     linear rule, and c = 0 (tanh(s) = tan(s), exactly) on the other rules
     that carry resonances.
     """
-    lhs = _resonance_lhs(path)
+    return _equation(_linear_c(path))
 
-    def f(s: float) -> float:
-        return lhs(s) - math.tan(s)
 
-    return f
+def _root(c: float, n: int, f) -> float:
+    """Root in the n-th bracket of the equation ``f`` with constant ``c``."""
+    sign = -1.0 if n % 2 else 1.0
+
+    def g(s: float) -> float:
+        th = math.tanh(s)
+        return sign * (math.cos(s) * (th / (1.0 + c * s * th)) - math.sin(s))
+
+    lo = n * math.pi
+    return _solve_bracketed(g, lo, lo + 0.5 * math.pi, f)
 
 
 def resonance_root(path: SqueezePath, n: int) -> float:
@@ -173,19 +178,38 @@ def resonance_root(path: SqueezePath, n: int) -> float:
     The solver runs on (-1)**n*(cos(s)*lhs(s) - sin(s)) = f(s)*|cos(s)|:
     the same single zero, no pole, > 0 at n*pi and -1 at n*pi + pi/2.
     """
-    lhs = _resonance_lhs(path)
-    sign = -1.0 if n % 2 else 1.0
-
-    def g(s: float) -> float:
-        return sign * (math.cos(s) * lhs(s) - math.sin(s))
-
-    lo = n * math.pi
-    return _solve_bracketed(g, lo, lo + 0.5 * math.pi, resonance_equation(path))
+    c = _linear_c(path)
+    return _root(c, n, _equation(c))
 
 
-def resonance_at(path: SqueezePath, sigma: float) -> Resonance:
-    """Limiting data of ``path`` at the root ``sigma`` of its equation."""
-    chi = chi_linear(sigma, _linear_c(path))
+# (sigma_n, chi_n) of tanh(s) = tan(s) for n = 1, 2, ...: the roots and chi
+# of every rule with c = 0, solved once per process.  Only entries that
+# passed the root and chi checks are kept.  The table grows by rebinding a
+# new tuple, so a concurrent reader sees a shorter prefix at worst; it stops
+# where chi overflows (112 entries).
+_ADJACENT_ROOTS: tuple[tuple[float, float], ...] = ()
+
+
+def _adjacent_roots(count: int):
+    """The table's first ``count`` entries, grown as needed, and the error
+    that stopped it short of ``count``, or None."""
+    global _ADJACENT_ROOTS
+    table, error = _ADJACENT_ROOTS, None
+    if len(table) < count:
+        grown = list(table)
+        f = _equation(0.0)
+        try:
+            for n in range(len(grown) + 1, count + 1):
+                sigma = _root(0.0, n, f)
+                grown.append((sigma, chi_linear(sigma, 0.0)))
+        except DeltaPrimeError as exc:
+            error = exc
+        _ADJACENT_ROOTS = table = tuple(grown)
+    return table[:count], error
+
+
+def _record(path: SqueezePath, sigma: float, chi: float) -> Resonance:
+    """The Resonance of ``path`` at the root ``sigma`` with entry ``chi``."""
     quadratic = path.kind == POWER and path.tau == 2.0
     g = g_quadratic(sigma, path.c) if quadratic else 0.0
     return Resonance(n=_index_of(sigma), sigma=sigma, lam=sigma * sigma,
@@ -193,17 +217,35 @@ def resonance_at(path: SqueezePath, sigma: float) -> Resonance:
                      path=path)
 
 
+def resonance_at(path: SqueezePath, sigma: float) -> Resonance:
+    """Limiting data of ``path`` at the root ``sigma`` of its equation."""
+    return _record(path, sigma, chi_linear(sigma, _linear_c(path)))
+
+
 def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
     """First ``count`` resonances of a squeeze rule that admits them.
 
     Adjacent and power laws with tau > 2 share the adjacent resonance set
     with g = 0; tau = 2 adds the nonzero g (and a bound state); tau = 1 has
-    its own roots.  Other rules give separated half-lines and raise.
+    its own roots.  Other rules give separated half-lines and raise.  The
+    shared roots and chi are read from a table solved once per process.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return [resonance_at(path, resonance_root(path, n))
-            for n in range(1, count + 1)]
+    c = _linear_c(path)
+    if c == 0.0:
+        # records first, so that an error at a lower index is raised first
+        roots, error = _adjacent_roots(count)
+        out = [_record(path, sigma, chi) for sigma, chi in roots]
+        if error is not None:
+            raise error
+        return out
+    f = _equation(c)
+    out = []
+    for n in range(1, count + 1):
+        sigma = _root(c, n, f)
+        out.append(_record(path, sigma, chi_linear(sigma, c)))
+    return out
 
 
 def solve_adjacent(count: int) -> list[Resonance]:
@@ -275,8 +317,15 @@ def g_quadratic(sigma: float, c: float) -> float:
     Two equivalent forms, -c*s**2*sinh(s)*sin(s) and
     (-1)**(n+1)*c*s**2*sinh(s)**2/sqrt(cosh(2s)); the first is returned.
     The quadratic rule keeps tanh(s) = tan(s) as its resonance condition.
+    Raises :class:`DeltaPrimeError` where g overflows.
     """
-    g = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
+    try:
+        g = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
+    except OverflowError:
+        g = math.inf
+    if not abs(g) < math.inf:
+        raise DeltaPrimeError(f"g overflows at sigma = {sigma} "
+                              f"(n = {int(sigma // math.pi)}, c = {c})")
     return g + 0.0  # normalize -0.0 at c = 0
 
 

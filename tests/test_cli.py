@@ -325,6 +325,20 @@ def test_chi_overflow_is_numeric_error(capsys, argv):
     assert re.search(r"chi overflows at sigma = [0-9.]+ \(n = 11[23]", err)
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["resonances", "--path", "quadratic:1e308", "--count", "3"], 1),
+    (["bc-fit", "--path", "quadratic:1e300", "--n", "50"], 5),
+])
+def test_g_overflow_is_numeric_error(capsys, argv, n):
+    # used to print g = -inf (exit 3 on a NaN conservation residual or an
+    # infinite beta, which named only the symptom)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert re.search(rf"g overflows at sigma = [0-9.]+ \(n = {n}, "
+                     rf"c = 1e\+30[08]\)", err)
+
+
 def test_resonance_next_to_its_bracket_end(capsys):
     code, out, err = run_cli(capsys, "resonances", "--path", "linear:1e12",
                              "--count", "1")

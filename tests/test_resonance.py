@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -9,7 +11,7 @@ from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
                         solve_adjacent, solve_linear)
 from deltaprime import resonance
 from deltaprime.resonance import (_solve_bracketed, g_quadratic_forms,
-                                  resonance_root)
+                                  resonance_at, resonance_root)
 
 # frozen reference values (independent bisection + direct evaluation)
 SIGMA1 = 3.9266023120479188
@@ -201,6 +203,17 @@ def test_chi_overflow_is_a_typed_error():
                                                    112), 0.0))
 
 
+@pytest.mark.parametrize("spec, count, n", [("quadratic:1e308", 3, 1),
+                                           ("quadratic:1e300", 50, 5)])
+def test_g_overflow_is_a_typed_error(spec, count, n):
+    with pytest.raises(DeltaPrimeError,
+                       match=rf"g overflows at sigma = .* \(n = {n}, c = "):
+        resonance_set(SqueezePath.parse(spec), count)
+    # sinh(s) itself overflows past s = 710
+    with pytest.raises(DeltaPrimeError, match=r"g overflows .*\(n = 254,"):
+        g_quadratic(800.0, 1.0)
+
+
 def test_g_quadratic_value_and_forms():
     assert g_quadratic(SIGMA1, 1.0) == pytest.approx(G1_C1, rel=1e-12)
     for r in solve_adjacent(6):
@@ -288,3 +301,48 @@ def test_resonance_set_dispatch():
         resonance_set(SqueezePath.power_law(1.0, 1.5), 1)
     with pytest.raises(ValueError):
         resonance_set(SqueezePath.adjacent(), 0)
+
+
+SHARED_ROOT_RULES = ["adjacent", "quadratic:3", "power:2:3"]
+
+
+def reference_set(path, count):
+    return [repr(resonance_at(path, resonance_root(path, n)))
+            for n in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("spec", SHARED_ROOT_RULES)
+def test_resonance_set_reads_the_shared_roots_bit_for_bit(monkeypatch, spec):
+    monkeypatch.setattr(resonance, "_ADJACENT_ROOTS", ())
+    path = SqueezePath.parse(spec)
+    want = reference_set(path, MAX_INDEX)
+    for _ in ("cold", "warm"):
+        # repr shows every float to the last bit, -0.0 included
+        assert [repr(r) for r in resonance_set(path, MAX_INDEX)] == want
+        assert len(resonance._ADJACENT_ROOTS) == MAX_INDEX
+    assert [repr(r) for r in resonance_set(path, 7)] == want[:7]
+
+
+def test_shared_roots_stop_where_chi_overflows(monkeypatch):
+    monkeypatch.setattr(resonance, "_ADJACENT_ROOTS", ())
+    raised = []
+    for _ in ("cold", "warm"):
+        with pytest.raises(DeltaPrimeError, match=r"chi .*\(n = 113,") as info:
+            resonance_set(SqueezePath.adjacent(), 150)
+        raised.append((type(info.value), str(info.value)))
+        assert len(resonance._ADJACENT_ROOTS) == MAX_INDEX
+    assert raised[0] == raised[1]
+
+
+def test_concurrent_callers_get_the_same_records(monkeypatch):
+    monkeypatch.setattr(resonance, "_ADJACENT_ROOTS", ())
+    path = SqueezePath.parse("quadratic:3")
+    start = threading.Barrier(4, timeout=30)
+
+    def run(_):
+        start.wait()
+        return [repr(r) for r in resonance_set(path, MAX_INDEX)]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(run, range(4)))
+    assert results == [reference_set(path, MAX_INDEX)] * 4
