@@ -7,21 +7,45 @@ zero-range limits along squeeze paths, and the point-interaction
 boundary-condition families that reproduce them.
 """
 
-from .boundary import (ConnectionMatrix, ProductParams, bc_from_product,
-                       bound_state, delta_prime_delta_matrix,
+import importlib
+
+from .boundary import (ConnectionMatrix, ProductParams, ScatteringAmplitudes,
+                       bc_from_product, bound_state, delta_prime_delta_matrix,
                        params_from_resonance, resonant_matrix,
                        scattering_from_matrix, seba_matrix)
 from .errors import (DeltaPrimeError, InvariantViolation, NotARootError,
                      PrecisionFloorError, SingularParameterError)
-from .limits import (EntryVerdict, LimitTrace, LimitVerdict, Peak, SweepResult,
-                     classify, predict, trace, transmission_sweep)
 from .paths import SqueezePath
-from .profile import RectProfile
 from .resonance import (Resonance, bound_state_kappa, chi_adjacent,
                         chi_linear, g_quadratic, resonance_set,
                         resonant_scattering, solve_adjacent, solve_linear)
-from .transfer import (PRECISION_FLOOR, ScatteringAmplitudes, TransferMatrix,
-                       piecewise_transfer, scattering, transfer_matrix)
+
+# The array layers load numpy, so they are imported on first use (PEP 562):
+# name -> defining module; a module's own name stands for the module.
+_LAZY = {name: module for module, names in (
+    ("limits", ("limits", "EntryVerdict", "LimitTrace", "LimitVerdict",
+                "Peak", "SweepResult", "classify", "predict", "trace",
+                "transmission_sweep")),
+    ("profile", ("profile", "RectProfile")),
+    ("transfer", ("transfer", "PRECISION_FLOOR", "TransferMatrix",
+                  "piecewise_transfer", "scattering", "transfer_matrix")),
+) for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __version__ = "0.1.0"
 

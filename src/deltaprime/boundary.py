@@ -30,14 +30,20 @@ parameters have lam_f = inf and delta = alpha, the plain formula.
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (DeltaPrimeError, InvariantViolation,
-                     SingularParameterError)
-from .transfer import ScatteringAmplitudes, UnitDetMatrix, amplitudes
+                     SingularParameterError, holds, require)
 
 __all__ = [
+    "UnitDetMatrix",
+    "det_residual",
+    "ScatteringAmplitudes",
+    "amplitudes",
     "ConnectionMatrix",
     "ProductParams",
     "resonant_matrix",
@@ -48,6 +54,109 @@ __all__ = [
     "scattering_from_matrix",
     "bound_state",
 ]
+
+
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
+class UnitDetMatrix:
+    """Entries l11, l12, l21, l22 of a 2x2 matrix with unit determinant.
+
+    Shared by transfer matrices and point-interaction connection matrices;
+    subclasses declare the four entries as fields.
+    """
+
+    @property
+    def det(self):
+        return self.l11 * self.l22 - self.l12 * self.l21
+
+    def det_residual(self) -> float:
+        """Scaled determinant residual, see :func:`det_residual`."""
+        return det_residual(self.l11, self.l12, self.l21, self.l22)
+
+
+def det_residual(l11, l12, l21, l22):
+    """|det - 1| scaled by the size of the two entry products, elementwise.
+
+    The determinant is identically 1, but it is evaluated as a difference
+    of products that individually grow like 1/l**2 under squeezing, so the
+    meaningful residual is relative to that scale (it reduces to the
+    absolute residual for O(1) matrices).  NaN entries give NaN.
+    """
+    a, b = l11 * l22, l12 * l21
+    return abs(a - b - 1.0) / _max(_max(1.0, abs(a)), abs(b))
+
+
+def _max(x, y):
+    """Elementwise max(x, y), exact to rounding, in plain arithmetic: on the
+    scalars of every connection-matrix check a ufunc call costs several
+    times more."""
+    return 0.5 * (x + y + abs(x - y))
+
+
+@dataclass(frozen=True)
+class ScatteringAmplitudes:
+    """Left-incidence reflection and transmission amplitudes, scalars or
+    arrays of one shape."""
+
+    R: complex
+    T: complex
+
+    @property
+    def R2(self) -> float:
+        return abs(self.R) ** 2
+
+    @property
+    def T2(self) -> float:
+        return abs(self.T) ** 2
+
+    @property
+    def conservation_residual(self) -> float:
+        return abs(self.R2 + self.T2 - 1.0)
+
+
+def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
+    """Left-incidence amplitudes of the matrix carrying (psi, psi') from 0
+    to ``x0`` (0 for a point interaction) at wavenumber k.
+
+    Scalars or numpy arrays, broadcast elementwise; every check holds at
+    each element, and an error names the first value that fails it.  For
+    real entries with unit determinant, |Delta|**2 = (l11+l22)**2 +
+    (k*l12 - l21/k)**2 >= 4, so the denominator can never vanish; a smaller
+    value means the matrix is corrupt and is flagged as an internal error.
+    Every result is checked for flux conservation, |R|**2 + |T|**2 = 1 to
+    1e-10, which also rejects non-finite amplitudes.
+
+    Scalars never load numpy: its warnings are switched off once it is
+    loaded, and a scalar phase comes from ``cmath.exp``, which rounds as
+    ``np.exp``.
+    """
+    require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
+    np = sys.modules.get("numpy")
+    with np.errstate(**_QUIET) if np is not None else contextlib.nullcontext():
+        delta = l11 + l22 - 1j * (k * l12 - l21 / k)
+        size = abs(delta)
+        large = size >= 2.0 - 1e-9
+        if not holds(large):
+            import numpy as np
+
+            small = ~np.asarray(large)
+            *e, size = (np.broadcast_to(v, np.shape(delta))[small]
+                        for v in (l11, l12, l21, l22, size))
+            e = np.array(e)
+            real = (np.abs(e.imag).max(axis=0)
+                    <= 1e-9 * np.fmax(1.0, np.abs(e).max(axis=0)))
+            require(~real, InvariantViolation, "|Delta| = {}, not >= 2, for "
+                    "a real unit-determinant matrix", size)
+        R = -(l11 - l22 + 1j * (k * l12 + l21 / k)) / delta
+        phase = -1j * k * x0
+        T = 2.0 / delta * (cmath.exp(phase) if isinstance(phase, complex)
+                           else np.exp(phase))
+        amp = ScatteringAmplitudes(R=R, T=T)
+        residual = amp.conservation_residual
+    require(residual <= 1e-10, InvariantViolation,
+            "conservation residual {}", residual)
+    return amp
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ is deterministic CSV (header row, shortest round-trip floats) or JSON with
 the same key names; commands whose result has a non-tabular part (limit
 verdicts, peak lists, bound states) append it as a JSON block.  Exit codes:
 0 success, 2 usage error, 3 numeric or precondition failure.
+
+Only the subcommands that build arrays load numpy, when they run.
 """
 
 from __future__ import annotations
@@ -13,18 +15,14 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
-
-import numpy as np
 
 from .boundary import (ProductParams, bc_from_product, bound_state,
                        params_from_resonance, scattering_from_matrix)
 from .errors import DeltaPrimeError, InvariantViolation
-from .limits import classify, trace, transmission_sweep
 from .paths import SqueezePath
-from .profile import RectProfile
 from .resonance import has_resonances, resonance_set, resonant_scattering
-from .transfer import piecewise_transfer, scattering, transfer_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,8 +41,9 @@ class UsageError(Exception):
 
 
 def _fmt(v) -> str:
-    """CSV cell: shortest round-trip decimal; complex kept only if needed."""
-    if isinstance(v, (int, np.integer)):
+    """CSV cell: shortest round-trip decimal; complex kept only if needed.
+    numpy's integers register as ``numbers.Integral``."""
+    if isinstance(v, numbers.Integral):
         return str(int(v))
     if isinstance(v, complex):
         if v.imag == 0.0:
@@ -54,7 +53,9 @@ def _fmt(v) -> str:
 
 
 def _jsonable(v):
-    if isinstance(v, (int, np.integer)):
+    """JSON value of one cell, as ``json`` takes it; :func:`_emit` writes
+    the same text through :func:`_json_cell`."""
+    if isinstance(v, numbers.Integral):
         return int(v)
     if isinstance(v, complex):
         return float(v.real) if v.imag == 0.0 else repr(complex(v))
@@ -71,22 +72,48 @@ def _write(out: str | None, text: str) -> None:
 
 def _cells(col) -> list[str]:
     """CSV cells of one column; a float64 array in one list repr (a float's
-    repr never contains ", ", so each cell is exactly ``repr(float(v))``)."""
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+    repr never contains ", ", so each cell is exactly ``repr(float(v))``).
+    No array exists before numpy is loaded."""
+    np = sys.modules.get("numpy")
+    if (np is not None and isinstance(col, np.ndarray)
+            and col.dtype == np.float64):
         return repr(col.tolist())[1:-1].split(", ")
     return [_fmt(v) for v in col]
 
 
+# JSON spellings of the float cells whose repr is not a JSON number
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(cell: str) -> str:
+    """JSON value of a cell: an int's or a finite float's repr as it is,
+    NaN and +-inf spelled as ``json`` spells them, and a complex repr
+    ("...j" or "(...j)") as a string."""
+    if cell[-1] in "j)":
+        return f'"{cell}"'
+    return _JSON_FLOATS.get(cell, cell)
+
+
 def _emit(args, cols: dict, extras: dict | None = None) -> None:
-    """Write a table given as columns: name -> array or list, all one length."""
+    """Write a table given as columns: name -> array or list, all one length.
+
+    The JSON text equals ``json.dumps({"rows": [...], **extras}, indent=2)``
+    but builds the rows from the CSV cells: the indenting encoder is slow,
+    pure Python.
+    """
+    cells = [_cells(col) for col in cols.values()]
     if args.format == "json":
-        values = [[_jsonable(v) for v in col] for col in cols.values()]
-        doc = {"rows": [dict(zip(cols, row)) for row in zip(*values)]}
-        if extras:
-            doc.update(extras)
-        text = json.dumps(doc, indent=2) + "\n"
+        keys = (f"      {json.dumps(name)}: " for name in cols)
+        fields = [[key + _json_cell(c) for c in col]
+                  for key, col in zip(keys, cells)]
+        rows = ["    {\n" + ",\n".join(row) + "\n    }"
+                for row in zip(*fields)]
+        items = ['  "rows": [\n' + ",\n".join(rows) + "\n  ]"]
+        items += [f"  {json.dumps(key)}: "
+                  + json.dumps(value, indent=2).replace("\n", "\n  ")
+                  for key, value in (extras or {}).items()]
+        text = "{\n" + ",\n".join(items) + "\n}\n"
     else:
-        cells = [_cells(col) for col in cols.values()]
         lines = [",".join(cols), *map(",".join, zip(*cells))]
         text = "\n".join(lines) + "\n"
         if extras:
@@ -106,6 +133,8 @@ def _parse_path(spec: str, resonant_only: bool = False) -> SqueezePath:
 
 
 def cmd_resonances(args) -> int:
+    import numpy as np
+
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     path = _parse_path(args.path, resonant_only=True)
@@ -121,6 +150,9 @@ def cmd_resonances(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .profile import RectProfile
+    from .transfer import piecewise_transfer, scattering, transfer_matrix
+
     if args.l <= 0:
         raise UsageError(f"--l must be positive, got {args.l}")
     if args.rho < 0:
@@ -159,6 +191,8 @@ def _verdict_block(verdict) -> dict:
 
 
 def cmd_limit_trace(args) -> int:
+    from .limits import classify, trace
+
     if args.points < 8:
         raise UsageError(f"--points must be >= 8, got {args.points}")
     if args.lam < 0:
@@ -178,6 +212,8 @@ def cmd_limit_trace(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .limits import transmission_sweep
+
     if args.samples < 2:
         raise UsageError(f"--samples must be >= 2, got {args.samples}")
     if args.l <= 0:

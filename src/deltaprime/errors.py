@@ -1,7 +1,7 @@
 """Typed errors shared across the library, and the elementwise check that
 raises them."""
 
-import numpy as np
+import sys
 
 __all__ = [
     "DeltaPrimeError",
@@ -38,9 +38,13 @@ def holds(ok) -> bool:
     """Whether ``ok``, a boolean scalar or array, holds at every element.
 
     Scalars are tested directly: reducing a numpy scalar costs more than a
-    one-point evaluation of the transfer kernel's arithmetic.
+    one-point evaluation of the transfer kernel's arithmetic.  No array can
+    exist before numpy is loaded, so the scalar paths never load it.
     """
-    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(ok, np.ndarray):
+        return bool(ok.all())
+    return bool(ok)
 
 
 def require(ok, error: type[Exception], message: str, *values) -> None:
@@ -53,6 +57,8 @@ def require(ok, error: type[Exception], message: str, *values) -> None:
     """
     if holds(ok):
         return
+    import numpy as np
+
     ok = np.asarray(ok)
     i = int(np.argmin(ok))
     raise error(message.format(

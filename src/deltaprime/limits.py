@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import ConnectionMatrix, resonant_matrix
+from .boundary import (ConnectionMatrix, amplitudes, det_residual,
+                       resonant_matrix)
 from .errors import InvariantViolation, PrecisionFloorError, require
 from .paths import SqueezePath
 from .resonance import has_resonances, resonance_at, resonance_root
-from .transfer import (PRECISION_FLOOR, amplitudes, det_residual,
-                       transfer_entries)
+from .transfer import PRECISION_FLOOR, transfer_entries
 
 __all__ = [
     "LimitTrace",

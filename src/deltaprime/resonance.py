@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .boundary import ScatteringAmplitudes, amplitudes
 from .errors import DeltaPrimeError, NotARootError, require
 from .paths import ADJACENT, POWER, SqueezePath
-from .transfer import ScatteringAmplitudes, amplitudes
 
 __all__ = [
     "Resonance",

@@ -7,9 +7,10 @@ four interfaces.  The second exists purely to validate the first; it works
 in complex arithmetic, while the closed form is written in real functions
 of p**2 and q**2 that hold on either side of the barrier top.
 
-The closed form and the scattering extraction take scalars or numpy arrays,
-elementwise, with numpy's floating-point warnings off: an overflow gives
-inf or NaN values, which the per-element invariant checks report.
+The closed form takes scalars or numpy arrays, elementwise, with numpy's
+floating-point warnings off: an overflow gives inf or NaN values, which the
+per-element invariant checks report.  The scattering extraction,
+:func:`amplitudes`, is re-exported from the numpy-free :mod:`.boundary`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, holds, require
+from .boundary import (_QUIET, ScatteringAmplitudes, UnitDetMatrix,
+                       amplitudes, det_residual)
+from .errors import require
 from .profile import RectProfile
 
 __all__ = [
@@ -40,47 +43,10 @@ __all__ = [
 # than ~10 significant digits at couplings up to ~50.
 PRECISION_FLOOR = 1e-6
 
-_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
-
 
 def _check_energy(E) -> None:
     require((E > 0) & (E < math.inf), ValueError,
             "scattering energy must be positive and finite, got {}", E)
-
-
-class UnitDetMatrix:
-    """Entries l11, l12, l21, l22 of a 2x2 matrix with unit determinant.
-
-    Shared by transfer matrices and point-interaction connection matrices;
-    subclasses declare the four entries as fields.
-    """
-
-    @property
-    def det(self):
-        return self.l11 * self.l22 - self.l12 * self.l21
-
-    def det_residual(self) -> float:
-        """Scaled determinant residual, see :func:`det_residual`."""
-        return det_residual(self.l11, self.l12, self.l21, self.l22)
-
-
-def det_residual(l11, l12, l21, l22):
-    """|det - 1| scaled by the size of the two entry products, elementwise.
-
-    The determinant is identically 1, but it is evaluated as a difference
-    of products that individually grow like 1/l**2 under squeezing, so the
-    meaningful residual is relative to that scale (it reduces to the
-    absolute residual for O(1) matrices).  NaN entries give NaN.
-    """
-    a, b = l11 * l22, l12 * l21
-    return abs(a - b - 1.0) / _max(_max(1.0, abs(a)), abs(b))
-
-
-def _max(x, y):
-    """Elementwise max(x, y), exact to rounding, in plain arithmetic: on the
-    scalars of every connection-matrix check a ufunc call costs several
-    times more."""
-    return 0.5 * (x + y + abs(x - y))
 
 
 @dataclass(frozen=True)
@@ -95,27 +61,6 @@ class TransferMatrix(UnitDetMatrix):
 
     def entry_scale(self) -> float:
         return max(abs(self.l11), abs(self.l12), abs(self.l21), abs(self.l22))
-
-
-@dataclass(frozen=True)
-class ScatteringAmplitudes:
-    """Left-incidence reflection and transmission amplitudes, scalars or
-    arrays of one shape."""
-
-    R: complex
-    T: complex
-
-    @property
-    def R2(self) -> float:
-        return abs(self.R) ** 2
-
-    @property
-    def T2(self) -> float:
-        return abs(self.T) ** 2
-
-    @property
-    def conservation_residual(self) -> float:
-        return abs(self.R2 + self.T2 - 1.0)
 
 
 def _where(cond, a, b):
@@ -230,38 +175,3 @@ def piecewise_transfer(profile: RectProfile, E: float) -> TransferMatrix:
 def scattering(tm: TransferMatrix, k: float) -> ScatteringAmplitudes:
     """Reflection/transmission amplitudes of a transfer matrix at wavenumber k."""
     return amplitudes(tm.l11, tm.l12, tm.l21, tm.l22, k, tm.x0)
-
-
-def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
-    """Left-incidence amplitudes of the matrix carrying (psi, psi') from 0
-    to ``x0`` (0 for a point interaction) at wavenumber k.
-
-    Scalars or arrays, broadcast elementwise; every check holds at each
-    element, and an error names the first value that fails it.  For real
-    entries with unit determinant, |Delta|**2 = (l11+l22)**2 +
-    (k*l12 - l21/k)**2 >= 4, so the denominator can never vanish; a smaller
-    value means the matrix is corrupt and is flagged as an internal error.
-    Every result is checked for flux conservation, |R|**2 + |T|**2 = 1 to
-    1e-10, which also rejects non-finite amplitudes.
-    """
-    require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
-    with np.errstate(**_QUIET):
-        delta = l11 + l22 - 1j * (k * l12 - l21 / k)
-        size = abs(delta)
-        large = size >= 2.0 - 1e-9
-        if not holds(large):
-            small = ~np.asarray(large)
-            *e, size = (np.broadcast_to(v, np.shape(delta))[small]
-                        for v in (l11, l12, l21, l22, size))
-            e = np.array(e)
-            real = (np.abs(e.imag).max(axis=0)
-                    <= 1e-9 * np.fmax(1.0, np.abs(e).max(axis=0)))
-            require(~real, InvariantViolation, "|Delta| = {}, not >= 2, for "
-                    "a real unit-determinant matrix", size)
-        R = -(l11 - l22 + 1j * (k * l12 + l21 / k)) / delta
-        T = 2.0 / delta * np.exp(-1j * k * x0)
-        amp = ScatteringAmplitudes(R=R, T=T)
-        residual = amp.conservation_residual
-    require(residual <= 1e-10, InvariantViolation,
-            "conservation residual {}", residual)
-    return amp

@@ -523,3 +523,25 @@ def test_column_emitter_matches_row_reference(cols, fmt, extras):
     with contextlib.redirect_stdout(buf):
         _emit(argparse.Namespace(format=fmt, out=None), cols, extras)
     assert buf.getvalue() == _emit_rows_reference(fmt, rows, extras)
+
+
+@pytest.mark.parametrize("extras", [None, {"peaks": []},
+                                    {"verdict": {"L21": {"value": None}},
+                                     "bound_states": [0.5, math.inf]}])
+def test_json_text_matches_json_dumps_on_every_cell_kind(extras):
+    # non-finite floats, complex cells with and without parentheses and
+    # numpy integers: the kinds the random tables above rarely draw
+    nan, inf = math.nan, math.inf
+    cols = {
+        "float": np.array([nan, inf, -inf, -0.0, 5e-324, 1e16]),
+        "list": [nan, -inf, inf, 0.1, 2.0, -1e-7],
+        "int": [np.int64(-3), 0, True, 2**70, np.int32(7), -1],
+        "complex": [1j, complex(-0.0, 2), complex(nan, 1), complex(inf, 0),
+                    complex(nan, 0), complex(1, -inf)],
+        "carray": np.array([nan, 1j, 2.5, complex(-inf, 0), 3 - 4j, 0j]),
+    }
+    rows = [{name: col[i] for name, col in cols.items()} for i in range(6)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(argparse.Namespace(format="json", out=None), cols, extras)
+    assert buf.getvalue() == _emit_rows_reference("json", rows, extras)

@@ -1,0 +1,138 @@
+"""The scalar workflows load no numpy, and the package exports the array
+layers lazily.
+
+Each check that inspects ``sys.modules`` runs in a fresh interpreter: this
+test process has numpy loaded already (conftest imports it).
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from deltaprime import ProductParams, bc_from_product
+from deltaprime.boundary import amplitudes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run(code: str) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_scalar_library_and_cli_paths_load_no_numpy():
+    _run("""
+        import contextlib, io, sys
+        import deltaprime, deltaprime.cli
+        from deltaprime import (SqueezePath, bc_from_product, bound_state,
+                                params_from_resonance, resonance_set,
+                                resonant_scattering, scattering_from_matrix)
+
+        for spec in ("adjacent", "linear:0.7", "quadratic:1.3", "power:2:3"):
+            for r in resonance_set(SqueezePath.parse(spec), 30):
+                params = params_from_resonance(r.lam, r.chi, r.g)
+                cm = bc_from_product(params, r.lam)
+                bound_state(cm)
+                scattering_from_matrix(cm, 1.3)
+                resonant_scattering(r.chi, r.g, 0.7)
+        for argv in (["bc", "--alpha", "0.5", "--lambda", "1"],
+                     ["bc", "--alpha", "0.2", "--beta", "1", "--lambda", "3",
+                      "--k", "2", "--format", "json"],
+                     ["bc-fit", "--path", "quadratic:1.3", "--n", "3"],
+                     ["bc-fit", "--n", "5", "--format", "json"],
+                     ["--help"], ["bc", "--help"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = deltaprime.cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code == 0, (argv, code)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+        assert not loaded, loaded
+    """)
+
+
+def test_lazy_exports_are_the_defining_objects():
+    _run("""
+        import importlib, sys
+        import deltaprime as dp
+
+        assert "trace" not in vars(dp) and "numpy" not in sys.modules
+        assert set(dp.__all__) <= set(dir(dp))
+        trace = dp.trace
+        assert vars(dp)["trace"] is trace  # cached: the hook runs once
+        assert dp.limits is sys.modules["deltaprime.limits"]
+
+        star = {}
+        exec("from deltaprime import *", star)
+        assert set(dp.__all__) <= set(star)
+        for name in dp.__all__:
+            homes = [m for m in ("boundary", "errors", "limits", "paths",
+                                 "profile", "resonance", "transfer")
+                     if name in importlib.import_module(
+                         f"deltaprime.{m}").__all__]
+            assert homes, name
+            for m in homes:
+                assert getattr(sys.modules[f"deltaprime.{m}"], name) \\
+                    is getattr(dp, name) is star[name], (name, m)
+        assert not hasattr(dp, "no_such_name")
+    """)
+
+
+def _point_interactions():
+    for alpha in (-1.3, 0.2, 0.5, 0.9, 2.5):
+        for beta in (-2.0, 0.0, 0.7):
+            for lam in (0.3, 1.7, 15.4, 104.2):
+                yield bc_from_product(ProductParams(alpha, beta), lam)
+
+
+@pytest.mark.parametrize("as_numpy", [False, True])
+def test_scalar_phase_factor_rounds_as_numpy(as_numpy):
+    # the phase factor of a scalar call is cmath.exp; it must round as
+    # np.exp, which forms it on arrays
+    cast = np.float64 if as_numpy else float
+    for cm in _point_interactions():
+        for k in (0.1, 0.9, 1.0, 2.3, 17.0):
+            for x0 in (1e-6, 2e-3, 0.31, 1.0, 42.0):
+                args = [cast(v) for v in (*cm.as_tuple(), k)]
+                T = amplitudes(*args, cast(x0)).T
+                ref = amplitudes(*args).T * np.exp(-1j * args[-1] * x0)
+                assert [repr(float(v)) for v in (T.real, T.imag)] == \
+                    [repr(float(v)) for v in (ref.real, ref.imag)]
+
+
+def test_python_floats_agree_with_numpy_scalars():
+    # not bit for bit: numpy's complex division rounds differently
+    for cm in _point_interactions():
+        for k, x0 in ((0.1, 0.0), (1.0, 0.3), (2.3, 7.0)):
+            plain = amplitudes(*cm.as_tuple(), k, x0)
+            wide = amplitudes(*map(np.float64, cm.as_tuple()), np.float64(k),
+                              np.float64(x0))
+            assert type(plain.R) is complex and type(plain.T) is complex
+            assert abs(plain.R - wide.R) <= 4e-16
+            assert abs(plain.T - wide.T) <= 4e-16
+
+
+def test_array_wavenumber_and_position():
+    cm = bc_from_product(ProductParams(0.2, 0.7), 1.7)
+    k = np.array([0.1, 0.9, 2.3])
+    x0 = np.array([0.0, 0.5, 3.0])
+    amp = amplitudes(*cm.as_tuple(), k, x0)
+    assert amp.R.shape == amp.T.shape == (3,)
+    for i in range(3):
+        one = amplitudes(*cm.as_tuple(), float(k[i]), float(x0[i]))
+        assert abs(amp.R[i] - one.R) <= 4e-16
+        assert abs(amp.T[i] - one.T) <= 4e-16
+    moved = amplitudes(*cm.as_tuple(), 1.3, x0).T  # the phase moves alone
+    assert moved.shape == (3,)
+    assert np.allclose(np.abs(moved), abs(amplitudes(*cm.as_tuple(), 1.3).T),
+                       rtol=1e-15, atol=0.0)
