@@ -127,8 +127,9 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
     Every result is checked for flux conservation, |R|**2 + |T|**2 = 1 to
     1e-10, which also rejects non-finite amplitudes.
 
-    Scalars never load numpy: its warnings are switched off once it is
-    loaded, and a scalar phase comes from ``cmath.exp``, which rounds as
+    Plain Python numbers load no numpy, save in the rare |Delta| < 2
+    check: numpy's warnings are switched off only once it is loaded, and a
+    scalar phase factor comes from ``cmath.exp``, which rounds as
     ``np.exp``.
     """
     require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
