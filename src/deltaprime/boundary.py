@@ -34,7 +34,7 @@ import cmath
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (DeltaPrimeError, InvariantViolation,
                      SingularParameterError, holds, require)
@@ -97,18 +97,16 @@ def _max(x, y):
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
     """Left-incidence reflection and transmission amplitudes, scalars or
-    arrays of one shape."""
+    arrays of one shape, with |R|**2 and |T|**2 computed once."""
 
     R: complex
     T: complex
+    R2: float = field(init=False, repr=False, compare=False)
+    T2: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def R2(self) -> float:
-        return abs(self.R) ** 2
-
-    @property
-    def T2(self) -> float:
-        return abs(self.T) ** 2
+    def __post_init__(self):
+        object.__setattr__(self, "R2", abs(self.R) ** 2)
+        object.__setattr__(self, "T2", abs(self.T) ** 2)
 
     @property
     def conservation_residual(self) -> float:

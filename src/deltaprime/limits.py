@@ -61,6 +61,8 @@ SWEEP_BLOCK = 4096
 MAX_TRACE_POINTS = 10_000
 MAX_SWEEP_SAMPLES = 4_000_000
 _GRID_CACHE_SIZE = 16
+# id(grid) -> _slope_design(grid), which holds the grid: no id is reused
+_SLOPE_DESIGNS: dict[int, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -131,12 +133,22 @@ class LimitVerdict:
         return "mixed"
 
 
+def _slope_design(ls: np.ndarray) -> tuple:
+    """(ls, x, x @ x, ratio): x is the centred log of the tail widths."""
+    x = np.log(ls[len(ls) // 2:])
+    x -= x.mean()
+    return ls, x, x @ x, float(ls[0] / ls[1])
+
+
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
 def _width_grid(l_start: float, l_end: float, points: int) -> np.ndarray:
     """``np.geomspace(l_start, l_end, points)``, built once per grid and
-    shared read-only."""
+    shared read-only, with its slope design kept for :func:`classify`."""
     ls = np.geomspace(l_start, l_end, points)
     ls.flags.writeable = False
+    if len(_SLOPE_DESIGNS) >= _GRID_CACHE_SIZE:
+        _SLOPE_DESIGNS.clear()
+    _SLOPE_DESIGNS[id(ls)] = _slope_design(ls)
     return ls
 
 
@@ -165,14 +177,15 @@ def trace(path: SqueezePath, lam: float, E: float,
         raise ValueError(f"coupling must be finite and >= 0, got {lam}")
 
     ls = _width_grid(l_start, l_end, points)
-    rhos = np.zeros(points) + path.rho_of(ls)  # rho_of may give a scalar
-    entries = transfer_entries(ls, rhos, lam, E)
+    rho = path.rho_of(ls)  # a scalar on the constant-gap rules
+    entries = transfer_entries(ls, rho, lam, E)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the check
         residual = det_residual(*entries)
     require(residual <= 1e-10, InvariantViolation,
             "determinant residual {} at l = {}", residual, ls)
     return LimitTrace(path=path, lam=lam, E=E, l_values=ls,
-                      rho_values=rhos, entries=np.array(entries).T.copy())
+                      rho_values=np.zeros(points) + rho,
+                      entries=np.array(entries).T.copy())
 
 
 def _richardson(values: Sequence[float], ratio: float) -> tuple[float, float]:
@@ -190,8 +203,8 @@ def _richardson(values: Sequence[float], ratio: float) -> tuple[float, float]:
     best_err = abs(prev[-1] - prev[-2])
     for j in range(1, depth + 1):
         f = ratio ** j
-        cur = [(f * prev[i] - prev[i - 1]) / (f - 1.0)
-               for i in range(1, len(prev))]
+        f1 = f - 1.0
+        cur = [(f * b - a) / f1 for a, b in zip(prev, prev[1:])]
         err = abs(cur[-1] - prev[-1])
         if err < best_err:
             best, best_err = cur[-1], err
@@ -210,8 +223,8 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     value instead.  The four entries are tested together, one row each.
     """
     half = tr.points // 2
-    x = np.log(tr.l_values[half:])
-    x -= x.mean()
+    _, x, xx, ratio = (_SLOPE_DESIGNS.get(id(tr.l_values))
+                       or _slope_design(tr.l_values))
     tail = tr.entries[half:].T.copy()  # C-contiguous rows, one per entry
     flat = ((np.abs(tail) < _TINY_TAIL).all(axis=1)
             | (tail[:, :-1] * tail[:, 1:] <= 0.0).any(axis=1)).tolist()
@@ -221,8 +234,6 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     with np.errstate(divide="ignore", invalid="ignore"):  # flat rows may hold 0
         y = np.log(np.abs(tail))
         y -= y.mean(axis=1, keepdims=True)
-    xx = x @ x
-    ratio = tr.ratio
     last_values = tr.entries[-_RICHARDSON_DEPTH - 1:].T.tolist()
     verdicts: dict[str, EntryVerdict] = {}
     for j, name in enumerate(ENTRY_NAMES):

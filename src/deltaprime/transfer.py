@@ -9,7 +9,11 @@ of p**2 and q**2 that hold on either side of the barrier top.
 
 The closed form takes scalars or numpy arrays, elementwise, with numpy's
 floating-point warnings off: an overflow gives inf or NaN values, which the
-per-element invariant checks report.  The scattering extraction,
+per-element invariant checks report.  Each region tests the sign of its
+s = p**2 or -q**2 once per call: if every element grows, or every element
+oscillates, only that form is computed and the product leaves out the terms
+that vanish in it; mixed signs or an exact s = 0 merge both forms.  Each
+element gets the same arithmetic either way.  The scattering extraction,
 :func:`amplitudes`, is re-exported from the numpy-free :mod:`.boundary`.
 """
 
@@ -63,17 +67,10 @@ class TransferMatrix(UnitDetMatrix):
         return max(abs(self.l11), abs(self.l12), abs(self.l21), abs(self.l22))
 
 
-def _where(cond, a, b):
-    """``np.where`` that keeps scalars scalar: a 0-d array would make every
-    later operation of a one-point evaluation several times slower."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
-
-
 def _region(s, l):
     """Propagation matrix of psi'' = s * psi over width ``l``, elementwise,
-    split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a).
+    split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a); returns (grows, c, t,
+    d, g, a), ``grows`` True or False when all elements take that form.
 
     For s = a**2 > 0 the region grows: c = exp(-a*l), t = d = 0 and
     g = sinh(a*l), so the sum is [[cosh, sinh/a], [a*sinh, cosh]] while
@@ -84,13 +81,20 @@ def _region(s, l):
     """
     a = np.sqrt(np.abs(s))
     x = a * l
-    grows = s > 0
-    sn = np.sin(x)
-    return (_where(grows, np.exp(-x), np.cos(x)),
-            _where(grows, 0.0, _where(a == 0, l, sn / a)),
-            _where(grows, 0.0, -a * sn),
-            _where(grows, np.sinh(x), 0.0),
-            _where(grows, a, 1.0))
+    if isinstance(s, np.ndarray):  # two reductions, cheaper than s > 0, s < 0
+        grows = (True if s.min(initial=np.inf) > 0
+                 else False if s.max(initial=-np.inf) < 0 else s > 0)
+    else:  # s = 0 exactly takes the merge, as np.where(s > 0, ...) would
+        grows = bool(s > 0) if s != 0 else np.False_
+    if grows is not False:
+        up = np.exp(-x), 0.0, 0.0, np.sinh(x), a
+    if grows is not True:
+        sn = np.sin(x)
+        osc = np.cos(x), sn / a, -a * sn, 0.0, 1.0
+    if grows is True or grows is False:
+        return (grows, *(up if grows else osc))
+    c, t, d, g, p = (np.where(grows, u, o) for u, o in zip(up, osc))
+    return grows, c, np.where(a == 0, l, t), d, g, p
 
 
 def transfer_entries(l, rho, lam, E):
@@ -113,9 +117,10 @@ def transfer_entries(l, rho, lam, E):
     _check_energy(E)
     with np.errstate(**_QUIET):
         scale = lam / np.square(l)  # numpy division: l**2 may underflow
-        c, t, d, g, p = _region(scale - E, l)
-        wc, wt, wd, wg, wa = _region(-(scale + E), l)
-        cq, sq, dq = wc + wg, wt + wg / wa, wd + wg * wa
+        grows, c, t, d, g, p = _region(scale - E, l)
+        wgrows, wc, wt, wd, wg, wa = _region(-(scale + E), l)
+        cq, sq, dq = ((wc, wt, wd) if wgrows is False  # g = 0
+                      else (wc + wg, wt + wg / wa, wd + wg * wa))
         k = np.sqrt(E)
         ckr, skr = np.cos(k * rho), np.sin(k * rho)
 
@@ -124,13 +129,14 @@ def transfer_entries(l, rho, lam, E):
         n12 = cq * skr / k + sq * ckr
         n21 = dq * ckr - k * cq * skr
         n22 = dq * skr / k + cq * ckr
-        # (well @ gap) @ barrier
-        g1 = g * (n11 + p * n12)
-        g2 = g * (n21 + p * n22)
-        l11 = c * n11 + d * n12 + g1
-        l12 = t * n11 + c * n12 + g1 / p
-        l21 = c * n21 + d * n22 + g2
-        l22 = t * n21 + c * n22 + g2 / p
+        # (well @ gap) @ barrier, without the terms of the form not taken
+        l11, l12, l21, l22 = c * n11, c * n12, c * n21, c * n22
+        if grows is not True:  # t and d may be nonzero
+            l11, l12, l21, l22 = (l11 + d * n12, t * n11 + l12,
+                                  l21 + d * n22, t * n21 + l22)
+        if grows is not False:  # g may be nonzero
+            g1, g2 = g * (n11 + p * n12), g * (n21 + p * n22)
+            l11, l12, l21, l22 = l11 + g1, l12 + g1 / p, l21 + g2, l22 + g2 / p
     return l11, l12, l21, l22
 
 

@@ -37,3 +37,47 @@ def random_quads():
     return [(rng.uniform(1e-3, 1.0), rng.uniform(0.0, 1.0),
              rng.uniform(0.1, 30.0), rng.uniform(0.1, 10.0))
             for _ in range(1000)]
+
+
+def where_region(s, l):
+    """Region matrix of the transfer kernel in its elementwise form: both the
+    growing and the oscillating form at every element, merged by np.where
+    (a plain conditional on scalars).  Returns (c, t, d, g, a) as in
+    ``transfer._region``; the reference its sign dispatch must match."""
+    def where(cond, a, b):
+        if isinstance(cond, np.ndarray):
+            return np.where(cond, a, b)
+        return a if cond else b
+
+    a = np.sqrt(np.abs(s))
+    x = a * l
+    grows = s > 0
+    sn = np.sin(x)
+    return (where(grows, np.exp(-x), np.cos(x)),
+            where(grows, 0.0, where(a == 0, l, sn / a)),
+            where(grows, 0.0, -a * sn),
+            where(grows, np.sinh(x), 0.0),
+            where(grows, a, 1.0))
+
+
+def reference_entries(l, rho, lam, E):
+    """``transfer.transfer_entries`` assembled from :func:`where_region`,
+    every term of the product kept."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = lam / np.square(l)
+        c, t, d, g, p = where_region(scale - E, l)
+        wc, wt, wd, wg, wa = where_region(-(scale + E), l)
+        cq, sq, dq = wc + wg, wt + wg / wa, wd + wg * wa
+        k = np.sqrt(E)
+        ckr, skr = np.cos(k * rho), np.sin(k * rho)
+        n11 = cq * ckr - k * sq * skr
+        n12 = cq * skr / k + sq * ckr
+        n21 = dq * ckr - k * cq * skr
+        n22 = dq * skr / k + cq * ckr
+        g1 = g * (n11 + p * n12)
+        g2 = g * (n21 + p * n22)
+        l11 = c * n11 + d * n12 + g1
+        l12 = t * n11 + c * n12 + g1 / p
+        l21 = c * n21 + d * n22 + g2
+        l22 = t * n21 + c * n22 + g2 / p
+    return l11, l12, l21, l22

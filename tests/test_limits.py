@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from deltaprime import (PrecisionFloorError, RectProfile, SqueezePath,
-                        classify, limits, predict, resonance_set, scattering,
-                        trace, transfer_matrix, transmission_sweep)
+                        classify, limits, piecewise_transfer, predict,
+                        resonance_set, scattering, trace, transfer_matrix,
+                        transmission_sweep)
 from deltaprime.transfer import det_residual
 
 LAM1 = 15.418205716980063
@@ -228,6 +229,19 @@ def test_sweep_matches_scalar_loop():
             RectProfile(l=l, rho=path.rho_of(l), lam=lam), E), np.sqrt(E))
         assert abs(t2 - amp.T2) <= 1e-14
         assert abs(r2 - amp.R2) <= 1e-14
+
+
+def test_sweep_across_zero_coupling_matches_oracle():
+    # lam from -50 to 50 at l = 1e-2: the barrier and the well each change
+    # sign inside the grid, so the kernel merges both forms
+    l, E = 1e-2, 1.0
+    res = transmission_sweep(ADJ, l, -50.0, 50.0, 101, E=E)
+    assert res.lambdas[0] < 0.0 < res.lambdas[-1]
+    for lam, t2, r2 in zip(res.lambdas, res.T2, res.R2):
+        amp = scattering(piecewise_transfer(RectProfile(l=l, rho=0.0, lam=lam),
+                                            E), np.sqrt(E))
+        assert abs(t2 - amp.T2) <= 1e-10
+        assert abs(r2 - amp.R2) <= 1e-10
 
 
 def test_blocked_sweep_equals_one_block(monkeypatch):

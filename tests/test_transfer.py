@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_entries
 from deltaprime import (InvariantViolation, RectProfile, TransferMatrix,
                         piecewise_transfer, scattering, transfer_matrix)
-from deltaprime.transfer import amplitudes, transfer_entries
+from deltaprime.transfer import _region, amplitudes, transfer_entries
 
 LAM1 = 15.418205716980063  # first adjacent resonance coupling, sigma_1**2
 SIGMA1 = 3.926602312047919
@@ -85,6 +86,72 @@ def test_transfer_entries_array_matches_oracle(random_quads):
         a = TransferMatrix(*(complex(v[i]) for v in entries), x0=0.0)
         b = piecewise_transfer(RectProfile(*quad[:3]), quad[3])
         assert agreement_residual(a, b) < 1e-10
+
+
+def assert_same_bits(got, want):
+    """Equal values, signs of zero, shapes and scalar-ness."""
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert np.shape(got) == np.shape(want)
+
+
+# Coupling families by the sign of s in the barrier (lam/l**2 - E) and the
+# well (-(lam/l**2 + E)): u > 0 keeps each sign clear of rounding.
+_FAMILIES = {
+    "barrier grows": lambda l, E, u: l * l * (E + u),
+    "barrier oscillates": lambda l, E, u: l * l * E * u / (1.0 + u),
+    "well grows": lambda l, E, u: -l * l * (E + u),
+}
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(l, rho, E, couplings): all of one family, or several mixed; a width
+    that is a power of two also admits lam = +-E*l**2, where the barrier or
+    the well has s = 0 exactly."""
+    pow2 = draw(st.booleans())
+    l = (2.0 ** -draw(st.integers(0, 12)) if pow2
+         else draw(st.floats(1e-4, 1.0)))
+    rho = draw(st.floats(0.0, 1.0))
+    E = draw(st.floats(0.01, 10.0))
+    families = draw(st.lists(st.sampled_from(sorted(_FAMILIES)), min_size=1,
+                             max_size=3))
+    lams = [_FAMILIES[draw(st.sampled_from(families))](
+        l, E, draw(st.floats(1e-3, 1e5))) for _ in range(draw(st.integers(1, 6)))]
+    if pow2:
+        lams += draw(st.lists(st.sampled_from([E * l * l, -E * l * l]),
+                              max_size=2))
+    return l, rho, E, draw(st.permutations(lams))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_kernel_matches_elementwise_reference_bit_for_bit(inputs):
+    l, rho, E, lams = inputs
+    arr = np.array(lams)
+    for got, want in zip(transfer_entries(l, rho, arr, E),
+                         reference_entries(l, rho, arr, E)):
+        assert_same_bits(got, want)
+    for lam in lams:  # scalars take the same dispatch, with a Python bool
+        for got, want in zip(transfer_entries(l, rho, lam, E),
+                             reference_entries(l, rho, lam, E)):
+            assert_same_bits(got, want)
+
+
+def test_region_computes_one_form_when_signs_agree():
+    assert _region(np.array([2.0, 3.0]), 0.1)[0] is True
+    assert _region(np.array([-2.0, -3.0]), 0.1)[0] is False
+    assert _region(np.float64(2.0), 0.1)[0] is True
+    assert _region(np.float64(-2.0), 0.1)[0] is False
+    # mixed signs, or s = 0 exactly, merge both forms elementwise; at s = 0
+    # sin(x)/a is 0/0, which the merge replaces by l
+    with np.errstate(invalid="ignore"):
+        for s in (np.array([-2.0, 3.0]), np.array([0.0, 3.0]),
+                  np.array([-2.0, -0.0])):
+            np.testing.assert_array_equal(_region(s, 0.1)[0], s > 0)
+        grows, c, t, d, g, a = _region(np.float64(0.0), 0.5)
+    assert (grows, c, t, d, g, a) == (False, 1.0, 0.5, 0.0, 0.0, 1.0)
 
 
 def test_scattering_identity_matrix():
