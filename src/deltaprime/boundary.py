@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -54,9 +55,6 @@ __all__ = [
     "scattering_from_matrix",
     "bound_state",
 ]
-
-
-_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 class UnitDetMatrix:
@@ -94,19 +92,34 @@ def _max(x, y):
     return 0.5 * (x + y + abs(x - y))
 
 
+def _quiet():
+    """numpy's warnings off, once numpy is loaded (scalar paths load none)."""
+    np = sys.modules.get("numpy")
+    return (np.errstate(over="ignore", invalid="ignore", divide="ignore")
+            if np is not None else contextlib.nullcontext())
+
+
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
     """Left-incidence reflection and transmission amplitudes, scalars or
-    arrays of one shape, with |R|**2 and |T|**2 computed once."""
+    arrays of one shape: |R|**2 and |T|**2, and R and T formed on first
+    access from the parts (s, d, u, v, k, x0) of :func:`amplitudes`."""
 
-    R: complex
-    T: complex
-    R2: float = field(init=False, repr=False, compare=False)
-    T2: float = field(init=False, repr=False, compare=False)
+    R2: float
+    T2: float
+    _parts: tuple = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "R2", abs(self.R) ** 2)
-        object.__setattr__(self, "T2", abs(self.T) ** 2)
+    R = property(lambda self: self._complex[0])
+    T = property(lambda self: self._complex[1])
+
+    @functools.cached_property
+    def _complex(self) -> tuple:
+        s, d, u, v, k, x0 = self._parts
+        with _quiet():
+            delta, phase = s - 1j * d, -1j * k * x0
+            return -(u + 1j * v) / delta, 2.0 / delta * (
+                cmath.exp(phase) if isinstance(phase, complex)
+                else sys.modules["numpy"].exp(phase))
 
     @property
     def conservation_residual(self) -> float:
@@ -117,45 +130,47 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
     """Left-incidence amplitudes of the matrix carrying (psi, psi') from 0
     to ``x0`` (0 for a point interaction) at wavenumber k.
 
-    Scalars or numpy arrays, broadcast elementwise; every check holds at
-    each element, and an error names the first value that fails it.  For
-    real entries with unit determinant, |Delta|**2 = (l11+l22)**2 +
-    (k*l12 - l21/k)**2 >= 4, so the denominator can never vanish; a smaller
-    value means the matrix is corrupt and is flagged as an internal error.
-    Every result is checked for flux conservation, |R|**2 + |T|**2 = 1 to
-    1e-10, which also rejects non-finite amplitudes.
-
-    Plain Python numbers load no numpy, save in the rare |Delta| < 2
-    check: numpy's warnings are switched off only once it is loaded, and a
-    scalar phase factor comes from ``cmath.exp``, which rounds as
-    ``np.exp``.
+    Real or complex scalars or numpy arrays, broadcast elementwise; every
+    check holds at each element, and an error names the first value that
+    fails it.  With s = l11 + l22, d = k*l12 - l21/k, u = l11 - l22,
+    v = k*l12 + l21/k and Delta = s - i*d, |T|**2 = 4/|Delta|**2 and
+    |R|**2 = |u + i*v|**2/|Delta|**2 are formed from the real and imaginary
+    parts in real arithmetic (by hypot where the squares overflow), R and T
+    only when read.  A real unit-determinant matrix has |Delta| >= 2, so a
+    smaller value flags it as corrupt.  Flux conservation, |R|**2 + |T|**2
+    = 1 to 1e-10, is checked, which also rejects non-finite amplitudes.
+    Plain Python numbers load no numpy, save in those two rare cases; a
+    scalar phase factor comes from ``cmath.exp``, which rounds as ``np.exp``.
     """
     require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
-    np = sys.modules.get("numpy")
-    with np.errstate(**_QUIET) if np is not None else contextlib.nullcontext():
-        delta = l11 + l22 - 1j * (k * l12 - l21 / k)
-        size = abs(delta)
-        large = size >= 2.0 - 1e-9
-        if not holds(large):
+    with _quiet():
+        kl12, l21k = k * l12, l21 / k
+        s, d, u, v = l11 + l22, kl12 - l21k, l11 - l22, kl12 + l21k
+        # Delta = (s.real + d.imag) + i*(s.imag - d.real), u + i*v likewise
+        dr, di = s.real + d.imag, s.imag - d.real
+        nr, ni = u.real - v.imag, u.imag + v.real
+        size2 = dr * dr + di * di
+        t2, r2 = 4.0 / size2, (nr * nr + ni * ni) / size2
+        large = size2 >= (2.0 - 1e-9) ** 2
+        residual = abs(r2 + t2 - 1.0)
+        if not holds(large & (residual <= 1e-10)):  # failed, or overflowed
             import numpy as np
 
+            over, size = size2 == math.inf, np.hypot(dr, di)
+            t2 = np.where(over, np.square(2.0 / size), t2)[()]
+            r2 = np.where(over, np.square(np.hypot(nr, ni) / size), r2)[()]
             small = ~np.asarray(large)
-            *e, size = (np.broadcast_to(v, np.shape(delta))[small]
-                        for v in (l11, l12, l21, l22, size))
+            *e, size = (np.broadcast_to(w, np.shape(size))[small]
+                        for w in (l11, l12, l21, l22, size))
             e = np.array(e)
             real = (np.abs(e.imag).max(axis=0)
                     <= 1e-9 * np.fmax(1.0, np.abs(e).max(axis=0)))
             require(~real, InvariantViolation, "|Delta| = {}, not >= 2, for "
                     "a real unit-determinant matrix", size)
-        R = -(l11 - l22 + 1j * (k * l12 + l21 / k)) / delta
-        phase = -1j * k * x0
-        T = 2.0 / delta * (cmath.exp(phase) if isinstance(phase, complex)
-                           else np.exp(phase))
-        amp = ScatteringAmplitudes(R=R, T=T)
-        residual = amp.conservation_residual
-    require(residual <= 1e-10, InvariantViolation,
-            "conservation residual {}", residual)
-    return amp
+            residual = abs(r2 + t2 - 1.0)
+            require(residual <= 1e-10, InvariantViolation,
+                    "conservation residual {}", residual)
+    return ScatteringAmplitudes(r2, t2, (s, d, u, v, k, x0))
 
 
 @dataclass(frozen=True)

@@ -134,10 +134,16 @@ class LimitVerdict:
 
 
 def _slope_design(ls: np.ndarray) -> tuple:
-    """(ls, x, x @ x, ratio): x is the centred log of the tail widths."""
+    """(ls, x, x @ x, _powers(ratio)): x is the centred log of the tail."""
     x = np.log(ls[len(ls) // 2:])
     x -= x.mean()
-    return ls, x, x @ x, float(ls[0] / ls[1])
+    return ls, x, x @ x, _powers(float(ls[0] / ls[1]))
+
+
+def _powers(ratio: float) -> tuple:
+    """(ratio**j, ratio**j - 1) for j = 1 .. ``_RICHARDSON_DEPTH``."""
+    return tuple((ratio ** j, ratio ** j - 1.0)
+                 for j in range(1, _RICHARDSON_DEPTH + 1))
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
@@ -188,27 +194,27 @@ def trace(path: SqueezePath, lam: float, E: float,
                       entries=np.array(entries).T.copy())
 
 
-def _richardson(values: Sequence[float], ratio: float) -> tuple[float, float]:
-    """Limit estimate for a geometric-grid sequence with a power-series
-    error model; the error estimate is the smallest change produced by an
-    extrapolation level.
+def _richardson(values: Sequence[float], ratio) -> tuple[float, float]:
+    """Limit estimate for a geometric-grid sequence of common ``ratio`` (or
+    its :func:`_powers`) with a power-series error model; the error
+    estimate is the smallest change produced by an extrapolation level.
 
     Level j of the extrapolation triangle is only read at its last element,
     which depends on the last j + 1 values, so only the last
-    ``_RICHARDSON_DEPTH + 1`` values are combined.
+    ``_RICHARDSON_DEPTH + 1`` values are combined, one row at a time.
     """
-    depth = min(len(values) - 1, _RICHARDSON_DEPTH)
-    prev = [float(v) for v in values[-depth - 1:]]
-    best = prev[-1]
-    best_err = abs(prev[-1] - prev[-2])
-    for j in range(1, depth + 1):
-        f = ratio ** j
-        f1 = f - 1.0
-        cur = [(f * b - a) / f1 for a, b in zip(prev, prev[1:])]
-        err = abs(cur[-1] - prev[-1])
-        if err < best_err:
-            best, best_err = cur[-1], err
-        prev = cur
+    powers = ratio if isinstance(ratio, tuple) else _powers(ratio)
+    row: list[float] = []
+    for value in values[-min(len(values) - 1, _RICHARDSON_DEPTH) - 1:]:
+        prev, cur = row, float(value)
+        row = [cur]
+        for (f, f1), a in zip(powers, prev):
+            cur = (f * cur - a) / f1
+            row.append(cur)
+    best, best_err = row[0], abs(row[0] - prev[0])
+    for lower, level in zip(row, row[1:]):
+        if abs(level - lower) < best_err:
+            best, best_err = level, abs(level - lower)
     return best, best_err
 
 
@@ -223,8 +229,8 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     value instead.  The four entries are tested together, one row each.
     """
     half = tr.points // 2
-    _, x, xx, ratio = (_SLOPE_DESIGNS.get(id(tr.l_values))
-                       or _slope_design(tr.l_values))
+    _, x, xx, powers = (_SLOPE_DESIGNS.get(id(tr.l_values))
+                        or _slope_design(tr.l_values))
     tail = tr.entries[half:].T.copy()  # C-contiguous rows, one per entry
     flat = ((np.abs(tail) < _TINY_TAIL).all(axis=1)
             | (tail[:, :-1] * tail[:, 1:] <= 0.0).any(axis=1)).tolist()
@@ -242,7 +248,7 @@ def classify(tr: LimitTrace) -> LimitVerdict:
             if slope <= DIVERGENCE_SLOPE:
                 verdicts[name] = EntryVerdict(kind=DIVERGENT, exponent=slope)
                 continue
-        est, err = _richardson(last_values[j], ratio)
+        est, err = _richardson(last_values[j], powers)
         verdicts[name] = EntryVerdict(kind=CONVERGES, value=est, error=err)
     return LimitVerdict(entries=verdicts)
 

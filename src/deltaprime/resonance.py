@@ -329,16 +329,6 @@ def g_quadratic(sigma: float, c: float) -> float:
     return g + 0.0  # normalize -0.0 at c = 0
 
 
-def g_quadratic_forms(sigma: float, c: float, n: int | None = None) -> tuple[float, float]:
-    """Both closed forms of the quadratic-rule g, for consistency checks."""
-    if n is None:
-        n = _index_of(sigma)
-    direct = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
-    signed = ((-1.0) ** (n + 1) * c * sigma * sigma
-              * math.sinh(sigma) ** 2 / math.sqrt(math.cosh(2.0 * sigma)))
-    return direct + 0.0, signed + 0.0
-
-
 def resonant_scattering(chi: float, g: float, k: float) -> ScatteringAmplitudes:
     """Amplitudes of the limiting point interaction diag(chi, 1/chi) + g.
 

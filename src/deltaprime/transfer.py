@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (_QUIET, ScatteringAmplitudes, UnitDetMatrix,
+from .boundary import (_quiet, ScatteringAmplitudes, UnitDetMatrix,
                        amplitudes, det_residual)
 from .errors import require
 from .profile import RectProfile
@@ -115,7 +115,7 @@ def transfer_entries(l, rho, lam, E):
     validate the geometry (l > 0, rho >= 0, all finite).
     """
     _check_energy(E)
-    with np.errstate(**_QUIET):
+    with _quiet():
         scale = lam / np.square(l)  # numpy division: l**2 may underflow
         grows, c, t, d, g, p = _region(scale - E, l)
         wgrows, wc, wt, wd, wg, wa = _region(-(scale + E), l)

@@ -1,4 +1,6 @@
+import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,3 +83,26 @@ def reference_entries(l, rho, lam, E):
         l21 = c * n21 + d * n22 + g2
         l22 = t * n21 + c * n22 + g2 / p
     return l11, l12, l21, l22
+
+
+def g_quadratic_forms(sigma, c, n):
+    """Both closed forms of the quadratic-rule g at root ``sigma`` of index
+    ``n``: -c*s**2*sinh(s)*sin(s) and
+    (-1)**(n+1)*c*s**2*sinh(s)**2/sqrt(cosh(2s))."""
+    direct = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
+    signed = ((-1.0) ** (n + 1) * c * sigma * sigma
+              * math.sinh(sigma) ** 2 / math.sqrt(math.cosh(2.0 * sigma)))
+    return direct + 0.0, signed + 0.0
+
+
+def eager_amplitudes(l11, l12, l21, l22, k, x0=0.0):
+    """The complex scattering extraction that ``boundary.amplitudes`` used to
+    run eagerly: Delta, R and T as complex values, then abs(.)**2.  The
+    reference its lazily formed R and T must match bit for bit; no checks."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        delta = l11 + l22 - 1j * (k * l12 - l21 / k)
+        R = -(l11 - l22 + 1j * (k * l12 + l21 / k)) / delta
+        phase = -1j * k * x0
+        T = 2.0 / delta * (cmath.exp(phase) if isinstance(phase, complex)
+                           else np.exp(phase))
+        return SimpleNamespace(R=R, T=T, R2=abs(R) ** 2, T2=abs(T) ** 2)

@@ -9,14 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import adjacent_root_oracle
+from conftest import adjacent_root_oracle, g_quadratic_forms
 from deltaprime import (ProductParams, RectProfile, SqueezePath,
                         bc_from_product, bound_state, classify,
                         params_from_resonance, piecewise_transfer, predict,
                         resonance_set, resonant_matrix, resonant_scattering,
                         scattering, seba_matrix, solve_adjacent, solve_linear,
                         trace, transfer_matrix, transmission_sweep)
-from deltaprime.resonance import g_quadratic_forms
 
 SIGMA1 = 3.9266023120479188
 LAM1 = SIGMA1 ** 2

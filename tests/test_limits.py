@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import eager_amplitudes
 from deltaprime import (PrecisionFloorError, RectProfile, SqueezePath,
                         classify, limits, piecewise_transfer, predict,
                         resonance_set, scattering, trace, transfer_matrix,
                         transmission_sweep)
-from deltaprime.transfer import det_residual
+from deltaprime.transfer import det_residual, transfer_entries
 
 LAM1 = 15.418205716980063
 CHI1 = -35.874573920759161
@@ -205,6 +206,56 @@ def test_sweep_barrier_first_is_opaque():
     res = transmission_sweep(SqueezePath.barrier_first(0.5), 1e-3,
                              1.0, 60.0, 200, E=1.0)
     assert res.T2.max() < 1e-3
+
+
+# (rule, l, lam_min, lam_max, E) for the extraction-rounding test
+EXTRACTION_SWEEPS = [("adjacent", 1e-3, 1.0, 60.0, 1.0),
+                     ("linear:0.5", 1e-2, -50.0, 50.0, 2.0),
+                     ("quadratic:1.3", 1e-3, 0.5, 120.0, 0.5),
+                     ("power:1.5:2", 1e-2, 1.0, 200.0, 1.0)]
+
+
+def test_sweep_extraction_rounding_against_mpmath():
+    # |T|**2 and |R|**2 against a 50-digit extraction from the same double
+    # entries and k, in units of 2**-53: relative on |T|**2 (down to 1e-18
+    # here), absolute on |R|**2.  The bounds hold for the real-arithmetic
+    # extraction; the eager complex form, abs(R)**2 and abs(T)**2 of the
+    # complex quotients, breaks them on at least one sample.
+    mpmath = pytest.importorskip("mpmath")
+    ulp = 2.0 ** -53
+    worst = np.zeros(4)  # T2 and R2, then the eager reference's
+    with mpmath.workdps(50):
+        for spec, l, lam_min, lam_max, E in EXTRACTION_SWEEPS:
+            path = SqueezePath.parse(spec)
+            res = transmission_sweep(path, l, lam_min, lam_max, 400, E)
+            k, rho = np.sqrt(E), path.rho_of(l)
+            entries = transfer_entries(l, rho, res.lambdas, E)
+            eager = eager_amplitudes(*entries, k, 2.0 * l + rho)
+            got = [(res.T2, res.R2), (eager.T2, eager.R2)]
+            kk = mpmath.mpf(k)
+            for i, (l11, l12, l21, l22) in enumerate(
+                    np.array(entries).T.tolist()):
+                l11, l12, l21, l22 = map(mpmath.mpf, (l11, l12, l21, l22))
+                d = kk * l12 - l21 / kk
+                n2 = (l11 - l22) ** 2 + (kk * l12 + l21 / kk) ** 2
+                size2 = (l11 + l22) ** 2 + d * d
+                t2, r2 = 4 / size2, n2 / size2
+                for j, (t2s, r2s) in enumerate(got):
+                    got_t2, got_r2 = mpmath.mpf(t2s[i]), mpmath.mpf(r2s[i])
+                    worst[2 * j] = max(worst[2 * j],
+                                       float(abs(got_t2 - t2) / t2) / ulp)
+                    worst[2 * j + 1] = max(worst[2 * j + 1],
+                                           float(abs(got_r2 - r2)) / ulp)
+    assert worst[0] <= 6.0 and worst[1] <= 7.0, worst
+    assert worst[2] > 6.0 or worst[3] > 7.0, worst
+
+
+def test_sweep_past_the_squared_range():
+    # above lam ~ 1.4e5 at l = 1e-2 the entries pass 1e154, so |Delta|**2
+    # overflows; those samples take hypot norms and the sweep still holds
+    res = transmission_sweep(ADJ, 1e-2, 1.0, 3e5, 7)
+    np.testing.assert_allclose(res.T2 + res.R2, 1.0, rtol=0, atol=1e-10)
+    assert res.T2[-1] == 0.0 and res.T2[1] > 0.0
 
 
 def test_sweep_rejects_bad_arguments():

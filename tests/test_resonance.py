@@ -4,14 +4,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import adjacent_root_oracle, linear_root_oracle
+from conftest import (adjacent_root_oracle, g_quadratic_forms,
+                      linear_root_oracle)
 from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
                         bound_state_kappa, chi_adjacent, chi_linear,
                         g_quadratic, resonance_set, resonant_scattering,
                         solve_adjacent, solve_linear)
 from deltaprime import resonance
-from deltaprime.resonance import (_solve_bracketed, g_quadratic_forms,
-                                  resonance_at, resonance_root)
+from deltaprime.resonance import (_solve_bracketed, resonance_at,
+                                  resonance_root)
 
 # frozen reference values (independent bisection + direct evaluation)
 SIGMA1 = 3.9266023120479188

@@ -1,11 +1,12 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_entries
+from conftest import eager_amplitudes, reference_entries
 from deltaprime import (InvariantViolation, RectProfile, TransferMatrix,
                         piecewise_transfer, scattering, transfer_matrix)
 from deltaprime.transfer import _region, amplitudes, transfer_entries
@@ -224,3 +225,63 @@ def test_phase_of_transmission():
     delta = tm.l11 + tm.l22 - 1j * (k * tm.l12 - tm.l21 / k)
     assert amp.T == pytest.approx(2.0 / delta * cmath.exp(-1j * k * tm.x0),
                                   rel=1e-12)
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.array_equal(np.atleast_1d(got).view(np.uint64),
+                          np.atleast_1d(want).view(np.uint64))
+
+
+def _assert_lazy_matches_eager(*args):
+    amp, ref = amplitudes(*args), eager_amplitudes(*args)
+    _same_bits(amp.R, ref.R)
+    _same_bits(amp.T, ref.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(l=st.floats(1e-3, 1.0), rho=st.floats(0.0, 1.0),
+       lam=st.floats(-30.0, 60.0), E=st.floats(0.1, 10.0),
+       x0=st.floats(0.0, 50.0))
+def test_lazy_amplitudes_match_eager_bit_for_bit(l, rho, lam, E, x0):
+    # R and T are formed on first access from the parts of the real
+    # extraction; they must round exactly as the eager complex form did
+    k = math.sqrt(E)
+    entries = transfer_entries(l, rho, lam, E)
+    _assert_lazy_matches_eager(*map(float, entries), k, x0)
+    _assert_lazy_matches_eager(*map(np.float64, entries), np.float64(k),
+                               np.float64(x0))
+    tm = piecewise_transfer(RectProfile(l=l, rho=rho, lam=lam), E)
+    _assert_lazy_matches_eager(tm.l11, tm.l12, tm.l21, tm.l22, k, tm.x0)
+    # arrays over a coupling grid, then array k and x0 over an energy grid
+    lams = lam + np.linspace(-5.0, 5.0, 33)
+    _assert_lazy_matches_eager(*transfer_entries(l, rho, lams, E), k, x0)
+    Es = E * np.linspace(0.5, 2.0, 17)
+    _assert_lazy_matches_eager(*transfer_entries(l, rho, lam, Es),
+                               np.sqrt(Es), np.linspace(0.0, x0, 17))
+    ms = [piecewise_transfer(RectProfile(l=l, rho=rho, lam=v), E)
+          for v in lams[::8]]
+    _assert_lazy_matches_eager(*(np.array([getattr(m, name) for m in ms])
+                                 for name in ("l11", "l12", "l21", "l22")),
+                               k, x0)
+
+
+def test_reading_amplitudes_of_huge_entries_raises_no_warning():
+    # unit-determinant matrices with entries near the top of the double
+    # range: |Delta|**2 overflows, so |T|**2 and |R|**2 come from hypot, and
+    # numpy's complex division overflows when R and T are formed later
+    big = np.array([1e308, 1e300, 1e200, 2.0])
+    entries = big, big, -1.0 / big, np.zeros(4)
+    x0 = np.array([0.0, 0.5, 1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amp = amplitudes(*entries, 1.0, x0)
+        R, T = amp.R, amp.T
+    np.testing.assert_array_equal(amp.T2[:3], 0.0)
+    np.testing.assert_array_equal(amp.R2[:3], 1.0)
+    assert amp.conservation_residual[3] < 1e-15
+    ref = eager_amplitudes(*entries, 1.0, x0)
+    _same_bits(R, ref.R)
+    _same_bits(T, ref.T)
+    with pytest.warns(RuntimeWarning):  # what the lazy forms switch off
+        _ = -(entries[0] + 1j * entries[1]) / (entries[0] - 1j * entries[1])
