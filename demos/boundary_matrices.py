@@ -9,13 +9,13 @@ lands strictly inside (0, 1).
 """
 
 from deltaprime import (SqueezePath, bc_from_product, bound_state,
-                        params_from_resonance, resonance_set,
-                        scattering_from_matrix, seba_matrix)
+                        params_from_resonance, resonance_set, scattering,
+                        seba_matrix)
 
 print("symmetrized product (alpha = 1/2, beta = 0):")
 for lam in (0.5, 1.0, 3.0):
     cm = seba_matrix(lam)
-    amp = scattering_from_matrix(cm, k=1.0)
+    amp = scattering(cm, k=1.0)
     print(f"  lambda = {lam:4.1f}: A = {cm.l11:8.4f}  "
           f"R = {amp.R.real:8.4f}  T = {amp.T.real:8.4f}")
 

@@ -8,9 +8,9 @@ linearly, with shifted resonances), and on the quadratic rule an extra
 delta-like term g survives.
 """
 
-from deltaprime import SqueezePath, classify, predict, solve_adjacent, trace
+from deltaprime import SqueezePath, classify, predict, resonance_set, trace
 
-LAM1 = solve_adjacent(1)[0].lam
+LAM1 = resonance_set(SqueezePath.adjacent(), 1)[0].lam
 
 paths = [
     SqueezePath.barrier_first(0.5),

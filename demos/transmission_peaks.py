@@ -8,9 +8,9 @@ across the whole coupling range.
 
 import numpy as np
 
-from deltaprime import SqueezePath, solve_adjacent, transmission_sweep
+from deltaprime import SqueezePath, resonance_set, transmission_sweep
 
-targets = [r.lam for r in solve_adjacent(2)]
+targets = [r.lam for r in resonance_set(SqueezePath.adjacent(), 2)]
 print("resonant couplings:", ", ".join(f"{t:.4f}" for t in targets))
 
 adjacent = SqueezePath.adjacent()

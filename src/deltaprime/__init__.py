@@ -11,14 +11,13 @@ import importlib
 
 from .boundary import (ConnectionMatrix, ProductParams, ScatteringAmplitudes,
                        bc_from_product, bound_state, delta_prime_delta_matrix,
-                       params_from_resonance, resonant_matrix,
-                       scattering_from_matrix, seba_matrix)
+                       params_from_resonance, resonant_matrix, scattering,
+                       seba_matrix)
 from .errors import (DeltaPrimeError, InvariantViolation, NotARootError,
                      PrecisionFloorError, SingularParameterError)
 from .paths import SqueezePath
-from .resonance import (Resonance, bound_state_kappa, chi_adjacent,
-                        chi_linear, g_quadratic, resonance_set,
-                        resonant_scattering, solve_adjacent, solve_linear)
+from .resonance import (Resonance, bound_state_kappa, chi_linear, g_quadratic,
+                        resonance_set, resonant_scattering)
 
 # The array layers load numpy, so they are imported on first use (PEP 562):
 # name -> defining module; a module's own name stands for the module.
@@ -28,7 +27,7 @@ _LAZY = {name: module for module, names in (
                 "transmission_sweep")),
     ("profile", ("profile", "RectProfile")),
     ("transfer", ("transfer", "PRECISION_FLOOR", "TransferMatrix",
-                  "piecewise_transfer", "scattering", "transfer_matrix")),
+                  "piecewise_transfer", "transfer_matrix")),
 ) for name in names}
 
 
@@ -52,15 +51,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ConnectionMatrix", "ProductParams", "bc_from_product", "bound_state",
     "delta_prime_delta_matrix", "params_from_resonance", "resonant_matrix",
-    "scattering_from_matrix", "seba_matrix",
+    "scattering", "seba_matrix",
     "DeltaPrimeError", "InvariantViolation", "NotARootError",
     "PrecisionFloorError", "SingularParameterError",
     "EntryVerdict", "LimitTrace", "LimitVerdict", "Peak", "SweepResult",
     "classify", "predict", "trace", "transmission_sweep",
     "SqueezePath", "RectProfile",
-    "Resonance", "bound_state_kappa", "chi_adjacent", "chi_linear",
-    "g_quadratic", "resonance_set", "resonant_scattering", "solve_adjacent",
-    "solve_linear",
+    "Resonance", "bound_state_kappa", "chi_linear", "g_quadratic",
+    "resonance_set", "resonant_scattering",
     "PRECISION_FLOOR", "ScatteringAmplitudes", "TransferMatrix",
-    "piecewise_transfer", "scattering", "transfer_matrix",
+    "piecewise_transfer", "transfer_matrix",
 ]

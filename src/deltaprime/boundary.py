@@ -52,7 +52,7 @@ __all__ = [
     "delta_prime_delta_matrix",
     "bc_from_product",
     "params_from_resonance",
-    "scattering_from_matrix",
+    "scattering",
     "bound_state",
 ]
 
@@ -61,8 +61,12 @@ class UnitDetMatrix:
     """Entries l11, l12, l21, l22 of a 2x2 matrix with unit determinant.
 
     Shared by transfer matrices and point-interaction connection matrices;
-    subclasses declare the four entries as fields.
+    subclasses declare the four entries as fields.  The matrix carries
+    (psi, psi') from 0 to ``x0``: a point interaction has x0 = 0, and a
+    transfer matrix declares its own ``x0`` field.
     """
+
+    x0 = 0.0
 
     @property
     def det(self):
@@ -103,7 +107,8 @@ def _quiet():
 class ScatteringAmplitudes:
     """Left-incidence reflection and transmission amplitudes, scalars or
     arrays of one shape: |R|**2 and |T|**2, and R and T formed on first
-    access from the parts (s, d, u, v, k, x0) of :func:`amplitudes`."""
+    access from the parts (s, d, u, v, k, x0) of :func:`amplitudes`; that
+    access raises where k*x0 (ValueError), R or T is not finite."""
 
     R2: float
     T2: float
@@ -116,10 +121,15 @@ class ScatteringAmplitudes:
     def _complex(self) -> tuple:
         s, d, u, v, k, x0 = self._parts
         with _quiet():
+            require(abs(k * x0) < math.inf, ValueError,
+                    "phase k*x0 = {} is not finite", k * x0)
             delta, phase = s - 1j * d, -1j * k * x0
-            return -(u + 1j * v) / delta, 2.0 / delta * (
+            R, T = -(u + 1j * v) / delta, 2.0 / delta * (
                 cmath.exp(phase) if isinstance(phase, complex)
                 else sys.modules["numpy"].exp(phase))
+            require((abs(R) < math.inf) & (abs(T) < math.inf),
+                    InvariantViolation, "R = {}, T = {}: not finite", R, T)
+        return R, T
 
     @property
     def conservation_residual(self) -> float:
@@ -189,9 +199,6 @@ class ConnectionMatrix(UnitDetMatrix):
         if not self.det_residual() <= 1e-12:
             raise InvariantViolation(
                 f"connection matrix determinant {self.det} != 1")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return self.l11, self.l12, self.l21, self.l22
 
 
 @dataclass(frozen=True)
@@ -288,10 +295,10 @@ def params_from_resonance(lam_n: float, chi_n: float, g_n: float) -> ProductPara
                          lam_fit=lam_n, offset=delta)
 
 
-def scattering_from_matrix(cm: ConnectionMatrix, k: float) -> ScatteringAmplitudes:
-    """Reflection/transmission amplitudes of a zero-range connection matrix:
-    the finite-range extraction with the support collapsed to a point."""
-    return amplitudes(cm.l11, cm.l12, cm.l21, cm.l22, k)
+def scattering(m: UnitDetMatrix, k: float) -> ScatteringAmplitudes:
+    """Reflection/transmission amplitudes of a transfer or connection matrix
+    at wavenumber k: :func:`amplitudes` of its entries and its ``x0``."""
+    return amplitudes(m.l11, m.l12, m.l21, m.l22, k, m.x0)
 
 
 def bound_state(cm: ConnectionMatrix) -> list[float]:

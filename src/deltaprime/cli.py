@@ -19,7 +19,7 @@ import numbers
 import sys
 
 from .boundary import (ProductParams, bc_from_product, bound_state,
-                       params_from_resonance, scattering_from_matrix)
+                       params_from_resonance, scattering)
 from .errors import DeltaPrimeError, InvariantViolation
 from .paths import SqueezePath
 from .resonance import has_resonances, resonance_set, resonant_scattering
@@ -50,16 +50,6 @@ def _fmt(v) -> str:
             return repr(float(v.real))
         return repr(complex(v))
     return repr(float(v))
-
-
-def _jsonable(v):
-    """JSON value of one cell, as ``json`` takes it; :func:`_emit` writes
-    the same text through :func:`_json_cell`."""
-    if isinstance(v, numbers.Integral):
-        return int(v)
-    if isinstance(v, complex):
-        return float(v.real) if v.imag == 0.0 else repr(complex(v))
-    return float(v)
 
 
 def _write(out: str | None, text: str) -> None:
@@ -151,7 +141,7 @@ def cmd_resonances(args) -> int:
 
 def cmd_transfer(args) -> int:
     from .profile import RectProfile
-    from .transfer import piecewise_transfer, scattering, transfer_matrix
+    from .transfer import piecewise_transfer, transfer_matrix
 
     if args.l <= 0:
         raise UsageError(f"--l must be positive, got {args.l}")
@@ -234,7 +224,7 @@ def cmd_bc(args) -> int:
         raise UsageError(f"--k must be positive, got {args.k}")
     cm = bc_from_product(ProductParams(alpha=args.alpha, beta=args.beta),
                          args.lam)
-    amp = scattering_from_matrix(cm, args.k)
+    amp = scattering(cm, args.k)
     _emit(args, {"alpha": [args.alpha], "beta": [args.beta],
                  "lambda": [args.lam], "k": [args.k], "A": [cm.l11],
                  "B": [cm.l21], "R": [amp.R], "T": [amp.T]},

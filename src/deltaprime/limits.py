@@ -61,8 +61,6 @@ SWEEP_BLOCK = 4096
 MAX_TRACE_POINTS = 10_000
 MAX_SWEEP_SAMPLES = 4_000_000
 _GRID_CACHE_SIZE = 16
-# id(grid) -> _slope_design(grid), which holds the grid: no id is reused
-_SLOPE_DESIGNS: dict[int, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,8 @@ class LimitTrace:
 
     ``entries`` has shape (points, 4) ordered (L11, L12, L21, L22); the
     closed forms are real.  ``l_values`` is shared by every trace on the
-    same grid and is read-only.
+    same grid and is read-only; ``_design`` is that grid's cached slope
+    design, which :func:`classify` reads.
     """
 
     path: SqueezePath
@@ -80,6 +79,7 @@ class LimitTrace:
     l_values: np.ndarray
     rho_values: np.ndarray
     entries: np.ndarray
+    _design: tuple = field(repr=False, compare=False)
 
     @property
     def points(self) -> int:
@@ -117,10 +117,6 @@ class LimitVerdict:
     entries: dict[str, EntryVerdict] = field(default_factory=dict)
 
     @property
-    def all_converge(self) -> bool:
-        return all(not v.is_divergent for v in self.entries.values())
-
-    @property
     def separated(self) -> bool:
         return self.entries["L21"].is_divergent
 
@@ -128,16 +124,9 @@ class LimitVerdict:
     def variant(self) -> str:
         if self.separated:
             return "separated"
-        if self.all_converge:
-            return "resonant"
-        return "mixed"
-
-
-def _slope_design(ls: np.ndarray) -> tuple:
-    """(ls, x, x @ x, _powers(ratio)): x is the centred log of the tail."""
-    x = np.log(ls[len(ls) // 2:])
-    x -= x.mean()
-    return ls, x, x @ x, _powers(float(ls[0] / ls[1]))
+        if any(v.is_divergent for v in self.entries.values()):
+            return "mixed"
+        return "resonant"
 
 
 def _powers(ratio: float) -> tuple:
@@ -147,15 +136,15 @@ def _powers(ratio: float) -> tuple:
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
-def _width_grid(l_start: float, l_end: float, points: int) -> np.ndarray:
+def _width_grid(l_start: float, l_end: float, points: int) -> tuple:
     """``np.geomspace(l_start, l_end, points)``, built once per grid and
-    shared read-only, with its slope design kept for :func:`classify`."""
+    shared read-only, and its slope design (x, x @ x, _powers(ratio)) for
+    :func:`classify`, where x is the centred log of the grid's tail."""
     ls = np.geomspace(l_start, l_end, points)
     ls.flags.writeable = False
-    if len(_SLOPE_DESIGNS) >= _GRID_CACHE_SIZE:
-        _SLOPE_DESIGNS.clear()
-    _SLOPE_DESIGNS[id(ls)] = _slope_design(ls)
-    return ls
+    x = np.log(ls[len(ls) // 2:])
+    x -= x.mean()
+    return ls, (x, x @ x, _powers(float(ls[0] / ls[1])))
 
 
 def trace(path: SqueezePath, lam: float, E: float,
@@ -182,7 +171,7 @@ def trace(path: SqueezePath, lam: float, E: float,
     if not 0 <= lam < math.inf:
         raise ValueError(f"coupling must be finite and >= 0, got {lam}")
 
-    ls = _width_grid(l_start, l_end, points)
+    ls, design = _width_grid(l_start, l_end, points)
     rho = path.rho_of(ls)  # a scalar on the constant-gap rules
     entries = transfer_entries(ls, rho, lam, E)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the check
@@ -191,7 +180,7 @@ def trace(path: SqueezePath, lam: float, E: float,
             "determinant residual {} at l = {}", residual, ls)
     return LimitTrace(path=path, lam=lam, E=E, l_values=ls,
                       rho_values=np.zeros(points) + rho,
-                      entries=np.array(entries).T.copy())
+                      entries=np.array(entries).T.copy(), _design=design)
 
 
 def _richardson(values: Sequence[float], ratio) -> tuple[float, float]:
@@ -229,8 +218,7 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     value instead.  The four entries are tested together, one row each.
     """
     half = tr.points // 2
-    _, x, xx, powers = (_SLOPE_DESIGNS.get(id(tr.l_values))
-                        or _slope_design(tr.l_values))
+    x, xx, powers = tr._design
     tail = tr.entries[half:].T.copy()  # C-contiguous rows, one per entry
     flat = ((np.abs(tail) < _TINY_TAIL).all(axis=1)
             | (tail[:, :-1] * tail[:, 1:] <= 0.0).any(axis=1)).tolist()

@@ -32,12 +32,8 @@ from .paths import ADJACENT, POWER, SqueezePath
 __all__ = [
     "Resonance",
     "has_resonances",
-    "resonance_equation",
     "resonance_root",
     "resonance_at",
-    "solve_adjacent",
-    "solve_linear",
-    "chi_adjacent",
     "chi_linear",
     "g_quadratic",
     "resonant_scattering",
@@ -140,46 +136,31 @@ def _linear_c(path: SqueezePath) -> float:
     return path.c if path.kind == POWER and path.tau == 1.0 else 0.0
 
 
-def _equation(c: float):
-    """f(s) = tanh(s)/(1 + c*s*tanh(s)) - tan(s)."""
-    def f(s: float) -> float:
-        th = math.tanh(s)
-        return th / (1.0 + c * s * th) - math.tan(s)
-
-    return f
+def _lhs(s: float, c: float) -> float:
+    """tanh(s)/(1 + c*s*tanh(s)), the left side of the resonance equation."""
+    th = math.tanh(s)
+    return th / (1.0 + c * s * th)
 
 
-def resonance_equation(path: SqueezePath):
-    """Resonance condition of ``path`` as f(s), zero at s = sigma_n.
+def _root(c: float, n: int) -> float:
+    """Root in the n-th bracket of lhs(s) = tan(s), see :func:`_lhs`.
 
-    f(s) = tanh(s)/(1 + c*s*tanh(s)) - tan(s) with the constant c of the
-    linear rule, and c = 0 (tanh(s) = tan(s), exactly) on the other rules
-    that carry resonances.
+    lhs stays inside (0, 1), so every bracket (n*pi, n*pi + pi/2) holds
+    exactly one root.  The solver runs on the pole-free form
+    (-1)**n*(cos(s)*lhs(s) - sin(s)) = f(s)*|cos(s)|, with the same single
+    zero, > 0 at n*pi and -1 at n*pi + pi/2; f = lhs - tan is checked.
     """
-    return _equation(_linear_c(path))
-
-
-def _root(c: float, n: int, f) -> float:
-    """Root in the n-th bracket of the equation ``f`` with constant ``c``."""
     sign = -1.0 if n % 2 else 1.0
-
-    def g(s: float) -> float:
-        th = math.tanh(s)
-        return sign * (math.cos(s) * (th / (1.0 + c * s * th)) - math.sin(s))
-
     lo = n * math.pi
-    return _solve_bracketed(g, lo, lo + 0.5 * math.pi, f)
+    return _solve_bracketed(
+        lambda s: sign * (math.cos(s) * _lhs(s, c) - math.sin(s)),
+        lo, lo + 0.5 * math.pi, lambda s: _lhs(s, c) - math.tan(s))
 
 
 def resonance_root(path: SqueezePath, n: int) -> float:
     """Root sigma_n of the resonance equation of ``path`` in its n-th
-    bracket (n*pi, n*pi + pi/2).
-
-    The solver runs on (-1)**n*(cos(s)*lhs(s) - sin(s)) = f(s)*|cos(s)|:
-    the same single zero, no pole, > 0 at n*pi and -1 at n*pi + pi/2.
-    """
-    c = _linear_c(path)
-    return _root(c, n, _equation(c))
+    bracket (n*pi, n*pi + pi/2)."""
+    return _root(_linear_c(path), n)
 
 
 # (sigma_n, chi_n) of tanh(s) = tan(s) for n = 1, 2, ...: the roots and chi
@@ -190,21 +171,24 @@ def resonance_root(path: SqueezePath, n: int) -> float:
 _ADJACENT_ROOTS: tuple[tuple[float, float], ...] = ()
 
 
-def _adjacent_roots(count: int):
-    """The table's first ``count`` entries, grown as needed, and the error
-    that stopped it short of ``count``, or None."""
+def _roots(c: float, count: int):
+    """The first ``count`` pairs (sigma_n, chi_n) at constant ``c``, and the
+    error that stopped them short of ``count``, or None.  Only c = 0 reads
+    and grows the shared table."""
     global _ADJACENT_ROOTS
-    table, error = _ADJACENT_ROOTS, None
+    shared = c == 0.0
+    table, error = _ADJACENT_ROOTS if shared else (), None
     if len(table) < count:
         grown = list(table)
-        f = _equation(0.0)
         try:
             for n in range(len(grown) + 1, count + 1):
-                sigma = _root(0.0, n, f)
-                grown.append((sigma, chi_linear(sigma, 0.0)))
+                sigma = _root(c, n)
+                grown.append((sigma, chi_linear(sigma, c)))
         except DeltaPrimeError as exc:
             error = exc
-        _ADJACENT_ROOTS = table = tuple(grown)
+        table = tuple(grown)
+        if shared:
+            _ADJACENT_ROOTS = table
     return table[:count], error
 
 
@@ -232,41 +216,12 @@ def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    c = _linear_c(path)
-    if c == 0.0:
-        # records first, so that an error at a lower index is raised first
-        roots, error = _adjacent_roots(count)
-        out = [_record(path, sigma, chi) for sigma, chi in roots]
-        if error is not None:
-            raise error
-        return out
-    f = _equation(c)
-    out = []
-    for n in range(1, count + 1):
-        sigma = _root(c, n, f)
-        out.append(_record(path, sigma, chi_linear(sigma, c)))
+    roots, error = _roots(_linear_c(path), count)
+    # records first, so that an error at a lower index is raised first
+    out = [_record(path, sigma, chi) for sigma, chi in roots]
+    if error is not None:
+        raise error
     return out
-
-
-def solve_adjacent(count: int) -> list[Resonance]:
-    """First ``count`` resonances of the adjacent squeeze rule (gap = 0)."""
-    return resonance_set(SqueezePath.adjacent(), count)
-
-
-def solve_linear(c: float, count: int) -> list[Resonance]:
-    """First ``count`` resonances of the linear rule rho = c*l.
-
-    At c = 0 this coincides with :func:`solve_adjacent`.  The left side of
-    tanh(s)/(1 + c*s*tanh(s)) = tan(s) stays inside (0, 1), so every bracket
-    (n*pi, n*pi + pi/2) holds exactly one root.
-    """
-    return resonance_set(SqueezePath.power_law(c, 1.0), count)
-
-
-def chi_adjacent(sigma: float) -> float:
-    """Limiting upper-left entry at a root of tanh(s) = tan(s): the linear
-    rule's entry at c = 0, where its signed square root is sqrt(cosh(2s))."""
-    return chi_linear(sigma, 0.0)
 
 
 def chi_linear(sigma: float, c: float) -> float:

@@ -14,19 +14,20 @@ s = p**2 or -q**2 once per call: if every element grows, or every element
 oscillates, only that form is computed and the product leaves out the terms
 that vanish in it; mixed signs or an exact s = 0 merge both forms.  Each
 element gets the same arithmetic either way.  The scattering extraction,
-:func:`amplitudes`, is re-exported from the numpy-free :mod:`.boundary`.
+:func:`amplitudes` and :func:`scattering`, is re-exported from the
+numpy-free :mod:`.boundary`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundary import (_quiet, ScatteringAmplitudes, UnitDetMatrix,
-                       amplitudes, det_residual)
+                       amplitudes, det_residual, scattering)
 from .errors import require
 from .profile import RectProfile
 
@@ -61,7 +62,7 @@ class TransferMatrix(UnitDetMatrix):
     l12: complex
     l21: complex
     l22: complex
-    x0: float
+    x0: float = field()  # required: no default from UnitDetMatrix.x0
 
     def entry_scale(self) -> float:
         return max(abs(self.l11), abs(self.l12), abs(self.l21), abs(self.l22))
@@ -176,8 +177,3 @@ def piecewise_transfer(profile: RectProfile, E: float) -> TransferMatrix:
     )
     return TransferMatrix(m[0, 0], m[0, 1], m[1, 0], m[1, 1],
                           x0=2.0 * profile.l + profile.rho)
-
-
-def scattering(tm: TransferMatrix, k: float) -> ScatteringAmplitudes:
-    """Reflection/transmission amplitudes of a transfer matrix at wavenumber k."""
-    return amplitudes(tm.l11, tm.l12, tm.l21, tm.l22, k, tm.x0)

@@ -14,8 +14,8 @@ from deltaprime import (ProductParams, RectProfile, SqueezePath,
                         bc_from_product, bound_state, classify,
                         params_from_resonance, piecewise_transfer, predict,
                         resonance_set, resonant_matrix, resonant_scattering,
-                        scattering, seba_matrix, solve_adjacent, solve_linear,
-                        trace, transfer_matrix, transmission_sweep)
+                        scattering, seba_matrix, trace, transfer_matrix,
+                        transmission_sweep)
 
 SIGMA1 = 3.9266023120479188
 LAM1 = SIGMA1 ** 2
@@ -66,7 +66,7 @@ def test_c03_oracle_equivalence(matrix_pairs):
 
 
 def test_c04_resonance_roots():
-    rs = solve_adjacent(5)
+    rs = resonance_set(SqueezePath.adjacent(), 5)
     worst_f = max(abs(math.tanh(r.sigma) - math.tan(r.sigma)) for r in rs)
     worst_d = max(abs(r.sigma - adjacent_root_oracle(r.n)) for r in rs)
     four_places = abs(rs[0].sigma - 3.9266) < 5e-5
@@ -77,7 +77,7 @@ def test_c04_resonance_roots():
 
 def test_c05_equality_chains():
     worst = 0.0
-    for r in solve_adjacent(10):
+    for r in resonance_set(SqueezePath.adjacent(), 10):
         a = math.cosh(r.sigma) / math.cos(r.sigma)
         b = math.sinh(r.sigma) / math.sin(r.sigma)
         c = (-1.0) ** r.n * math.sqrt(math.cosh(2 * r.sigma))
@@ -87,7 +87,7 @@ def test_c05_equality_chains():
         k1 = -direct / (r.chi + 1.0 / r.chi)
         k2 = 0.5 * r.sigma ** 2 * math.tanh(r.sigma) ** 2
         worst = max(worst, rel(k1, k2))
-    for r in solve_linear(1.0, 10):
+    for r in resonance_set(SqueezePath.power_law(1.0, 1.0), 10):
         u = math.cosh(r.sigma) + r.sigma * math.sinh(r.sigma)
         a = u / math.cos(r.sigma)
         b = math.sinh(r.sigma) / math.sin(r.sigma)
@@ -137,7 +137,7 @@ def test_c08_scattering_limit():
     target = 1.0 - math.tanh(SIGMA1) ** 4
     ok_t2 = abs(amp.T2 - target) / target < 1e-3
 
-    chi = solve_adjacent(1)[0].chi
+    chi = resonance_set(SqueezePath.adjacent(), 1)[0].chi
     amps = [resonant_scattering(chi, 0.0, k) for k in (0.1, 1.0, 10.0)]
     ok_k = (max(abs(a.R - amps[0].R) for a in amps) < 1e-12
             and max(abs(a.T - amps[0].T) for a in amps) < 1e-12)
@@ -149,7 +149,7 @@ def test_c08_scattering_limit():
 def test_c09_transmission_peaks():
     res = transmission_sweep(SqueezePath.adjacent(), 1e-3, 1.0, 60.0, 2000,
                              E=1.0)
-    targets = [r.lam for r in solve_adjacent(2)]
+    targets = [r.lam for r in resonance_set(SqueezePath.adjacent(), 2)]
     ok = all(any(abs(p.lam - t) < 0.1 for p in res.peaks) for t in targets)
     report("C09", "transmission peaks sit on the resonance couplings", ok,
            f"(peaks {[round(p.lam, 4) for p in res.peaks]})")

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import numbers
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deltaprime import SqueezePath, resonance_set, transmission_sweep
-from deltaprime.cli import _build_parser, _emit, _fmt, _jsonable, main
+from deltaprime.cli import _build_parser, _emit, _fmt, main
 
 LAM1 = 15.418205716980063
 
@@ -467,6 +468,16 @@ def test_help_lists_defaults(capsys):
     out = capsys.readouterr().out
     assert "default: 1.0" in out  # E default is printed
     assert "default: csv" in out
+
+
+def _jsonable(v):
+    """JSON value of one cell, as ``json`` takes it; :func:`_emit` writes
+    the same text through :func:`_json_cell`."""
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    if isinstance(v, complex):
+        return float(v.real) if v.imag == 0.0 else repr(complex(v))
+    return float(v)
 
 
 def _emit_rows_reference(fmt, rows, extras):

@@ -62,6 +62,22 @@ def test_trace_width_grid_is_shared_and_read_only():
     assert again.l_values.tobytes() == expected
 
 
+def test_classify_after_grid_cache_eviction_matches_fresh_trace():
+    # the slope design travels with the trace, so a trace whose grid left
+    # the cache classifies as a fresh trace on a rebuilt grid does
+    first = make_trace(ADJ, LAM1, l_start=0.09, points=11)
+    for i in range(limits._GRID_CACHE_SIZE + 1):
+        make_trace(ADJ, LAM1, l_start=0.05 + 1e-3 * i, points=9 + i)
+    fresh = make_trace(ADJ, LAM1, l_start=0.09, points=11)
+    assert fresh.l_values is not first.l_values
+
+    def bits(verdict):
+        return [(name, v.kind, _bits(v.exponent), _bits(v.value),
+                 _bits(v.error)) for name, v in verdict.entries.items()]
+
+    assert bits(classify(first)) == bits(classify(fresh))
+
+
 def test_trace_and_sweep_cap_their_sizes():
     cap = limits.MAX_TRACE_POINTS
     with pytest.raises(ValueError, match=f"points = {cap + 1} exceeds"):
@@ -165,8 +181,7 @@ def test_predict_rules():
 
 
 def test_predict_linear_path_has_own_resonances():
-    from deltaprime import solve_linear
-    r = solve_linear(1.0, 1)[0]
+    r = resonance_set(SqueezePath.power_law(1.0, 1.0), 1)[0]
     cm = predict(SqueezePath.power_law(1.0, 1.0), r.lam)
     assert cm is not None
     assert cm.l11 == pytest.approx(r.chi, rel=1e-12)

@@ -5,6 +5,7 @@ Each check that inspects ``sys.modules`` runs in a fresh interpreter: this
 test process has numpy loaded already (conftest imports it).
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -35,14 +36,14 @@ def test_scalar_library_and_cli_paths_load_no_numpy():
         import deltaprime, deltaprime.cli
         from deltaprime import (SqueezePath, bc_from_product, bound_state,
                                 params_from_resonance, resonance_set,
-                                resonant_scattering, scattering_from_matrix)
+                                resonant_scattering, scattering)
 
         for spec in ("adjacent", "linear:0.7", "quadratic:1.3", "power:2:3"):
             for r in resonance_set(SqueezePath.parse(spec), 30):
                 params = params_from_resonance(r.lam, r.chi, r.g)
                 cm = bc_from_product(params, r.lam)
                 bound_state(cm)
-                scattering_from_matrix(cm, 1.3)
+                scattering(cm, 1.3)
                 resonant_scattering(r.chi, r.g, 0.7)
         for argv in (["bc", "--alpha", "0.5", "--lambda", "1"],
                      ["bc", "--alpha", "0.2", "--beta", "1", "--lambda", "3",
@@ -103,7 +104,7 @@ def test_scalar_phase_factor_rounds_as_numpy(as_numpy):
     for cm in _point_interactions():
         for k in (0.1, 0.9, 1.0, 2.3, 17.0):
             for x0 in (1e-6, 2e-3, 0.31, 1.0, 42.0):
-                args = [cast(v) for v in (*cm.as_tuple(), k)]
+                args = [cast(v) for v in (*dataclasses.astuple(cm), k)]
                 T = amplitudes(*args, cast(x0)).T
                 ref = amplitudes(*args).T * np.exp(-1j * args[-1] * x0)
                 assert [repr(float(v)) for v in (T.real, T.imag)] == \
@@ -114,9 +115,9 @@ def test_python_floats_agree_with_numpy_scalars():
     # not bit for bit: numpy's complex division rounds differently
     for cm in _point_interactions():
         for k, x0 in ((0.1, 0.0), (1.0, 0.3), (2.3, 7.0)):
-            plain = amplitudes(*cm.as_tuple(), k, x0)
-            wide = amplitudes(*map(np.float64, cm.as_tuple()), np.float64(k),
-                              np.float64(x0))
+            plain = amplitudes(*dataclasses.astuple(cm), k, x0)
+            wide = amplitudes(*map(np.float64, dataclasses.astuple(cm)),
+                              np.float64(k), np.float64(x0))
             assert type(plain.R) is complex and type(plain.T) is complex
             assert abs(plain.R - wide.R) <= 4e-16
             assert abs(plain.T - wide.T) <= 4e-16
@@ -126,13 +127,14 @@ def test_array_wavenumber_and_position():
     cm = bc_from_product(ProductParams(0.2, 0.7), 1.7)
     k = np.array([0.1, 0.9, 2.3])
     x0 = np.array([0.0, 0.5, 3.0])
-    amp = amplitudes(*cm.as_tuple(), k, x0)
+    amp = amplitudes(*dataclasses.astuple(cm), k, x0)
     assert amp.R.shape == amp.T.shape == (3,)
     for i in range(3):
-        one = amplitudes(*cm.as_tuple(), float(k[i]), float(x0[i]))
+        one = amplitudes(*dataclasses.astuple(cm), float(k[i]), float(x0[i]))
         assert abs(amp.R[i] - one.R) <= 4e-16
         assert abs(amp.T[i] - one.T) <= 4e-16
-    moved = amplitudes(*cm.as_tuple(), 1.3, x0).T  # the phase moves alone
+    entries = dataclasses.astuple(cm)
+    moved = amplitudes(*entries, 1.3, x0).T  # the phase moves alone
     assert moved.shape == (3,)
-    assert np.allclose(np.abs(moved), abs(amplitudes(*cm.as_tuple(), 1.3).T),
+    assert np.allclose(np.abs(moved), abs(amplitudes(*entries, 1.3).T),
                        rtol=1e-15, atol=0.0)

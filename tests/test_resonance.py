@@ -7,9 +7,8 @@ import pytest
 from conftest import (adjacent_root_oracle, g_quadratic_forms,
                       linear_root_oracle)
 from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
-                        bound_state_kappa, chi_adjacent, chi_linear,
-                        g_quadratic, resonance_set, resonant_scattering,
-                        solve_adjacent, solve_linear)
+                        bound_state_kappa, chi_linear, g_quadratic,
+                        resonance_set, resonant_scattering)
 from deltaprime import resonance
 from deltaprime.resonance import (_solve_bracketed, resonance_at,
                                   resonance_root)
@@ -27,24 +26,24 @@ def rel(a, b):
 
 
 def test_first_two_adjacent_roots_frozen():
-    rs = solve_adjacent(2)
+    rs = resonance_set(SqueezePath.adjacent(), 2)
     assert rs[0].sigma == pytest.approx(SIGMA1, abs=1e-12)
     assert rs[1].sigma == pytest.approx(SIGMA2, abs=1e-12)
     assert rs[0].lam == rs[0].sigma ** 2
 
 
 def test_adjacent_roots_against_oracle():
-    for r in solve_adjacent(5):
+    for r in resonance_set(SqueezePath.adjacent(), 5):
         assert abs(r.sigma - adjacent_root_oracle(r.n)) < 1e-9
 
 
 def test_roots_satisfy_equation():
-    for r in solve_adjacent(5):
+    for r in resonance_set(SqueezePath.adjacent(), 5):
         assert abs(math.tanh(r.sigma) - math.tan(r.sigma)) < 1e-10
 
 
 def test_roots_increase_and_stay_bracketed():
-    rs = solve_adjacent(6)
+    rs = resonance_set(SqueezePath.adjacent(), 6)
     sigmas = [r.sigma for r in rs]
     assert sigmas == sorted(sigmas)
     for r in rs:
@@ -52,15 +51,15 @@ def test_roots_increase_and_stay_bracketed():
 
 
 def test_linear_at_zero_c_coincides_with_adjacent():
-    a = solve_adjacent(3)
-    b = solve_linear(0.0, 3)
+    a = resonance_set(SqueezePath.adjacent(), 3)
+    b = resonance_set(SqueezePath.power_law(0.0, 1.0), 3)
     for ra, rb in zip(a, b):
         assert abs(ra.sigma - rb.sigma) < 1e-12
         assert abs(ra.chi - rb.chi) < 1e-12 * max(1.0, abs(ra.chi))
 
 
 def test_linear_root_c1_against_oracle():
-    r = solve_linear(1.0, 1)[0]
+    r = resonance_set(SqueezePath.power_law(1.0, 1.0), 1)[0]
     assert abs(r.sigma - linear_root_oracle(1, 1.0)) < 1e-9
     assert r.sigma == pytest.approx(3.3666027622222654, abs=1e-10)
     th = math.tanh(r.sigma)
@@ -69,13 +68,13 @@ def test_linear_root_c1_against_oracle():
 
 def test_linear_rejects_negative_c_and_bad_count():
     with pytest.raises(ValueError):
-        solve_linear(-0.5, 1)
+        resonance_set(SqueezePath.power_law(-0.5, 1.0), 1)
     with pytest.raises(ValueError):
-        solve_adjacent(0)
+        resonance_set(SqueezePath.adjacent(), 0)
 
 
 def test_chi_adjacent_value_and_chain():
-    rs = solve_adjacent(10)
+    rs = resonance_set(SqueezePath.adjacent(), 10)
     assert rs[0].chi == pytest.approx(CHI1, rel=1e-12)
     for r in rs:
         a = math.cosh(r.sigma) / math.cos(r.sigma)
@@ -86,15 +85,15 @@ def test_chi_adjacent_value_and_chain():
 
 
 def test_chi_sign_alternates():
-    for r in solve_adjacent(6):
+    for r in resonance_set(SqueezePath.adjacent(), 6):
         assert math.copysign(1.0, r.chi) == (-1.0) ** r.n
 
 
 def test_chi_adjacent_rejects_non_root():
     with pytest.raises(NotARootError):
-        chi_adjacent(4.2)
+        chi_linear(4.2, 0.0)
     with pytest.raises(NotARootError):
-        chi_adjacent(1.0)  # below the first bracket
+        chi_linear(1.0, 0.0)  # below the first bracket
 
 
 def test_solve_bracketed_rejects_a_jump():
@@ -168,9 +167,8 @@ def test_root_next_to_the_bracket_end():
 
 
 def test_chi_linear_reduces_and_chains():
-    assert chi_linear(SIGMA1, 0.0) == pytest.approx(chi_adjacent(SIGMA1),
-                                                    rel=1e-12)
-    for r in solve_linear(1.0, 5):
+    assert chi_linear(SIGMA1, 0.0) == pytest.approx(CHI1, rel=1e-12)
+    for r in resonance_set(SqueezePath.power_law(1.0, 1.0), 5):
         u = math.cosh(r.sigma) + 1.0 * r.sigma * math.sinh(r.sigma)
         a = u / math.cos(r.sigma)
         b = math.sinh(r.sigma) / math.sin(r.sigma)
@@ -217,7 +215,7 @@ def test_g_overflow_is_a_typed_error(spec, count, n):
 
 def test_g_quadratic_value_and_forms():
     assert g_quadratic(SIGMA1, 1.0) == pytest.approx(G1_C1, rel=1e-12)
-    for r in solve_adjacent(6):
+    for r in resonance_set(SqueezePath.adjacent(), 6):
         direct, signed = g_quadratic_forms(r.sigma, 1.0, r.n)
         assert rel(direct, signed) < 1e-9
         if direct != 0.0:
