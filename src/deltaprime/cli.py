@@ -12,6 +12,7 @@ Only the subcommands that build arrays load numpy, when they run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -28,6 +29,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+_PATH_HELP = ("adjacent | barrier-first:RHO | linear[:C] | quadratic[:C] | "
+              "power:C:TAU")
 _RESONANT_PATH_HELP = ("adjacent | linear[:C] | quadratic[:C] | "
                        "power:C:TAU (TAU = 1 or >= 2)")
 
@@ -171,15 +174,6 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def _verdict_block(verdict) -> dict:
-    block = {}
-    for name, v in verdict.entries.items():
-        block[name] = {"kind": v.kind, "exponent": v.exponent,
-                       "value": v.value, "error": v.error}
-    block["variant"] = verdict.variant
-    return block
-
-
 def cmd_limit_trace(args) -> int:
     from .limits import classify, trace
 
@@ -193,11 +187,14 @@ def cmd_limit_trace(args) -> int:
         raise UsageError("--l-start must exceed --l-end")
     path = _parse_path(args.path)
     tr = trace(path, args.lam, args.E, args.l_start, args.l_end, args.points)
+    verdict = classify(tr)
+    block = {k: dataclasses.asdict(v) for k, v in verdict.entries.items()}
+    block["variant"] = verdict.variant
     e = tr.entries.T
     _emit(args, {"l": tr.l_values, "rho": tr.rho_values, "L11": e[0],
                  "L12": e[1], "L21": e[2], "L22": e[3],
                  "det": e[0] * e[3] - e[1] * e[2]},
-          extras={"verdict": _verdict_block(classify(tr))})
+          extras={"verdict": block})
     return EXIT_OK
 
 
@@ -266,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resonances", parents=[common], formatter_class=fmt_cls,
                        help="resonance table for a squeeze path")
-    p.add_argument("--path", default="adjacent",
-                   help=_RESONANT_PATH_HELP)
+    p.add_argument("--path", default="adjacent", help=_RESONANT_PATH_HELP)
     p.add_argument("--count", type=int, default=5, help="number of resonances")
     p.set_defaults(func=cmd_resonances)
 
@@ -285,9 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit-trace", parents=[common], formatter_class=fmt_cls,
                        help="trace matrix entries along a squeeze path")
-    p.add_argument("--path", default="adjacent",
-                   help="adjacent | barrier-first:RHO | linear[:C] | "
-                        "quadratic[:C] | power:C:TAU")
+    p.add_argument("--path", default="adjacent", help=_PATH_HELP)
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="coupling constant")
     p.add_argument("--E", type=float, default=1.0, help="probe energy")
@@ -299,9 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], formatter_class=fmt_cls,
                        help="transmission curve over a coupling grid")
-    p.add_argument("--path", default="adjacent",
-                   help="adjacent | barrier-first:RHO | linear[:C] | "
-                        "quadratic[:C] | power:C:TAU")
+    p.add_argument("--path", default="adjacent", help=_PATH_HELP)
     p.add_argument("--l", type=float, default=1e-3, help="barrier/well width")
     p.add_argument("--lambda-min", dest="lambda_min", type=float, default=1.0,
                    help="lower end of the coupling grid")
@@ -322,8 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bc-fit", parents=[common], formatter_class=fmt_cls,
                        help="fit product weights to a resonance")
-    p.add_argument("--path", default="adjacent",
-                   help=_RESONANT_PATH_HELP)
+    p.add_argument("--path", default="adjacent", help=_RESONANT_PATH_HELP)
     p.add_argument("--n", type=int, required=True, help="resonance index")
     p.set_defaults(func=cmd_bc_fit)
     return parser

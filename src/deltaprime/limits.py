@@ -85,11 +85,6 @@ class LimitTrace:
     def points(self) -> int:
         return len(self.l_values)
 
-    @property
-    def ratio(self) -> float:
-        """Common ratio l[i]/l[i+1] > 1 of the geometric grid."""
-        return float(self.l_values[0] / self.l_values[1])
-
 
 @dataclass(frozen=True)
 class EntryVerdict:
@@ -144,18 +139,22 @@ def _width_grid(l_start: float, l_end: float, points: int) -> tuple:
     ls.flags.writeable = False
     x = np.log(ls[len(ls) // 2:])
     x -= x.mean()
-    return ls, (x, x @ x, _powers(float(ls[0] / ls[1])))
+    try:
+        powers = _powers(float(ls[0] / ls[1]))
+    except OverflowError:
+        raise ValueError(
+            f"l_start = {l_start}, l_end = {l_end}, points = {points}: the "
+            f"grid ratio**{_RICHARDSON_DEPTH} overflows") from None
+    return ls, (x, x @ x, powers)
 
 
 def trace(path: SqueezePath, lam: float, E: float,
           l_start: float, l_end: float, points: int) -> LimitTrace:
     """Evaluate the transfer matrix on a geometric width grid along ``path``.
 
-    Requires 8 <= points <= ``MAX_TRACE_POINTS``, a finite
-    l_start > l_end >= the double-precision floor and a finite lam >= 0;
-    every point is checked against the unit-determinant invariant.  The
-    width grid is cached (``_GRID_CACHE_SIZE`` grids, at most 1.3 MB), so
-    ``l_values`` is shared between traces and read-only.
+    Requires 8 <= points <= ``MAX_TRACE_POINTS``, a finite l_start > l_end
+    >= the double-precision floor (grid ratio**8 finite) and a finite
+    lam >= 0; every point is checked against the unit-determinant invariant.
     """
     if not points >= 8:
         raise ValueError(f"need at least 8 trace points, got {points}")
@@ -183,16 +182,15 @@ def trace(path: SqueezePath, lam: float, E: float,
                       entries=np.array(entries).T.copy(), _design=design)
 
 
-def _richardson(values: Sequence[float], ratio) -> tuple[float, float]:
-    """Limit estimate for a geometric-grid sequence of common ``ratio`` (or
-    its :func:`_powers`) with a power-series error model; the error
+def _richardson(values: Sequence[float], powers) -> tuple[float, float]:
+    """Limit estimate for a geometric-grid sequence, given :func:`_powers`
+    of its common ratio, with a power-series error model; the error
     estimate is the smallest change produced by an extrapolation level.
 
     Level j of the extrapolation triangle is only read at its last element,
     which depends on the last j + 1 values, so only the last
     ``_RICHARDSON_DEPTH + 1`` values are combined, one row at a time.
     """
-    powers = ratio if isinstance(ratio, tuple) else _powers(ratio)
     row: list[float] = []
     for value in values[-min(len(values) - 1, _RICHARDSON_DEPTH) - 1:]:
         prev, cur = row, float(value)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import _quiet, require
+
 __all__ = ["SqueezePath", "BARRIER_FIRST", "ADJACENT", "POWER"]
 
 BARRIER_FIRST = "barrier-first"
@@ -82,13 +84,20 @@ class SqueezePath:
         raise ValueError(f"bad squeeze-path spec {spec!r}")
 
     def rho_of(self, l):
-        """Gap width at barrier width ``l`` (a scalar or an array; a rule
-        with a constant gap returns a scalar)."""
+        """Gap width at ``l``, a scalar or an array (a scalar on the rules
+        with a constant gap); a :class:`ValueError` where it overflows."""
         if self.kind == BARRIER_FIRST:
             return self.rho
         if self.kind == ADJACENT:
             return 0.0
-        return self.c * l ** self.tau
+        try:
+            with _quiet():
+                rho = self.c * l ** self.tau
+        except OverflowError:  # a float power raises where numpy gives inf
+            rho = math.inf
+        require(rho < math.inf, ValueError, "gap c*l**tau = {} is not finite "
+                "at l = {} (c = {}, tau = {})", rho, l, self.c, self.tau)
+        return rho
 
     def describe(self) -> str:
         if self.kind == BARRIER_FIRST:

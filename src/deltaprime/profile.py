@@ -52,10 +52,6 @@ class RectProfile:
         """Barrier height (and well depth) including the coupling factor."""
         return self.lam / (self.l * (self.l + self.rho))
 
-    def support(self) -> tuple[float, float]:
-        """Interval [0, 2*l+rho] outside of which the potential vanishes."""
-        return 0.0, 2.0 * self.l + self.rho
-
     def evaluate(self, x):
         """Potential value at ``x`` (scalar or array).
 

@@ -7,10 +7,11 @@ import numbers
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deltaprime import SqueezePath, resonance_set, transmission_sweep
 from deltaprime.cli import _build_parser, _emit, _fmt, main
@@ -556,3 +557,72 @@ def test_json_text_matches_json_dumps_on_every_cell_kind(extras):
     with contextlib.redirect_stdout(buf):
         _emit(argparse.Namespace(format="json", out=None), cols, extras)
     assert buf.getvalue() == _emit_rows_reference("json", rows, extras)
+
+
+# The argv fuzz draws every option from these menus: edge floats, counts
+# around the caps (n = 112 is the largest resonance index) and path specs
+# whose constants overflow a gap, a chi or a g.
+_FUZZ_FLOATS = ("0", "-0.0", "1", "-1", "2", "-2", "0.5", "3.5", "nan",
+                "inf", "-inf", "1e308", "1e-308", "5e-324", "1e-7", "1e-6",
+                "1e6", "1e20", "-1e20", "112", "113")
+_FUZZ_INTS = ("-1", "0", "1", "2", "8", "13", "112", "113", "5000")
+_FUZZ_PATHS = ("adjacent", "linear", "linear:0.7", "quadratic:1",
+               "power:1:1.5", "power:2:3", "barrier-first:0.5",
+               "linear:1e308", "quadratic:1e300", "power:1:1e300",
+               "power:1e-300:2", "barrier-first:1e-300", "bogus")
+_FUZZ_OPTIONS = {
+    "resonances": {"path": _FUZZ_PATHS, "count": _FUZZ_INTS},
+    "transfer": {"l": _FUZZ_FLOATS, "rho": _FUZZ_FLOATS,
+                 "lambda": _FUZZ_FLOATS, "E": _FUZZ_FLOATS, "check": ()},
+    "limit-trace": {"path": _FUZZ_PATHS, "lambda": _FUZZ_FLOATS,
+                    "E": _FUZZ_FLOATS, "l-start": _FUZZ_FLOATS,
+                    "l-end": _FUZZ_FLOATS, "points": _FUZZ_INTS},
+    "sweep": {"path": _FUZZ_PATHS, "l": _FUZZ_FLOATS,
+              "lambda-min": _FUZZ_FLOATS, "lambda-max": _FUZZ_FLOATS,
+              "samples": _FUZZ_INTS, "E": _FUZZ_FLOATS},
+    "bc": {"alpha": _FUZZ_FLOATS, "beta": _FUZZ_FLOATS,
+           "lambda": _FUZZ_FLOATS, "k": _FUZZ_FLOATS},
+    "bc-fit": {"path": _FUZZ_PATHS, "n": _FUZZ_INTS},
+}
+_NON_FINITE_WORD = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [command, "--format", draw(st.sampled_from(("csv", "json")))]
+    for name, menu in _FUZZ_OPTIONS[command].items():
+        if not menu:  # a flag
+            if draw(st.booleans()):
+                argv.append(f"--{name}")
+            continue
+        value = draw(st.sampled_from((None, *menu)))  # None: left out
+        if value is not None:
+            # "--opt=value", so argparse never reads "-inf" as an option
+            argv.append(f"--{name}={value}")
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=_argvs())
+@example(argv="sweep --path power:1:1100 --l 2 --lambda-max 10 "
+              "--samples 5".split())
+@example(argv="limit-trace --path power:1:1e300 --lambda 1 --l-start 1e6 "
+              "--l-end 1".split())
+@example(argv="limit-trace --l-start 1e308 --l-end 1e-6 --points 8 "
+              "--lambda 1".split())
+def test_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        assert not _NON_FINITE_WORD.search(out.getvalue())
+    else:
+        assert err.getvalue()

@@ -91,6 +91,16 @@ def test_trace_and_sweep_cap_their_sizes():
         transmission_sweep(ADJ, 1e-3, 1.0, 60.0, cap + 1)
 
 
+def test_trace_rejects_a_grid_whose_richardson_powers_overflow():
+    # ratio = (1e308/1e-6)**(1/7) > 1e43, and ratio**8 overflows
+    with pytest.raises(ValueError, match="l_start = 1e.308, l_end = 1e-06, "
+                                         "points = 8"):
+        make_trace(ADJ, 1.0, l_start=1e308, l_end=1e-6, points=8)
+    # ratio**8 = 1e235 stays finite: the grid traces
+    tr = make_trace(ADJ, 1.0, l_start=1e200, l_end=1e-6, points=8)
+    assert tr.points == 8
+
+
 def test_trace_rows_keep_unit_determinant():
     tr = make_trace(QUAD, LAM1)
     dets = (tr.entries[:, 0] * tr.entries[:, 3]
@@ -354,7 +364,7 @@ def test_tail_richardson_equals_full_triangle(points, ratio, coeffs, power,
     values = coeffs[0] + coeffs[1] * l ** power + coeffs[2] * l ** (2 * power)
     if zero is not None:
         values[zero] = 0.0
-    got = limits._richardson(values, ratio)
+    got = limits._richardson(values, limits._powers(ratio))
     want = _full_richardson(values, ratio)
     assert list(map(_bits, got)) == list(map(_bits, want))
 
@@ -375,7 +385,8 @@ def _reference_classify(tr):
             if slope <= limits.DIVERGENCE_SLOPE:
                 out[name] = (limits.DIVERGENT, slope, None, None)
                 continue
-        est, err = _full_richardson(v, tr.ratio)
+        ratio = float(tr.l_values[0] / tr.l_values[1])
+        est, err = _full_richardson(v, ratio)
         out[name] = (limits.CONVERGES, None, est, err)
     return out
 

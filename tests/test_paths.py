@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from deltaprime import SqueezePath
@@ -7,6 +8,14 @@ def test_rho_rules():
     assert SqueezePath.barrier_first(0.5).rho_of(1e-3) == 0.5
     assert SqueezePath.adjacent().rho_of(1e-3) == 0.0
     assert SqueezePath.power_law(2.0, 2.0).rho_of(0.1) == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("l", [2.0, np.array([1.0, 2.0])])
+def test_overflowing_gap_is_a_value_error(l):
+    # 2.0**1100 overflows: a float power raises, a numpy one gives inf
+    with pytest.raises(ValueError, match=r"gap c\*l\*\*tau = inf is not "
+                                         r"finite at l = 2\.0"):
+        SqueezePath.power_law(1.0, 1100.0).rho_of(l)
 
 
 def test_zero_constant_power_law_is_adjacent():

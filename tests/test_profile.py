@@ -39,17 +39,6 @@ def test_evaluate_vectorized():
         p.evaluate(x), [0.0, p.height, 0.0, -p.height, 0.0], atol=0.0)
 
 
-@pytest.mark.parametrize("l,rho,expected", [
-    (1.0, 0.5, (0.0, 2.5)),
-    (0.1, 0.0, (0.0, 0.2)),
-    (0.5, 2.0, (0.0, 3.0)),
-])
-def test_support(l, rho, expected):
-    lo, hi = RectProfile(l=l, rho=rho).support()
-    assert lo == expected[0]
-    assert hi == pytest.approx(expected[1], abs=1e-15)
-
-
 @pytest.mark.parametrize("l,rho", [(1.0, 0.0), (0.5, 0.3), (1e-3, 1.0)])
 def test_moments_closed_form(l, rho):
     m0, m1 = RectProfile(l=l, rho=rho).moments()

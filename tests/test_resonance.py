@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,8 +8,8 @@ import pytest
 from conftest import (adjacent_root_oracle, g_quadratic_forms,
                       linear_root_oracle)
 from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
-                        bound_state_kappa, chi_linear, g_quadratic,
-                        resonance_set, resonant_scattering)
+                        bound_state, chi_linear, g_quadratic, resonance_set,
+                        resonant_matrix, resonant_scattering)
 from deltaprime import resonance
 from deltaprime.resonance import (_solve_bracketed, resonance_at,
                                   resonance_root)
@@ -265,17 +266,23 @@ def test_resonant_scattering_rejects_bad_input():
         resonant_scattering(2.0, 0.0, 0.0)
 
 
-def test_bound_state_kappa():
-    assert bound_state_kappa(CHI1, 0.0) is None
-    assert bound_state_kappa(2.0, 5.0) is None  # kappa = -2 < 0
-    kappa = bound_state_kappa(CHI1, G1_C1)
-    assert kappa == pytest.approx(KAPPA1_C1, rel=1e-11)
-    assert kappa == pytest.approx(0.5 * SIGMA1 ** 2 * math.tanh(SIGMA1) ** 2,
-                                  rel=1e-11)
-    with pytest.raises(ValueError):
-        bound_state_kappa(0.0, 1.0)
-    with pytest.raises(ValueError):
-        bound_state_kappa(complex(1, 1), 1.0)
+@pytest.mark.parametrize("spec", [
+    "adjacent", "linear:0.7", "linear:3", "power:1:1", "quadratic:1",
+    "quadratic:3", "quadratic:1e300", "power:0.5:2", "power:2:3"])
+def test_kappa_is_the_bound_state_root(spec):
+    # every record up to n = 112, or up to the index where chi or g overflows
+    path = SqueezePath.parse(spec)
+    try:
+        rs = resonance_set(path, MAX_INDEX)
+    except DeltaPrimeError as exc:
+        overflow = int(re.search(r"n = (\d+)", str(exc))[1])
+        rs = resonance_set(path, overflow - 1)
+    assert len(rs) >= 4
+    for r in rs:
+        want = (bound_state(resonant_matrix(r.chi, r.g)) or [0.0])[0]
+        assert r.kappa.hex() == want.hex(), r.n
+        # kappa = (c/2)*s**2*tanh(s)**2 > 0 on the quadratic rule only
+        assert (r.kappa > 0.0) == (path.tau == 2.0), r.n
 
 
 def test_resonance_set_dispatch():
