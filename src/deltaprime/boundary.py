@@ -31,13 +31,14 @@ parameters have lam_f = inf and delta = alpha, the plain formula.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 import sys
 from dataclasses import dataclass, field
 
 from .errors import (DeltaPrimeError, InvariantViolation,
-                     SingularParameterError, _quiet, holds, require)
+                     SingularParameterError, holds, require)
 
 __all__ = [
     "UnitDetMatrix",
@@ -93,6 +94,13 @@ def _max(x, y):
     scalars of every connection-matrix check a ufunc call costs several
     times more."""
     return 0.5 * (x + y + abs(x - y))
+
+
+def _quiet():
+    """numpy's warnings off, once numpy is loaded (scalar paths load none)."""
+    np = sys.modules.get("numpy")
+    return (np.errstate(over="ignore", invalid="ignore", divide="ignore")
+            if np is not None else contextlib.nullcontext())
 
 
 @dataclass(frozen=True)

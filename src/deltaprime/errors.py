@@ -1,7 +1,6 @@
-"""Typed errors shared across the library, the elementwise check that
-raises them, and the switch that keeps numpy's warnings off."""
+"""Typed errors shared across the library, and the elementwise check that
+raises them."""
 
-import contextlib
 import sys
 
 __all__ = [
@@ -46,13 +45,6 @@ def holds(ok) -> bool:
     if np is not None and isinstance(ok, np.ndarray):
         return bool(ok.all())
     return bool(ok)
-
-
-def _quiet():
-    """numpy's warnings off, once numpy is loaded (scalar paths load none)."""
-    np = sys.modules.get("numpy")
-    return (np.errstate(over="ignore", invalid="ignore", divide="ignore")
-            if np is not None else contextlib.nullcontext())
 
 
 def require(ok, error: type[Exception], message: str, *values) -> None:

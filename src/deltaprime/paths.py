@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _quiet, require
-
 __all__ = ["SqueezePath", "BARRIER_FIRST", "ADJACENT", "POWER"]
 
 BARRIER_FIRST = "barrier-first"
@@ -90,14 +88,16 @@ class SqueezePath:
             return self.rho
         if self.kind == ADJACENT:
             return 0.0
+        # c > 0 and tau > 0: the gap is largest at the largest width
+        top = float(l.max()) if hasattr(l, "max") else l
         try:
-            with _quiet():
-                rho = self.c * l ** self.tau
+            gap = self.c * top ** self.tau
         except OverflowError:  # a float power raises where numpy gives inf
-            rho = math.inf
-        require(rho < math.inf, ValueError, "gap c*l**tau = {} is not finite "
-                "at l = {} (c = {}, tau = {})", rho, l, self.c, self.tau)
-        return rho
+            gap = math.inf
+        if not gap < math.inf:
+            raise ValueError(f"gap c*l**tau = {gap} is not finite at l = "
+                             f"{top} (c = {self.c}, tau = {self.tau})")
+        return gap if top is l else self.c * l ** self.tau
 
     def describe(self) -> str:
         if self.kind == BARRIER_FIRST:

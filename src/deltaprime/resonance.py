@@ -32,6 +32,7 @@ __all__ = [
     "chi_linear",
     "g_quadratic",
     "resonant_scattering",
+    "bound_state_kappa",
     "resonance_set",
 ]
 
@@ -51,9 +52,8 @@ class Resonance:
         lam: resonant coupling, sigma**2.
         chi: limiting upper-left connection-matrix entry; sign (-1)**n.
         g: limiting lower-left entry (0 except on the quadratic path).
-        kappa: bound-state decay constant, the positive root -g/(chi +
-            1/chi) of bound_state(resonant_matrix(chi, g)), else 0; it is
-            (c/2)*s**2*tanh(s)**2 on the quadratic rule.
+        kappa: bound-state decay constant, -g/(chi + 1/chi) if positive,
+            else 0.
         path: the squeeze rule this resonance belongs to.
     """
 
@@ -191,9 +191,8 @@ def _record(path: SqueezePath, sigma: float, chi: float) -> Resonance:
     """The Resonance of ``path`` at the root ``sigma`` with entry ``chi``."""
     quadratic = path.kind == POWER and path.tau == 2.0
     g = g_quadratic(sigma, path.c) if quadratic else 0.0
-    kappa = -g / (chi + 1.0 / chi)  # the root of bound_state, l12 = 0
     return Resonance(n=_index_of(sigma), sigma=sigma, lam=sigma * sigma,
-                     chi=chi, g=g, kappa=kappa if kappa > 0 else 0.0,
+                     chi=chi, g=g, kappa=bound_state_kappa(chi, g) or 0.0,
                      path=path)
 
 
@@ -289,3 +288,18 @@ def resonant_scattering(chi: float, g: float, k: float) -> ScatteringAmplitudes:
     """
     require(chi != 0, ValueError, "chi must be nonzero, got {}", chi)
     return amplitudes(chi, 0.0, g, 1.0 / chi, k)
+
+
+def bound_state_kappa(chi: float, g: float) -> float | None:
+    """Decay constant of the bound state carried by diag(chi, 1/chi) + g.
+
+    kappa = -g/(chi + 1/chi); returned only when positive (a normalizable
+    state with energy -kappa**2), else None.  On the quadratic rule at a
+    resonance this equals (c/2)*s**2*tanh(s)**2.
+    """
+    if isinstance(chi, complex):
+        raise ValueError("chi must be real")
+    if chi == 0:
+        raise ValueError("chi must be nonzero")
+    kappa = -g / (chi + 1.0 / chi)
+    return kappa if kappa > 0 else None

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (ScatteringAmplitudes, UnitDetMatrix, amplitudes,
-                       det_residual, scattering)
-from .errors import _quiet, require
+from .boundary import (_quiet, ScatteringAmplitudes, UnitDetMatrix,
+                       amplitudes, det_residual, scattering)
+from .errors import require
 from .profile import RectProfile
 
 __all__ = [

@@ -8,8 +8,9 @@ import pytest
 from conftest import (adjacent_root_oracle, g_quadratic_forms,
                       linear_root_oracle)
 from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
-                        bound_state, chi_linear, g_quadratic, resonance_set,
-                        resonant_matrix, resonant_scattering)
+                        bound_state, bound_state_kappa, chi_linear,
+                        g_quadratic, resonance_set, resonant_matrix,
+                        resonant_scattering)
 from deltaprime import resonance
 from deltaprime.resonance import (_solve_bracketed, resonance_at,
                                   resonance_root)
@@ -264,6 +265,19 @@ def test_resonant_scattering_rejects_bad_input():
         resonant_scattering(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         resonant_scattering(2.0, 0.0, 0.0)
+
+
+def test_bound_state_kappa():
+    assert bound_state_kappa(CHI1, 0.0) is None
+    assert bound_state_kappa(2.0, 5.0) is None  # kappa = -2 < 0
+    kappa = bound_state_kappa(CHI1, G1_C1)
+    assert kappa == pytest.approx(KAPPA1_C1, rel=1e-11)
+    assert kappa == pytest.approx(0.5 * SIGMA1 ** 2 * math.tanh(SIGMA1) ** 2,
+                                  rel=1e-11)
+    with pytest.raises(ValueError):
+        bound_state_kappa(0.0, 1.0)
+    with pytest.raises(ValueError):
+        bound_state_kappa(complex(1, 1), 1.0)
 
 
 @pytest.mark.parametrize("spec", [
