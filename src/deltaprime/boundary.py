@@ -37,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+from ._record import record
 from .errors import (DeltaPrimeError, InvariantViolation,
                      SingularParameterError, holds, require)
 
@@ -66,6 +67,7 @@ class UnitDetMatrix:
     transfer matrix declares its own ``x0`` field.
     """
 
+    __slots__ = ()  # records derive from it and keep no __dict__
     x0 = 0.0
 
     @property
@@ -103,6 +105,7 @@ def _quiet():
             if np is not None else contextlib.nullcontext())
 
 
+# not a slotted record: cached_property keeps R and T in the instance dict
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
     """Left-incidence reflection and transmission amplitudes, scalars or
@@ -183,7 +186,7 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
     return ScatteringAmplitudes(r2, t2, (s, d, u, v, k, x0))
 
 
-@dataclass(frozen=True)
+@record
 class ConnectionMatrix(UnitDetMatrix):
     """Boundary conditions (psi, psi')(+0) = M (psi, psi')(-0).
 
@@ -201,7 +204,7 @@ class ConnectionMatrix(UnitDetMatrix):
                 f"connection matrix determinant {self.det} != 1")
 
 
-@dataclass(frozen=True)
+@record
 class ProductParams:
     """Weights (alpha, beta) of the two-parameter product rule.
 
@@ -210,6 +213,7 @@ class ProductParams:
     :func:`bc_from_product` forms 1 - alpha*lam without cancellation; alpha
     itself is only reported.  Hand-built parameters give alpha and beta
     alone: lam_fit is then inf and the offset defaults to alpha - 1/lam_fit.
+    lam_fit = 0 raises :class:`SingularParameterError`.
     """
 
     alpha: float
@@ -218,6 +222,8 @@ class ProductParams:
     offset: float | None = None
 
     def __post_init__(self):
+        if self.lam_fit == 0.0:
+            raise SingularParameterError("lam_fit = 0 has no term 1/lam_fit")
         if self.offset is None:
             object.__setattr__(self, "offset", self.alpha - 1.0 / self.lam_fit)
 
@@ -282,7 +288,9 @@ def params_from_resonance(lam_n: float, chi_n: float, g_n: float) -> ProductPara
     beta = (chi*delta)*(g*delta), a form that stays finite wherever chi and
     g are.  The fit keeps lam and delta, so the matrix round trip through
     :func:`bc_from_product` recovers (chi_n, g_n) to a few ulps.  chi = 1
-    (the pure-delta regime) has no inverse here.
+    (the pure-delta regime) and lam = 0 have no inverse here
+    (:class:`SingularParameterError`); inputs that give a non-finite alpha
+    or beta raise ``ValueError``.
     """
     if chi_n == 1.0:
         raise SingularParameterError(
@@ -290,9 +298,13 @@ def params_from_resonance(lam_n: float, chi_n: float, g_n: float) -> ProductPara
     if lam_n == 0.0:
         raise SingularParameterError("lam = 0 has no product-rule inverse")
     delta = 1.0 / (1.0 - chi_n)
+    alpha = 1.0 / lam_n + delta
     beta = (chi_n * delta) * (g_n * delta) + 0.0  # drop -0.0
-    return ProductParams(alpha=1.0 / lam_n + delta, beta=beta,
-                         lam_fit=lam_n, offset=delta)
+    if not abs(alpha) + abs(beta) < math.inf:  # also false where either is NaN
+        raise ValueError(
+            f"lam_n = {lam_n}, chi_n = {chi_n}, g_n = {g_n} give "
+            f"alpha = {alpha}, beta = {beta}: not finite")
+    return ProductParams(alpha=alpha, beta=beta, lam_fit=lam_n, offset=delta)
 
 
 def scattering(m: UnitDetMatrix, k: float) -> ScatteringAmplitudes:

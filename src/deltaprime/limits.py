@@ -12,10 +12,11 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
+from ._record import record
 from .boundary import (ConnectionMatrix, amplitudes, det_residual,
                        resonant_matrix)
 from .errors import InvariantViolation, PrecisionFloorError, require
@@ -63,7 +64,7 @@ MAX_SWEEP_SAMPLES = 4_000_000
 _GRID_CACHE_SIZE = 16
 
 
-@dataclass(frozen=True)
+@record
 class LimitTrace:
     """Transfer-matrix entries along a shrinking-width sequence.
 
@@ -86,7 +87,7 @@ class LimitTrace:
         return len(self.l_values)
 
 
-@dataclass(frozen=True)
+@record
 class EntryVerdict:
     """Limit classification of one matrix entry.
 
@@ -105,7 +106,7 @@ class EntryVerdict:
         return self.kind == DIVERGENT
 
 
-@dataclass(frozen=True)
+@record
 class LimitVerdict:
     """Per-entry verdicts for one trace."""
 
@@ -262,7 +263,7 @@ def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Peak:
     """Refined location of a strict local transmission maximum."""
 
@@ -270,7 +271,7 @@ class Peak:
     T2: float
 
 
-@dataclass(frozen=True)
+@record
 class SweepResult:
     """Transmission curve over a coupling grid at fixed geometry."""
 

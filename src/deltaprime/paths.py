@@ -8,7 +8,8 @@ only on the limiting distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import record
 
 __all__ = ["SqueezePath", "BARRIER_FIRST", "ADJACENT", "POWER"]
 
@@ -17,7 +18,7 @@ ADJACENT = "adjacent"
 POWER = "power"
 
 
-@dataclass(frozen=True)
+@record
 class SqueezePath:
     """Rule rho(l) describing how the gap closes as the width shrinks.
 

@@ -10,9 +10,10 @@ delta function of strength ``lam``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import record
 
 __all__ = ["RectProfile"]
 
@@ -22,7 +23,7 @@ def _xmoment(a: float, w: float) -> float:
     return w * (a + 0.5 * w)
 
 
-@dataclass(frozen=True)
+@record
 class RectProfile:
     """Barrier-well pair of width ``l``, gap ``rho`` and coupling ``lam``.
 

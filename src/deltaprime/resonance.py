@@ -18,8 +18,8 @@ evaluated side by side and their agreement doubles as a built-in self test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .boundary import ScatteringAmplitudes, amplitudes
 from .errors import DeltaPrimeError, NotARootError, require
 from .paths import ADJACENT, POWER, SqueezePath
@@ -42,7 +42,7 @@ _ROOT_TOL = 1e-10
 _STOP_TOL = 2.0 ** -50
 
 
-@dataclass(frozen=True)
+@record
 class Resonance:
     """One member of a resonance set.
 

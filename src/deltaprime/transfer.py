@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
+from ._record import record
 from .boundary import (_quiet, ScatteringAmplitudes, UnitDetMatrix,
                        amplitudes, det_residual, scattering)
 from .errors import require
@@ -54,7 +55,7 @@ def _check_energy(E) -> None:
             "scattering energy must be positive and finite, got {}", E)
 
 
-@dataclass(frozen=True)
+@record
 class TransferMatrix(UnitDetMatrix):
     """2x2 unit-determinant matrix carrying (psi, psi') from 0 to ``x0``."""
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ def test_params_from_resonance_rejects_poles():
         params_from_resonance(2.0, 1.0, 0.0)
     with pytest.raises(SingularParameterError):
         params_from_resonance(0.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("offset", [None, 0.5])
+def test_zero_fitted_coupling_is_singular(offset):
+    with pytest.raises(SingularParameterError, match="lam_fit = 0"):
+        ProductParams(1.0, 0.0, lam_fit=0.0, offset=offset)
+
+
+@pytest.mark.parametrize("data", [(3.0, math.inf, 0.0), (3.0, 0.5, math.nan),
+                                  (1e-320, -3.0, 0.0)])
+def test_params_from_resonance_rejects_non_finite_weights(data):
+    names = "lam_n = {}, chi_n = {}, g_n = {}".format(*data)
+    with pytest.raises(ValueError, match=re.escape(names)):
+        params_from_resonance(*data)
 
 
 def test_scattering_from_matrix_identity():
