@@ -76,7 +76,7 @@ class UnitDetMatrix:
 
     def det_residual(self) -> float:
         """Scaled determinant residual, see :func:`det_residual`."""
-        return det_residual(self.l11, self.l12, self.l21, self.l22)
+        return _residual(self.l11 * self.l22, self.l12 * self.l21, _max)
 
 
 def det_residual(l11, l12, l21, l22):
@@ -85,10 +85,16 @@ def det_residual(l11, l12, l21, l22):
     The determinant is identically 1, but it is evaluated as a difference
     of products that individually grow like 1/l**2 under squeezing, so the
     meaningful residual is relative to that scale (it reduces to the
-    absolute residual for O(1) matrices).  NaN entries give NaN.
+    absolute residual for O(1) matrices).  NaN entries give NaN.  Arrays
+    take an exact ``np.maximum``, which can move the last bits of the value.
     """
-    a, b = l11 * l22, l12 * l21
-    return abs(a - b - 1.0) / _max(_max(1.0, abs(a)), abs(b))
+    a, np = l11 * l22, sys.modules.get("numpy")
+    top = np.maximum if np is not None and isinstance(a, np.ndarray) else _max
+    return _residual(a, l12 * l21, top)
+
+
+def _residual(a, b, top):
+    return abs(a - b - 1.0) / top(top(1.0, abs(a)), abs(b))
 
 
 def _max(x, y):

@@ -12,7 +12,6 @@ Only the subcommands that build arrays load numpy, when they run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -23,7 +22,8 @@ from .boundary import (ProductParams, bc_from_product, bound_state,
                        params_from_resonance, scattering)
 from .errors import DeltaPrimeError, InvariantViolation
 from .paths import SqueezePath
-from .resonance import has_resonances, resonance_set, resonant_scattering
+from .resonance import (_nth_root, _record, has_resonances, resonance_set,
+                        resonant_scattering)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -188,7 +188,8 @@ def cmd_limit_trace(args) -> int:
     path = _parse_path(args.path)
     tr = trace(path, args.lam, args.E, args.l_start, args.l_end, args.points)
     verdict = classify(tr)
-    block = {k: dataclasses.asdict(v) for k, v in verdict.entries.items()}
+    block = {k: {"kind": v.kind, "exponent": v.exponent, "value": v.value,
+                 "error": v.error} for k, v in verdict.entries.items()}
     block["variant"] = verdict.variant
     e = tr.entries.T
     _emit(args, {"l": tr.l_values, "rho": tr.rho_values, "L11": e[0],
@@ -233,7 +234,13 @@ def cmd_bc_fit(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     path = _parse_path(args.path, resonant_only=True)
-    r = resonance_set(path, args.n)[-1]
+    sigma, chi = _nth_root(path, args.n)
+    try:
+        r = _record(path, sigma, chi)
+    except DeltaPrimeError:
+        if chi is not None:  # |g_n| grows with n: name the first overflow
+            resonance_set(path, args.n)
+        raise
     params = params_from_resonance(r.lam, r.chi, r.g)
     cm = bc_from_product(params, r.lam)
     residual = max(abs(cm.l11 - r.chi) / max(1.0, abs(r.chi)),

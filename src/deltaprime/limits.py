@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import field
+from dataclasses import field, fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .boundary import (ConnectionMatrix, amplitudes, det_residual,
                        resonant_matrix)
 from .errors import InvariantViolation, PrecisionFloorError, require
 from .paths import SqueezePath
-from .resonance import has_resonances, resonance_at, resonance_root
+from .resonance import _nth_root, _record, has_resonances
 from .transfer import PRECISION_FLOOR, transfer_entries
 
 __all__ = [
@@ -64,14 +64,26 @@ MAX_SWEEP_SAMPLES = 4_000_000
 _GRID_CACHE_SIZE = 16
 
 
+def _eq(self, other):
+    """``==`` by compared field, arrays by value: the generated one compares
+    the fields as tuple members, which raises on arrays."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name))
+             for f in fields(self) if f.compare)
+    return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                          else a == b) for a, b in pairs)
+
+
 @record
 class LimitTrace:
     """Transfer-matrix entries along a shrinking-width sequence.
 
-    ``entries`` has shape (points, 4) ordered (L11, L12, L21, L22); the
-    closed forms are real.  ``l_values`` is shared by every trace on the
-    same grid and is read-only; ``_design`` is that grid's cached slope
-    design, which :func:`classify` reads.
+    ``entries`` has shape (points, 4) ordered (L11, L12, L21, L22), a
+    transposed view of one row per entry; the closed forms are real.
+    ``l_values`` is shared by every trace on the same grid and is read-only;
+    ``_design`` is that grid's cached slope design, which :func:`classify`
+    reads.
     """
 
     path: SqueezePath
@@ -81,6 +93,7 @@ class LimitTrace:
     rho_values: np.ndarray
     entries: np.ndarray
     _design: tuple = field(repr=False, compare=False)
+    __eq__ = _eq
 
     @property
     def points(self) -> int:
@@ -180,7 +193,7 @@ def trace(path: SqueezePath, lam: float, E: float,
             "determinant residual {} at l = {}", residual, ls)
     return LimitTrace(path=path, lam=lam, E=E, l_values=ls,
                       rho_values=np.zeros(points) + rho,
-                      entries=np.array(entries).T.copy(), _design=design)
+                      entries=np.array(entries).T, _design=design)
 
 
 def _richardson(values: Sequence[float], powers) -> tuple[float, float]:
@@ -218,15 +231,18 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     """
     half = tr.points // 2
     x, xx, powers = tr._design
-    tail = tr.entries[half:].T.copy()  # C-contiguous rows, one per entry
-    flat = ((np.abs(tail) < _TINY_TAIL).all(axis=1)
-            | (tail[:, :-1] * tail[:, 1:] <= 0.0).any(axis=1)).tolist()
+    tail = tr.entries[half:].T  # one row per entry
+    size = np.abs(tail)
+    # one reduction per test; fmin skips NaN, so a NaN marks no sign change
+    flat = ((size.max(axis=1) < _TINY_TAIL) | (np.fmin.reduce(
+        tail[:, :-1] * tail[:, 1:], axis=1) <= 0.0)).tolist()
     # least-squares slopes in closed form, one dot product per sloped row:
     # np.polyfit costs several times more on these few points, and a
-    # strided column or a matrix-vector product rounds differently
+    # strided column or a matrix-vector product rounds differently; the
+    # mean is y.mean's own sum and division, without its Python wrapper
     with np.errstate(divide="ignore", invalid="ignore"):  # flat rows may hold 0
-        y = np.log(np.abs(tail))
-        y -= y.mean(axis=1, keepdims=True)
+        y = np.log(size)
+        y -= np.add.reduce(y, axis=1, keepdims=True) / y.shape[1]
     last_values = tr.entries[-_RICHARDSON_DEPTH - 1:].T.tolist()
     verdicts: dict[str, EntryVerdict] = {}
     for j, name in enumerate(ENTRY_NAMES):
@@ -246,7 +262,7 @@ def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
     Returns the limiting connection matrix when the path carries resonances
     and ``lam`` sits on one (within 1e-9), else None, meaning the
     half-lines decouple and the point is opaque.  Only the two brackets
-    around sqrt(lam) are solved.
+    around sqrt(lam) are read, from the shared root table on c = 0 rules.
     """
     if not lam > 0:
         raise ValueError(f"coupling must be positive, got {lam}")
@@ -256,9 +272,9 @@ def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
     for n in (guess, guess + 1):
         if n < 1:
             continue
-        sigma = resonance_root(path, n)
+        sigma, chi = _nth_root(path, n)
         if abs(lam - sigma * sigma) <= _MATCH_TOL:
-            r = resonance_at(path, sigma)
+            r = _record(path, sigma, chi)
             return resonant_matrix(r.chi, r.g)
     return None
 
@@ -282,6 +298,7 @@ class SweepResult:
     T2: np.ndarray
     R2: np.ndarray
     peaks: list[Peak]
+    __eq__ = _eq
 
 
 def transmission_sweep(path: SqueezePath, l: float, lam_min: float,

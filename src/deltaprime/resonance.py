@@ -162,8 +162,9 @@ def resonance_root(path: SqueezePath, n: int) -> float:
 # of every rule with c = 0, solved once per process.  Only entries that
 # passed the root and chi checks are kept.  The table grows by rebinding a
 # new tuple, so a concurrent reader sees a shorter prefix at worst; it stops
-# where chi overflows (112 entries).
+# where chi overflows (_ADJACENT_COUNT entries).
 _ADJACENT_ROOTS: tuple[tuple[float, float], ...] = ()
+_ADJACENT_COUNT = 112
 
 
 def _roots(c: float, count: int):
@@ -187,8 +188,21 @@ def _roots(c: float, count: int):
     return table[:count], error
 
 
-def _record(path: SqueezePath, sigma: float, chi: float) -> Resonance:
-    """The Resonance of ``path`` at the root ``sigma`` with entry ``chi``."""
+def _nth_root(path: SqueezePath, n: int) -> tuple[float, float | None]:
+    """(sigma_n, chi_n) of ``path``, from the shared table on c = 0 rules up
+    to its end, else from one solve of the n-th bracket with chi_n None."""
+    c = _linear_c(path)
+    if c == 0.0 and n <= _ADJACENT_COUNT:
+        return _roots(c, n)[0][n - 1]
+    return _root(c, n), None
+
+
+def _record(path: SqueezePath, sigma: float,
+            chi: float | None = None) -> Resonance:
+    """The Resonance of ``path`` at the root ``sigma`` with entry ``chi``,
+    formed here where it is None."""
+    if chi is None:
+        chi = chi_linear(sigma, _linear_c(path))
     quadratic = path.kind == POWER and path.tau == 2.0
     g = g_quadratic(sigma, path.c) if quadratic else 0.0
     return Resonance(n=_index_of(sigma), sigma=sigma, lam=sigma * sigma,
@@ -198,7 +212,7 @@ def _record(path: SqueezePath, sigma: float, chi: float) -> Resonance:
 
 def resonance_at(path: SqueezePath, sigma: float) -> Resonance:
     """Limiting data of ``path`` at the root ``sigma`` of its equation."""
-    return _record(path, sigma, chi_linear(sigma, _linear_c(path)))
+    return _record(path, sigma)
 
 
 def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:

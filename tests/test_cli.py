@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from deltaprime import SqueezePath, resonance_set, transmission_sweep
+from deltaprime import (SqueezePath, resonance, resonance_set,
+                        transmission_sweep)
 from deltaprime.cli import _build_parser, _emit, _fmt, main
 
 LAM1 = 15.418205716980063
@@ -313,6 +314,31 @@ def test_bc_fit_keeps_double_precision_at_large_chi(capsys):
     assert code == 0, err
     _, rows = parse_csv(out)
     assert float(rows[0]["residual"]) <= 1e-12
+
+
+def test_bc_fit_solves_only_the_requested_bracket(capsys, monkeypatch):
+    calls = []
+    solve = resonance._solve_bracketed
+    monkeypatch.setattr(resonance, "_solve_bracketed",
+                        lambda *a: calls.append(a) or solve(*a))
+    code, out, _ = run_cli(capsys, "bc-fit", "--path", "linear:0.7",
+                           "--n", "25")
+    assert code == 0
+    assert len(calls) == 1
+    r = resonance_set(SqueezePath.parse("linear:0.7"), 25)[-1]
+    _, rows = parse_csv(out)
+    assert [rows[0][k] for k in ("n", "lambda", "chi", "g")] == \
+        [str(r.n), repr(r.lam), repr(r.chi), repr(r.g)]
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["bc-fit", "--n", "200"], 200),
+    (["bc-fit", "--path", "linear:0.7", "--n", "113"], 113),
+])
+def test_bc_fit_past_the_root_table_is_numeric_error(capsys, argv, n):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert re.search(rf"chi overflows at sigma = [0-9.]+ \(n = {n},", err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import eager_amplitudes
-from deltaprime import (PrecisionFloorError, RectProfile, SqueezePath,
-                        classify, limits, piecewise_transfer, predict,
-                        resonance_set, scattering, trace, transfer_matrix,
+from deltaprime import (DeltaPrimeError, PrecisionFloorError, RectProfile,
+                        SqueezePath, classify, limits, piecewise_transfer,
+                        predict, resonance, resonance_set, resonant_matrix,
+                        scattering, trace, transfer_matrix,
                         transmission_sweep)
 from deltaprime.transfer import det_residual, transfer_entries
 
@@ -415,3 +418,94 @@ def test_classify_matches_per_entry_reference_bit_for_bit(spec):
                 assert [_bits(v.exponent), _bits(v.value), _bits(v.error)] == \
                     [_bits(exponent), _bits(value), _bits(error)], (spec, lam, name)
     assert kinds == {limits.DIVERGENT, limits.CONVERGES}
+
+
+def test_det_residual_on_arrays_matches_the_scalar_form():
+    # arrays take an exact np.maximum, scalars the plain-arithmetic max,
+    # whose scale is off by up to an ulp; with the division's own rounding
+    # the two residuals agree to 2 eps relative
+    rng = np.random.default_rng(7)
+    l11, l12, l21 = rng.standard_normal((3, 2000)) * 10.0 ** rng.uniform(
+        -8, 8, (3, 2000))
+    l22 = (1.0 + l12 * l21) / l11
+    l22[::7] *= 1.0 + 1e-9  # residuals well above rounding too
+    entries = [np.append(v, np.nan) for v in (l11, l12, l21, l22)]
+    entries[0][-1], entries[2][:3] = 1.0, np.nan
+    got = det_residual(*entries)
+    want = np.array([det_residual(*(float(v[i]) for v in entries))
+                     for i in range(len(got))])
+    nan = np.isnan(want)
+    assert nan.sum() == 4 and np.array_equal(np.isnan(got), nan)
+    assert (got[~nan] != want[~nan]).any()
+    np.testing.assert_allclose(got[~nan], want[~nan], rtol=2.0 ** -51, atol=0)
+
+
+def _reference_predict(path, lam):
+    """predict with one bracket solve each and resonance_at of the root."""
+    if not resonance.has_resonances(path):
+        return None
+    c = resonance._linear_c(path)
+    guess = int(math.sqrt(lam) // math.pi)
+    for n in (guess, guess + 1):
+        if n >= 1:
+            sigma = resonance._root(c, n)
+            if abs(lam - sigma * sigma) <= limits._MATCH_TOL:
+                r = resonance.resonance_at(path, sigma)
+                return resonant_matrix(r.chi, r.g)
+    return None
+
+
+def _hex(cm):
+    return None if cm is None else [float(v).hex() for v in
+                                    (cm.l11, cm.l12, cm.l21, cm.l22)]
+
+
+@pytest.mark.parametrize("spec", SEVEN_RULES)
+def test_predict_matches_one_solve_per_bracket_bit_for_bit(spec):
+    path = SqueezePath.parse(spec)
+    own = path if resonance.has_resonances(path) else ADJ
+    lams = [r.lam for r in resonance_set(own, 6)]
+    lams += [0.3, 10.0, 37.5, 123.4, 251.0, 377.7]
+    hits = 0
+    for lam in lams:
+        want = _reference_predict(path, lam)
+        hits += want is not None
+        assert _hex(predict(path, lam)) == _hex(want), (spec, lam)
+    assert hits == (6 if own is path else 0)
+
+
+def test_predict_solves_nothing_once_the_shared_table_holds_n(monkeypatch):
+    resonance_set(ADJ, 8)  # the table now holds n = 1 .. 8 at least
+    calls = []
+    solve = resonance._solve_bracketed
+    monkeypatch.setattr(resonance, "_solve_bracketed",
+                        lambda *a: calls.append(a) or solve(*a))
+    for lam in [r.lam for r in resonance_set(QUAD, 6)] + [10.0, 400.0]:
+        for path in (ADJ, QUAD, SqueezePath.power_law(2.1, 3.0)):
+            predict(path, lam)
+    assert calls == []
+    # the table ends where chi overflows; n past it is solved directly
+    with pytest.raises(DeltaPrimeError, match=r"\(n = 113,"):
+        resonance_set(ADJ, 113)
+    assert len(resonance._ADJACENT_ROOTS) == resonance._ADJACENT_COUNT
+    sigma = resonance._root(0.0, 113)
+    del calls[:]
+    with pytest.raises(DeltaPrimeError, match=r"\(n = 113,"):
+        predict(ADJ, sigma * sigma)
+    assert len(calls) == 1  # bracket 113 alone, which matches and overflows
+
+
+def test_traces_and_sweeps_compare_by_value():
+    a, b = make_trace(QUAD, LAM1), make_trace(QUAD, LAM1)
+    assert a.entries is not b.entries
+    assert a == b and not a != b
+    entries = b.entries.copy()
+    entries[5, 2] = np.nextafter(entries[5, 2], np.inf)
+    assert a != dataclasses.replace(b, entries=entries)
+    assert a != make_trace(QUAD, LAM1, E=2.0)
+    assert a != make_trace(QUAD, LAM1, points=14)
+    assert (a == "trace") is False
+    s, t = (transmission_sweep(ADJ, 1e-3, 1.0, 60.0, 300) for _ in "st")
+    assert s.T2 is not t.T2
+    assert s == t and not s != t
+    assert s != transmission_sweep(ADJ, 1e-3, 1.0, 60.0, 301)
