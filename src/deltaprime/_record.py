@@ -13,12 +13,12 @@ def record(cls):
     stores each field through ``cls.__dict__[name].__set__``.
 
     The new ``__init__`` has the signature of the one it replaces, defaults
-    and ``default_factory`` included, and calls ``__post_init__`` last where
-    the class defines one; like the dataclass's own, its source is generated
-    once per class.  Assigning or deleting any attribute raises
-    ``FrozenInstanceError``.  Instances have no ``__dict__``, so ``vars()``
-    and weak references fail; a base class that declares no fields needs
-    ``__slots__ = ()`` to keep it that way.
+    included (a ``default_factory`` raises ``TypeError``), and calls
+    ``__post_init__`` last where the class defines one; like the
+    dataclass's own, its source is generated once per class.  Assigning or
+    deleting any attribute raises ``FrozenInstanceError``.  Instances have
+    no ``__dict__``, so ``vars()`` and weak references fail; a base class
+    that declares no fields needs ``__slots__ = ()`` to keep it that way.
     """
     cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
     init = cls.__init__
@@ -26,12 +26,9 @@ def record(cls):
     env, body = {}, []
     for f in dataclasses.fields(cls):
         name = f.name
-        env[f"_set_{name}"] = cls.__dict__[name].__set__
         if f.default_factory is not dataclasses.MISSING:
-            # the default in the signature is the dataclass's "<factory>"
-            env[f"_unset_{name}"] = params[name].default
-            env[f"_new_{name}"] = f.default_factory
-            body.append(f"    if {name} is _unset_{name}: {name} = _new_{name}()")
+            raise TypeError(f"record field {name!r} has a default_factory")
+        env[f"_set_{name}"] = cls.__dict__[name].__set__
         body.append(f"    _set_{name}(self, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")

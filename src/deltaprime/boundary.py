@@ -169,7 +169,10 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
         dr, di = s.real + d.imag, s.imag - d.real
         nr, ni = u.real - v.imag, u.imag + v.real
         size2 = dr * dr + di * di
-        t2, r2 = 4.0 / size2, (nr * nr + ni * ni) / size2
+        try:
+            t2, r2 = 4.0 / size2, (nr * nr + ni * ni) / size2
+        except ZeroDivisionError:  # Python numbers: x/0 as numpy forms it
+            t2, r2 = math.inf, (nr * nr + ni * ni) * math.inf
         large = size2 >= (2.0 - 1e-9) ** 2
         residual = abs(r2 + t2 - 1.0)
         if not holds(large & (residual <= 1e-10)):  # failed, or overflowed

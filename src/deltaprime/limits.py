@@ -123,7 +123,7 @@ class EntryVerdict:
 class LimitVerdict:
     """Per-entry verdicts for one trace."""
 
-    entries: dict[str, EntryVerdict] = field(default_factory=dict)
+    entries: dict[str, EntryVerdict]
 
     @property
     def separated(self) -> bool:
@@ -264,8 +264,8 @@ def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
     half-lines decouple and the point is opaque.  Only the two brackets
     around sqrt(lam) are read, from the shared root table on c = 0 rules.
     """
-    if not lam > 0:
-        raise ValueError(f"coupling must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"coupling must be positive and finite, got {lam}")
     if not has_resonances(path):
         return None
     guess = int(math.sqrt(lam) // math.pi)

@@ -27,8 +27,6 @@ from .paths import ADJACENT, POWER, SqueezePath
 __all__ = [
     "Resonance",
     "has_resonances",
-    "resonance_root",
-    "resonance_at",
     "chi_linear",
     "g_quadratic",
     "resonant_scattering",
@@ -110,10 +108,10 @@ def _solve_bracketed(g, lo: float, hi: float, f) -> float:
 
 
 def _index_of(sigma: float) -> int:
-    n = int(sigma // math.pi)
-    if n < 1:
-        raise NotARootError(f"{sigma} lies below the first root bracket")
-    return n
+    """Bracket index floor(sigma/pi) >= 1 of a finite root sigma >= pi."""
+    if not math.pi <= sigma < math.inf:
+        raise NotARootError(f"sigma = {sigma} lies in no root bracket")
+    return int(sigma // math.pi)
 
 
 def has_resonances(path: SqueezePath) -> bool:
@@ -150,12 +148,6 @@ def _root(c: float, n: int) -> float:
     return _solve_bracketed(
         lambda s: sign * (math.cos(s) * _lhs(s, c) - math.sin(s)),
         lo, lo + 0.5 * math.pi, lambda s: _lhs(s, c) - math.tan(s))
-
-
-def resonance_root(path: SqueezePath, n: int) -> float:
-    """Root sigma_n of the resonance equation of ``path`` in its n-th
-    bracket (n*pi, n*pi + pi/2)."""
-    return _root(_linear_c(path), n)
 
 
 # (sigma_n, chi_n) of tanh(s) = tan(s) for n = 1, 2, ...: the roots and chi
@@ -208,11 +200,6 @@ def _record(path: SqueezePath, sigma: float,
     return Resonance(n=_index_of(sigma), sigma=sigma, lam=sigma * sigma,
                      chi=chi, g=g, kappa=bound_state_kappa(chi, g) or 0.0,
                      path=path)
-
-
-def resonance_at(path: SqueezePath, sigma: float) -> Resonance:
-    """Limiting data of ``path`` at the root ``sigma`` of its equation."""
-    return _record(path, sigma)
 
 
 def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
@@ -281,15 +268,15 @@ def g_quadratic(sigma: float, c: float) -> float:
     Two equivalent forms, -c*s**2*sinh(s)*sin(s) and
     (-1)**(n+1)*c*s**2*sinh(s)**2/sqrt(cosh(2s)); the first is returned.
     The quadratic rule keeps tanh(s) = tan(s) as its resonance condition.
-    Raises :class:`DeltaPrimeError` where g overflows.
+    Raises :class:`DeltaPrimeError` where g overflows or sigma is not finite.
     """
     try:
         g = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
-    except OverflowError:
+    except (OverflowError, ValueError):  # sinh(s) overflows; sin(+-inf)
         g = math.inf
     if not abs(g) < math.inf:
         raise DeltaPrimeError(f"g overflows at sigma = {sigma} "
-                              f"(n = {int(sigma // math.pi)}, c = {c})")
+                              f"(n = {_index_of(sigma)}, c = {c})")
     return g + 0.0  # normalize -0.0 at c = 0
 
 

@@ -193,6 +193,14 @@ def test_predict_rules():
         predict(ADJ, 0.0)
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+@pytest.mark.parametrize("spec", ["adjacent", "power:1:1.5"])
+def test_predict_rejects_a_non_finite_coupling(spec, lam):
+    # rejected before the rule is asked for resonances
+    with pytest.raises(ValueError, match=f"finite, got {lam}"):
+        predict(SqueezePath.parse(spec), lam)
+
+
 def test_predict_linear_path_has_own_resonances():
     r = resonance_set(SqueezePath.power_law(1.0, 1.0), 1)[0]
     cm = predict(SqueezePath.power_law(1.0, 1.0), r.lam)
@@ -441,7 +449,7 @@ def test_det_residual_on_arrays_matches_the_scalar_form():
 
 
 def _reference_predict(path, lam):
-    """predict with one bracket solve each and resonance_at of the root."""
+    """predict with one bracket solve each and _record of the root alone."""
     if not resonance.has_resonances(path):
         return None
     c = resonance._linear_c(path)
@@ -450,7 +458,7 @@ def _reference_predict(path, lam):
         if n >= 1:
             sigma = resonance._root(c, n)
             if abs(lam - sigma * sigma) <= limits._MATCH_TOL:
-                r = resonance.resonance_at(path, sigma)
+                r = resonance._record(path, sigma)
                 return resonant_matrix(r.chi, r.g)
     return None
 

@@ -18,6 +18,7 @@ from deltaprime import (ConnectionMatrix, EntryVerdict, InvariantViolation,
                         bc_from_product, classify, params_from_resonance,
                         resonance_set, scattering, trace, transfer_matrix,
                         transmission_sweep)
+from deltaprime._record import record
 
 
 def _samples():
@@ -119,10 +120,18 @@ def test_defaults_and_default_factory_apply():
     assert SqueezePath("adjacent") == SqueezePath.adjacent()
     assert RectProfile(0.5, 0.0).lam == 1.0
     assert EntryVerdict("converges").value is None
-    a, b = LimitVerdict(), LimitVerdict()
-    assert a.entries == {} and a.entries is not b.entries
     params = ProductParams(0.25, 1.0)
     assert (params.lam_fit, params.offset) == (float("inf"), 0.25)
+
+
+def test_default_factory_is_refused():
+    # a record field has a plain default or none
+    with pytest.raises(TypeError, match="entries"):
+        LimitVerdict()
+    with pytest.raises(TypeError, match="'items' has a default_factory"):
+        @record
+        class Holder:
+            items: list = dataclasses.field(default_factory=list)
 
 
 def test_post_init_guards_still_raise():

@@ -12,8 +12,7 @@ from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
                         g_quadratic, resonance_set, resonant_matrix,
                         resonant_scattering)
 from deltaprime import resonance
-from deltaprime.resonance import (_solve_bracketed, resonance_at,
-                                  resonance_root)
+from deltaprime.resonance import _linear_c, _record, _root, _solve_bracketed
 
 # frozen reference values (independent bisection + direct evaluation)
 SIGMA1 = 3.9266023120479188
@@ -133,7 +132,7 @@ def test_roots_match_mpmath_to_two_ulp(rule):
             lo = n * mpmath.pi
             want = mpmath.findroot(g, (lo, lo + mpmath.pi / 2),
                                    solver="anderson")
-            got = resonance_root(path, n)
+            got = _root(_linear_c(path), n)
             assert abs(got - want) <= 2 * math.ulp(got), (rule, n)
 
 
@@ -154,7 +153,7 @@ def test_each_root_takes_at_most_twelve_evaluations(monkeypatch):
               for c in (0.1, 0.7, 1.0, 2.0, 3.0, 1e3, 1e6)]
     for path in paths:
         for n in range(1, MAX_INDEX + 1):
-            resonance_root(path, n)
+            _root(_linear_c(path), n)
     assert len(counts) == len(paths) * MAX_INDEX
     assert max(counts) <= 12
 
@@ -162,7 +161,7 @@ def test_each_root_takes_at_most_twelve_evaluations(monkeypatch):
 def test_root_next_to_the_bracket_end():
     # on linear:1e12 the root sits about 1/(c*pi) = 3.2e-13 above pi, next
     # to the end of its bracket
-    sigma = resonance_root(SqueezePath.power_law(1e12, 1.0), 1)
+    sigma = _root(_linear_c(SqueezePath.power_law(1e12, 1.0)), 1)
     assert sigma - math.pi == pytest.approx(1.0 / (1e12 * math.pi), rel=5e-3)
     th = math.tanh(sigma)
     assert abs(th / (1.0 + 1e12 * sigma * th) - math.tan(sigma)) < 1e-15
@@ -184,12 +183,12 @@ def test_chi_linear_weighs_each_form_by_its_conditioning():
     # next to n*pi, sinh(s)/sin(s) carries ulp(s)*|cot(s)| ~ 1e-3 of
     # rounding: the root is accepted, a root moved by 1e-6 is not
     path = SqueezePath.power_law(1e12, 1.0)
-    sigma = resonance_root(path, 1)
+    sigma = _root(_linear_c(path), 1)
     assert chi_linear(sigma, 1e12) < -3e13
     with pytest.raises(NotARootError, match="spread"):
         chi_linear(sigma + 1e-6, 1e12)
     for c in (0.0, 1.0):
-        root = resonance_root(SqueezePath.power_law(c, 1.0), 3)
+        root = _root(_linear_c(SqueezePath.power_law(c, 1.0)), 3)
         chi_linear(root, c)
         with pytest.raises(NotARootError, match="spread"):
             chi_linear(root + 1e-6, c)
@@ -197,11 +196,11 @@ def test_chi_linear_weighs_each_form_by_its_conditioning():
 
 def test_chi_overflow_is_a_typed_error():
     # cosh(2s) overflows from n = 113 on
-    root = resonance_root(SqueezePath.adjacent(), 113)
+    root = _root(_linear_c(SqueezePath.adjacent()), 113)
     with pytest.raises(DeltaPrimeError, match=r"sigma = .*\(n = 113"):
         chi_linear(root, 0.0)
-    assert math.isfinite(chi_linear(resonance_root(SqueezePath.adjacent(),
-                                                   112), 0.0))
+    assert math.isfinite(chi_linear(
+        _root(_linear_c(SqueezePath.adjacent()), 112), 0.0))
 
 
 @pytest.mark.parametrize("spec, count, n", [("quadratic:1e308", 3, 1),
@@ -213,6 +212,21 @@ def test_g_overflow_is_a_typed_error(spec, count, n):
     # sinh(s) itself overflows past s = 710
     with pytest.raises(DeltaPrimeError, match=r"g overflows .*\(n = 254,"):
         g_quadratic(800.0, 1.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 1.0])
+def test_chi_linear_names_a_sigma_in_no_bracket(sigma):
+    with pytest.raises(NotARootError,
+                       match=re.escape(f"sigma = {sigma} lies in no root")):
+        chi_linear(sigma, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_g_quadratic_names_a_non_finite_sigma(sigma):
+    # sin(+-inf) raises ValueError, which g_quadratic takes as an overflow
+    with pytest.raises(NotARootError,
+                       match=re.escape(f"sigma = {sigma} lies in no root")):
+        g_quadratic(sigma, 1.0)
 
 
 def test_g_quadratic_value_and_forms():
@@ -327,7 +341,7 @@ SHARED_ROOT_RULES = ["adjacent", "quadratic:3", "power:2:3"]
 
 
 def reference_set(path, count):
-    return [repr(resonance_at(path, resonance_root(path, n)))
+    return [repr(_record(path, _root(_linear_c(path), n)))
             for n in range(1, count + 1)]
 
 

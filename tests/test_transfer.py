@@ -180,6 +180,20 @@ def test_batch_checks_name_first_failing_element():
         amplitudes(nan_middle, zeros, zeros, nan_middle, 1.0)
 
 
+@pytest.mark.parametrize("entries, match", [
+    ((1.0, 0.0, 0.0, -1.0), r"\|Delta\| = 0.0, not >= 2"),
+    ((1, 0, 0, -1), r"\|Delta\| = 0.0, not >= 2"),
+    ((1j, 0.0, 0.0, -1j), "conservation residual inf"),
+], ids=["real", "int", "complex"])
+def test_zero_delta_is_the_same_typed_error_on_scalars_and_arrays(entries,
+                                                                    match):
+    # Python numbers raise on x/0 where numpy divides quietly; both forms
+    # end in the fallback, which names the failing check
+    for args in (entries, [np.array([v]) for v in entries]):
+        with pytest.raises(InvariantViolation, match=match):
+            amplitudes(*args, 1.0)
+
+
 def test_conservation_simple_case():
     tm = transfer_matrix(RectProfile(l=1.0, rho=0.0, lam=1.0), E=1.0)
     amp = scattering(tm, 1.0)
