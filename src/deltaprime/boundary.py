@@ -86,7 +86,7 @@ def det_residual(l11, l12, l21, l22):
     of products that individually grow like 1/l**2 under squeezing, so the
     meaningful residual is relative to that scale (it reduces to the
     absolute residual for O(1) matrices).  NaN entries give NaN.  Arrays
-    take an exact ``np.maximum``, which can move the last bits of the value.
+    take ``np.maximum``, scalars a comparison; both are exact and agree.
     """
     a, np = l11 * l22, sys.modules.get("numpy")
     top = np.maximum if np is not None and isinstance(a, np.ndarray) else _max
@@ -98,10 +98,10 @@ def _residual(a, b, top):
 
 
 def _max(x, y):
-    """Elementwise max(x, y), exact to rounding, in plain arithmetic: on the
-    scalars of every connection-matrix check a ufunc call costs several
-    times more."""
-    return 0.5 * (x + y + abs(x - y))
+    """Exact max(x, y) of two scalars, cheaper on every connection-matrix
+    check than a ufunc call or the builtin ``max``.  A NaN operand may be
+    dropped here, but it makes the residual's numerator NaN."""
+    return x if x >= y else y
 
 
 def _quiet():

@@ -164,9 +164,9 @@ def cmd_transfer(args) -> int:
             "conservation_residual": [amp.conservation_residual]}
     if args.check:
         ref = piecewise_transfer(profile, args.E)
-        scale = max(1.0, tm.entry_scale(), ref.entry_scale())
-        resid = max(abs(tm.l11 - ref.l11), abs(tm.l12 - ref.l12),
-                    abs(tm.l21 - ref.l21), abs(tm.l22 - ref.l22)) / scale
+        a, b = [(m.l11, m.l12, m.l21, m.l22) for m in (tm, ref)]
+        scale = max(1.0, *map(abs, a + b))
+        resid = max(abs(x - y) for x, y in zip(a, b)) / scale
         if not resid <= 1e-10:
             raise InvariantViolation(f"oracle disagreement {resid}")
         cols["oracle_residual"] = [resid]
@@ -234,13 +234,7 @@ def cmd_bc_fit(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     path = _parse_path(args.path, resonant_only=True)
-    sigma, chi = _nth_root(path, args.n)
-    try:
-        r = _record(path, sigma, chi)
-    except DeltaPrimeError:
-        if chi is not None:  # |g_n| grows with n: name the first overflow
-            resonance_set(path, args.n)
-        raise
+    r = _record(path, *_nth_root(path, args.n))
     params = params_from_resonance(r.lam, r.chi, r.g)
     cm = bc_from_product(params, r.lam)
     residual = max(abs(cm.l11 - r.chi) / max(1.0, abs(r.chi)),

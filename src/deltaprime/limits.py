@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import field, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -65,12 +65,12 @@ _GRID_CACHE_SIZE = 16
 
 
 def _eq(self, other):
-    """``==`` by compared field, arrays by value: the generated one compares
-    the fields as tuple members, which raises on arrays."""
+    """``==`` by field, arrays by value: the generated one compares the
+    fields as tuple members, which raises on arrays."""
     if other.__class__ is not self.__class__:
         return NotImplemented
     pairs = ((getattr(self, f.name), getattr(other, f.name))
-             for f in fields(self) if f.compare)
+             for f in fields(self))
     return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray)
                           else a == b) for a, b in pairs)
 
@@ -81,9 +81,7 @@ class LimitTrace:
 
     ``entries`` has shape (points, 4) ordered (L11, L12, L21, L22), a
     transposed view of one row per entry; the closed forms are real.
-    ``l_values`` is shared by every trace on the same grid and is read-only;
-    ``_design`` is that grid's cached slope design, which :func:`classify`
-    reads.
+    ``l_values`` is shared by every trace on the same grid and is read-only.
     """
 
     path: SqueezePath
@@ -92,7 +90,6 @@ class LimitTrace:
     l_values: np.ndarray
     rho_values: np.ndarray
     entries: np.ndarray
-    _design: tuple = field(repr=False, compare=False)
     __eq__ = _eq
 
     @property
@@ -144,7 +141,7 @@ def _powers(ratio: float) -> tuple:
                  for j in range(1, _RICHARDSON_DEPTH + 1))
 
 
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _width_grid(l_start: float, l_end: float, points: int) -> tuple:
     """``np.geomspace(l_start, l_end, points)``, built once per grid and
     shared read-only, and its slope design (x, x @ x, _powers(ratio)) for
@@ -184,7 +181,7 @@ def trace(path: SqueezePath, lam: float, E: float,
     if not 0 <= lam < math.inf:
         raise ValueError(f"coupling must be finite and >= 0, got {lam}")
 
-    ls, design = _width_grid(l_start, l_end, points)
+    ls = _width_grid(l_start, l_end, points)[0]
     rho = path.rho_of(ls)  # a scalar on the constant-gap rules
     entries = transfer_entries(ls, rho, lam, E)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the check
@@ -193,7 +190,7 @@ def trace(path: SqueezePath, lam: float, E: float,
             "determinant residual {} at l = {}", residual, ls)
     return LimitTrace(path=path, lam=lam, E=E, l_values=ls,
                       rho_values=np.zeros(points) + rho,
-                      entries=np.array(entries).T, _design=design)
+                      entries=np.array(entries).T)
 
 
 def _richardson(values: Sequence[float], powers) -> tuple[float, float]:
@@ -229,9 +226,9 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     there, carry no usable slope and are classified by their extrapolated
     value instead.  The four entries are tested together, one row each.
     """
-    half = tr.points // 2
-    x, xx, powers = tr._design
-    tail = tr.entries[half:].T  # one row per entry
+    ls = tr.l_values  # from np.geomspace, which sets both ends exactly
+    x, xx, powers = _width_grid(float(ls[0]), float(ls[-1]), len(ls))[1]
+    tail = tr.entries[len(ls) // 2:].T  # one row per entry
     size = np.abs(tail)
     # one reduction per test; fmin skips NaN, so a NaN marks no sign change
     flat = ((size.max(axis=1) < _TINY_TAIL) | (np.fmin.reduce(

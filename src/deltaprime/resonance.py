@@ -268,7 +268,8 @@ def g_quadratic(sigma: float, c: float) -> float:
     Two equivalent forms, -c*s**2*sinh(s)*sin(s) and
     (-1)**(n+1)*c*s**2*sinh(s)**2/sqrt(cosh(2s)); the first is returned.
     The quadratic rule keeps tanh(s) = tan(s) as its resonance condition.
-    Raises :class:`DeltaPrimeError` where g overflows or sigma is not finite.
+    Raises :class:`DeltaPrimeError` where g overflows or sigma is not finite,
+    else :class:`NotARootError` where sigma is not a root of that condition.
     """
     try:
         g = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
@@ -277,6 +278,9 @@ def g_quadratic(sigma: float, c: float) -> float:
     if not abs(g) < math.inf:
         raise DeltaPrimeError(f"g overflows at sigma = {sigma} "
                               f"(n = {_index_of(sigma)}, c = {c})")
+    _index_of(sigma)  # the bracket check: a sigma below pi raises
+    if not abs(_lhs(sigma, 0.0) - math.tan(sigma)) <= _ROOT_TOL:
+        raise NotARootError(f"sigma = {sigma} is no root of tanh(s) = tan(s)")
     return g + 0.0  # normalize -0.0 at c = 0
 
 

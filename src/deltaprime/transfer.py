@@ -65,9 +65,6 @@ class TransferMatrix(UnitDetMatrix):
     l22: complex
     x0: float = field()  # required: no default from UnitDetMatrix.x0
 
-    def entry_scale(self) -> float:
-        return max(abs(self.l11), abs(self.l12), abs(self.l21), abs(self.l22))
-
 
 def _region(s, l):
     """Propagation matrix of psi'' = s * psi over width ``l``, elementwise,

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -108,6 +109,24 @@ def test_transfer_check_flag_reports_oracle(capsys):
     header, rows = parse_csv(out)
     assert header[-1] == "oracle_residual"
     assert float(rows[0]["oracle_residual"]) < 1e-10
+
+
+def test_transfer_check_exits_3_on_an_oracle_disagreement(capsys,
+                                                          monkeypatch):
+    from deltaprime import transfer
+
+    oracle = transfer.piecewise_transfer
+
+    def skewed(profile, E):
+        m = oracle(profile, E)
+        return dataclasses.replace(m, l21=m.l21 + 1.0)
+
+    monkeypatch.setattr(transfer, "piecewise_transfer", skewed)
+    code, out, err = run_cli(capsys, "transfer", "--l", "0.01", "--rho",
+                             "1e-4", "--lambda", "15.42", "--check")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: oracle disagreement ")
+    assert float(err.split()[-1]) > 1e-10
 
 
 def test_transfer_usage_errors(capsys):
@@ -355,7 +374,7 @@ def test_chi_overflow_is_numeric_error(capsys, argv):
 
 @pytest.mark.parametrize("argv, n", [
     (["resonances", "--path", "quadratic:1e308", "--count", "3"], 1),
-    (["bc-fit", "--path", "quadratic:1e300", "--n", "50"], 5),
+    (["bc-fit", "--path", "quadratic:1e300", "--n", "50"], 50),
 ])
 def test_g_overflow_is_numeric_error(capsys, argv, n):
     # used to print g = -inf (exit 3 on a NaN conservation residual or an

@@ -66,8 +66,8 @@ def test_trace_width_grid_is_shared_and_read_only():
 
 
 def test_classify_after_grid_cache_eviction_matches_fresh_trace():
-    # the slope design travels with the trace, so a trace whose grid left
-    # the cache classifies as a fresh trace on a rebuilt grid does
+    # classify reads the slope design from the grid cache, so a trace whose
+    # grid left the cache classifies as a fresh trace on a rebuilt grid does
     first = make_trace(ADJ, LAM1, l_start=0.09, points=11)
     for i in range(limits._GRID_CACHE_SIZE + 1):
         make_trace(ADJ, LAM1, l_start=0.05 + 1e-3 * i, points=9 + i)
@@ -79,6 +79,15 @@ def test_classify_after_grid_cache_eviction_matches_fresh_trace():
                  _bits(v.error)) for name, v in verdict.entries.items()]
 
     assert bits(classify(first)) == bits(classify(fresh))
+
+
+def test_an_int_grid_end_shares_the_float_grid():
+    # the grid cache is untyped, so 1 and 1.0 are one key; classify reads the
+    # design back from the float ends of the trace's grid
+    a = make_trace(ADJ, LAM1, l_start=1, points=8)
+    b = make_trace(ADJ, LAM1, l_start=1.0, points=8)
+    assert a.l_values is b.l_values and a.l_values[0] == 1.0
+    assert classify(a) == classify(b)
 
 
 def test_trace_and_sweep_cap_their_sizes():
@@ -155,6 +164,14 @@ def test_barrier_first_diverges_quadratically():
     verdict = classify(make_trace(SqueezePath.barrier_first(0.5), LAM1))
     assert verdict.separated
     assert verdict.entries["L21"].exponent == pytest.approx(-2.0, abs=0.05)
+
+
+def test_a_convergent_l21_beside_a_divergent_entry_is_mixed():
+    conv = limits.EntryVerdict(kind="converges", value=1.0, error=0.0)
+    div = limits.EntryVerdict(kind="divergent", exponent=-1.0)
+    verdict = limits.LimitVerdict(
+        entries={"L11": div, "L12": conv, "L21": conv, "L22": conv})
+    assert not verdict.separated and verdict.variant == "mixed"
 
 
 def test_free_coupling_trace_converges_to_identity():
@@ -429,9 +446,8 @@ def test_classify_matches_per_entry_reference_bit_for_bit(spec):
 
 
 def test_det_residual_on_arrays_matches_the_scalar_form():
-    # arrays take an exact np.maximum, scalars the plain-arithmetic max,
-    # whose scale is off by up to an ulp; with the division's own rounding
-    # the two residuals agree to 2 eps relative
+    # arrays take np.maximum, scalars a comparison: both exact, so the two
+    # residuals agree bit for bit
     rng = np.random.default_rng(7)
     l11, l12, l21 = rng.standard_normal((3, 2000)) * 10.0 ** rng.uniform(
         -8, 8, (3, 2000))
@@ -444,8 +460,7 @@ def test_det_residual_on_arrays_matches_the_scalar_form():
                      for i in range(len(got))])
     nan = np.isnan(want)
     assert nan.sum() == 4 and np.array_equal(np.isnan(got), nan)
-    assert (got[~nan] != want[~nan]).any()
-    np.testing.assert_allclose(got[~nan], want[~nan], rtol=2.0 ** -51, atol=0)
+    assert np.array_equal(got[~nan], want[~nan])
 
 
 def _reference_predict(path, lam):

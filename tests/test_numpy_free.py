@@ -89,6 +89,17 @@ def test_lazy_exports_are_the_defining_objects():
     """)
 
 
+def test_dir_lists_the_lazy_exports_without_loading_numpy():
+    _run("""
+        import sys
+        import deltaprime as dp
+
+        names = dir(dp)
+        assert "trace" in names and "RectProfile" in names, names
+        assert names == sorted(names) and "numpy" not in sys.modules
+    """)
+
+
 def _point_interactions():
     for alpha in (-1.3, 0.2, 0.5, 0.9, 2.5):
         for beta in (-2.0, 0.0, 0.7):

@@ -97,6 +97,14 @@ def test_chi_adjacent_rejects_non_root():
         chi_linear(1.0, 0.0)  # below the first bracket
 
 
+@pytest.mark.parametrize("g", [lambda s: 1.0, lambda s: s - 4.5])
+def test_solve_bracketed_needs_a_falling_sign_change(g):
+    # g(lo) > 0 > g(hi) is required: no sign change, or a rising one, raises
+    # before any step
+    with pytest.raises(NotARootError, match=r"no sign change on \[4.0, 5.0\]"):
+        _solve_bracketed(g, 4.0, 5.0, g)
+
+
 def test_solve_bracketed_rejects_a_jump():
     # a sign change without a zero: the secant points close in on the jump
     # at 4.5 until the bracket cannot shrink, and |f| there is still 1
@@ -227,6 +235,24 @@ def test_g_quadratic_names_a_non_finite_sigma(sigma):
     with pytest.raises(NotARootError,
                        match=re.escape(f"sigma = {sigma} lies in no root")):
         g_quadratic(sigma, 1.0)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 4.2, 0.0, -SIGMA1])
+def test_g_quadratic_names_a_sigma_that_is_no_root(sigma):
+    # a finite g is no evidence of a root: below pi sigma lies in no bracket,
+    # and 4.2 fails the solver's own root test
+    with pytest.raises(NotARootError, match=re.escape(f"sigma = {sigma} ")):
+        g_quadratic(sigma, 1.0)
+
+
+def test_g_quadratic_keeps_its_value_at_every_table_root():
+    # the root test reads at most 5.5e-14 here, far under its tolerance
+    roots, error = resonance._roots(0.0, resonance._ADJACENT_COUNT)
+    assert error is None and len(roots) == 112
+    for sigma, _ in roots:
+        for c in (1.0, 1.3):
+            want = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
+            assert g_quadratic(sigma, c).hex() == want.hex()
 
 
 def test_g_quadratic_value_and_forms():

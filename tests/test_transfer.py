@@ -16,7 +16,8 @@ SIGMA1 = 3.926602312047919
 
 
 def agreement_residual(a: TransferMatrix, b: TransferMatrix) -> float:
-    scale = max(1.0, a.entry_scale(), b.entry_scale())
+    scale = max(1.0, *(abs(v) for m in (a, b)
+                        for v in (m.l11, m.l12, m.l21, m.l22)))
     return max(abs(a.l11 - b.l11), abs(a.l12 - b.l12),
                abs(a.l21 - b.l21), abs(a.l22 - b.l22)) / scale
 
