@@ -16,8 +16,8 @@ from .boundary import (ConnectionMatrix, ProductParams, ScatteringAmplitudes,
 from .errors import (DeltaPrimeError, InvariantViolation, NotARootError,
                      PrecisionFloorError, SingularParameterError)
 from .paths import SqueezePath
-from .resonance import (Resonance, bound_state_kappa, chi_linear, g_quadratic,
-                        resonance_set, resonant_scattering)
+from .resonance import (Resonance, chi_linear, g_quadratic, resonance_set,
+                        resonant_scattering)
 
 # The array layers load numpy, so they are imported on first use (PEP 562):
 # name -> defining module; a module's own name stands for the module.
@@ -57,8 +57,8 @@ __all__ = [
     "EntryVerdict", "LimitTrace", "LimitVerdict", "Peak", "SweepResult",
     "classify", "predict", "trace", "transmission_sweep",
     "SqueezePath", "RectProfile",
-    "Resonance", "bound_state_kappa", "chi_linear", "g_quadratic",
-    "resonance_set", "resonant_scattering",
+    "Resonance", "chi_linear", "g_quadratic", "resonance_set",
+    "resonant_scattering",
     "PRECISION_FLOOR", "ScatteringAmplitudes", "TransferMatrix",
     "piecewise_transfer", "transfer_matrix",
 ]

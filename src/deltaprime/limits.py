@@ -92,10 +92,6 @@ class LimitTrace:
     entries: np.ndarray
     __eq__ = _eq
 
-    @property
-    def points(self) -> int:
-        return len(self.l_values)
-
 
 @record
 class EntryVerdict:

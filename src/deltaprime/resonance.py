@@ -10,9 +10,6 @@ rho = c*l the condition becomes tanh(s) / (1 + c*s*tanh(s)) = tan(s), which
 is the first one at c = 0.  Other rules carry no resonances.  Each root
 carries the limiting connection-matrix data (chi, g) and, when g != 0,
 a bound state with decay constant kappa.
-
-Several of the limiting quantities have redundant closed forms; they are
-evaluated side by side and their agreement doubles as a built-in self test.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ __all__ = [
     "chi_linear",
     "g_quadratic",
     "resonant_scattering",
-    "bound_state_kappa",
     "resonance_set",
 ]
 
@@ -135,6 +131,22 @@ def _lhs(s: float, c: float) -> float:
     return th / (1.0 + c * s * th)
 
 
+def _residual(s: float, c: float) -> float:
+    """lhs(s) - tan(s), the residual of the resonance equation."""
+    return _lhs(s, c) - math.tan(s)
+
+
+def _check_root(sigma: float, c: float) -> int:
+    """Bracket index of ``sigma``, checked to be a root of the resonance
+    equation at constant ``c`` by the solver's own residual test."""
+    n = _index_of(sigma)
+    if not abs(_residual(sigma, c)) <= _ROOT_TOL:
+        equation = ("tanh(s) = tan(s)" if c == 0.0 else
+                    f"tanh(s)/(1 + c*s*tanh(s)) = tan(s) at c = {c}")
+        raise NotARootError(f"sigma = {sigma} is no root of {equation}")
+    return n
+
+
 def _root(c: float, n: int) -> float:
     """Root in the n-th bracket of lhs(s) = tan(s), see :func:`_lhs`.
 
@@ -147,7 +159,7 @@ def _root(c: float, n: int) -> float:
     lo = n * math.pi
     return _solve_bracketed(
         lambda s: sign * (math.cos(s) * _lhs(s, c) - math.sin(s)),
-        lo, lo + 0.5 * math.pi, lambda s: _lhs(s, c) - math.tan(s))
+        lo, lo + 0.5 * math.pi, lambda s: _residual(s, c))
 
 
 # (sigma_n, chi_n) of tanh(s) = tan(s) for n = 1, 2, ...: the roots and chi
@@ -197,8 +209,9 @@ def _record(path: SqueezePath, sigma: float,
         chi = chi_linear(sigma, _linear_c(path))
     quadratic = path.kind == POWER and path.tau == 2.0
     g = g_quadratic(sigma, path.c) if quadratic else 0.0
+    kappa = -g / (chi + 1.0 / chi)  # the bound state's, when positive
     return Resonance(n=_index_of(sigma), sigma=sigma, lam=sigma * sigma,
-                     chi=chi, g=g, kappa=bound_state_kappa(chi, g) or 0.0,
+                     chi=chi, g=g, kappa=kappa if kappa > 0 else 0.0,
                      path=path)
 
 
@@ -223,43 +236,25 @@ def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
 def chi_linear(sigma: float, c: float) -> float:
     """Limiting upper-left entry at a root of the linear-rule equation.
 
-    The three equivalent expressions u/cos(s), sinh(s)/sin(s) and the signed
-    square root of u**2 + sinh(s)**2, with u = cosh(s) + c*s*sinh(s), are
-    all evaluated; a relative spread beyond 1e-6 means the input was not
-    actually a root.  A root is known only to within ulp(s), which moves
-    each form by ulp(s) times its logarithmic slope in s; that bound is
-    added to the 1e-6, as sinh(s)/sin(s) is ill-conditioned where the root
-    sits next to n*pi (large c).  The square root is expanded as cosh(2s) +
-    c*s*sinh(2s) + (c*s*sinh(s))**2, which is exactly sqrt(cosh(2s)) at
-    c = 0.  Raises :class:`DeltaPrimeError` where a form overflows.
+    The signed square root of u**2 + sinh(s)**2, with u = cosh(s) +
+    c*s*sinh(s), expanded as cosh(2s) + c*s*sinh(2s) + (c*s*sinh(s))**2,
+    which is exactly sqrt(cosh(2s)) at c = 0; it equals u/cos(s) and
+    sinh(s)/sin(s) at a root.  Raises :class:`ValueError` unless c >= 0,
+    :class:`DeltaPrimeError` where chi overflows, else
+    :class:`NotARootError` where sigma is not a root.
     """
     if not c >= 0:
         raise ValueError(f"path constant c must be >= 0, got {c}")
-    n = _index_of(sigma)
     cs = c * sigma
     try:
-        sh, ch = math.sinh(sigma), math.cosh(sigma)
         square = (math.cosh(2.0 * sigma) + cs * math.sinh(2.0 * sigma)
-                  + (cs * sh) ** 2)
+                  + (cs * math.sinh(sigma)) ** 2)
     except OverflowError:
         square = math.inf
-    if not square < math.inf:
-        raise DeltaPrimeError(
-            f"chi overflows at sigma = {sigma} (n = {n}, c = {c})")
-    u = ch + cs * sh
-    sn, cn = math.sin(sigma), math.cos(sigma)
-    forms = [u / cn, sh / sn, (-1.0) ** n * math.sqrt(square)]
-    spread = (max(forms) - min(forms)) / max(1.0, *(abs(v) for v in forms))
-    if not spread <= 1e-6:
-        # d/ds log|form|; that of the square root is a weighted mean of the
-        # slopes of u and of sinh(s), so their larger one bounds it
-        du_u = ((1.0 + c) * sh + cs * ch) / u
-        coth = ch / sh
-        slopes = du_u + sn / cn, coth - cn / sn, max(du_u, coth)
-        if not spread <= 1e-6 + math.ulp(sigma) * sum(map(abs, slopes)):
-            raise NotARootError(f"sigma = {sigma} is not a root at c = {c}: "
-                                f"chi forms spread {forms}")
-    return forms[2]
+    if not square < math.inf:  # a sigma in no bracket raises at its index
+        raise DeltaPrimeError(f"chi overflows at sigma = {sigma} "
+                              f"(n = {_index_of(sigma)}, c = {c})")
+    return (-1.0) ** _check_root(sigma, c) * math.sqrt(square)
 
 
 def g_quadratic(sigma: float, c: float) -> float:
@@ -268,19 +263,20 @@ def g_quadratic(sigma: float, c: float) -> float:
     Two equivalent forms, -c*s**2*sinh(s)*sin(s) and
     (-1)**(n+1)*c*s**2*sinh(s)**2/sqrt(cosh(2s)); the first is returned.
     The quadratic rule keeps tanh(s) = tan(s) as its resonance condition.
-    Raises :class:`DeltaPrimeError` where g overflows or sigma is not finite,
-    else :class:`NotARootError` where sigma is not a root of that condition.
+    Raises :class:`ValueError` unless c >= 0, :class:`DeltaPrimeError` where
+    g overflows or sigma is not finite, else :class:`NotARootError` where
+    sigma is not a root of that condition.
     """
+    if not c >= 0:
+        raise ValueError(f"path constant c must be >= 0, got {c}")
     try:
         g = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
     except (OverflowError, ValueError):  # sinh(s) overflows; sin(+-inf)
         g = math.inf
-    if not abs(g) < math.inf:
+    if not abs(g) < math.inf:  # a sigma in no bracket raises at its index
         raise DeltaPrimeError(f"g overflows at sigma = {sigma} "
                               f"(n = {_index_of(sigma)}, c = {c})")
-    _index_of(sigma)  # the bracket check: a sigma below pi raises
-    if not abs(_lhs(sigma, 0.0) - math.tan(sigma)) <= _ROOT_TOL:
-        raise NotARootError(f"sigma = {sigma} is no root of tanh(s) = tan(s)")
+    _check_root(sigma, 0.0)
     return g + 0.0  # normalize -0.0 at c = 0
 
 
@@ -293,18 +289,3 @@ def resonant_scattering(chi: float, g: float, k: float) -> ScatteringAmplitudes:
     """
     require(chi != 0, ValueError, "chi must be nonzero, got {}", chi)
     return amplitudes(chi, 0.0, g, 1.0 / chi, k)
-
-
-def bound_state_kappa(chi: float, g: float) -> float | None:
-    """Decay constant of the bound state carried by diag(chi, 1/chi) + g.
-
-    kappa = -g/(chi + 1/chi); returned only when positive (a normalizable
-    state with energy -kappa**2), else None.  On the quadratic rule at a
-    resonance this equals (c/2)*s**2*tanh(s)**2.
-    """
-    if isinstance(chi, complex):
-        raise ValueError("chi must be real")
-    if chi == 0:
-        raise ValueError("chi must be nonzero")
-    kappa = -g / (chi + 1.0 / chi)
-    return kappa if kappa > 0 else None

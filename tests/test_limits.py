@@ -28,7 +28,7 @@ def make_trace(path, lam, E=1.0, l_start=1e-1, l_end=1e-4, points=13):
 
 def test_trace_grid_and_path_geometry():
     tr = make_trace(SqueezePath.power_law(2.0, 2.0), LAM1, points=9)
-    assert tr.points == 9
+    assert len(tr.l_values) == 9
     np.testing.assert_allclose(tr.rho_values, 2.0 * tr.l_values ** 2, rtol=1e-14)
     ratios = tr.l_values[:-1] / tr.l_values[1:]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
@@ -96,7 +96,7 @@ def test_trace_and_sweep_cap_their_sizes():
         make_trace(ADJ, LAM1, points=cap + 1)
     with pytest.raises(ValueError):
         make_trace(ADJ, LAM1, points=float("nan"))
-    assert make_trace(ADJ, LAM1, points=40).points == 40
+    assert len(make_trace(ADJ, LAM1, points=40).l_values) == 40
     cap = limits.MAX_SWEEP_SAMPLES
     assert cap > 1_000_000
     with pytest.raises(ValueError, match=f"samples = {cap + 1} exceeds"):
@@ -110,7 +110,7 @@ def test_trace_rejects_a_grid_whose_richardson_powers_overflow():
         make_trace(ADJ, 1.0, l_start=1e308, l_end=1e-6, points=8)
     # ratio**8 = 1e235 stays finite: the grid traces
     tr = make_trace(ADJ, 1.0, l_start=1e200, l_end=1e-6, points=8)
-    assert tr.points == 8
+    assert len(tr.l_values) == 8
 
 
 def test_trace_rows_keep_unit_determinant():
@@ -399,7 +399,7 @@ def test_tail_richardson_equals_full_triangle(points, ratio, coeffs, power,
 
 def _reference_classify(tr):
     """One entry at a time, with one dot product per entry."""
-    half = tr.points // 2
+    half = len(tr.l_values) // 2
     x = np.log(tr.l_values[half:])
     x -= x.mean()
     out = {}

@@ -8,9 +8,8 @@ import pytest
 from conftest import (adjacent_root_oracle, g_quadratic_forms,
                       linear_root_oracle)
 from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
-                        bound_state, bound_state_kappa, chi_linear,
-                        g_quadratic, resonance_set, resonant_matrix,
-                        resonant_scattering)
+                        bound_state, chi_linear, g_quadratic, resonance_set,
+                        resonant_matrix, resonant_scattering)
 from deltaprime import resonance
 from deltaprime.resonance import _linear_c, _record, _root, _solve_bracketed
 
@@ -176,29 +175,38 @@ def test_root_next_to_the_bracket_end():
 
 
 def test_chi_linear_reduces_and_chains():
+    # every root up to the overflow of chi: u/cos(s) and sinh(s)/sin(s)
+    # agree with chi_linear, which is the signed square root bit for bit
     assert chi_linear(SIGMA1, 0.0) == pytest.approx(CHI1, rel=1e-12)
-    for r in resonance_set(SqueezePath.power_law(1.0, 1.0), 5):
-        u = math.cosh(r.sigma) + 1.0 * r.sigma * math.sinh(r.sigma)
-        a = u / math.cos(r.sigma)
-        b = math.sinh(r.sigma) / math.sin(r.sigma)
-        c = (-1.0) ** r.n * math.sqrt(u * u + math.sinh(r.sigma) ** 2)
-        assert rel(a, b) < 1e-9
-        assert rel(a, c) < 1e-9
-        assert math.copysign(1.0, r.chi) == (-1.0) ** r.n
+    for c in (0.0, 0.7, 1.0):
+        roots, error = resonance._roots(c, MAX_INDEX + 1)
+        assert "chi overflows" in str(error)
+        assert len(roots) >= 111
+        for n, (sigma, chi) in enumerate(roots, 1):
+            assert chi_linear(sigma, c) == chi
+            sh, cs = math.sinh(sigma), c * sigma
+            u = math.cosh(sigma) + cs * sh
+            assert rel(u / math.cos(sigma), chi) < 1e-9
+            assert rel(sh / math.sin(sigma), chi) < 1e-9
+            square = (math.cosh(2.0 * sigma) + cs * math.sinh(2.0 * sigma)
+                      + (cs * sh) ** 2)
+            assert chi.hex() == ((-1.0) ** n * math.sqrt(square)).hex()
 
 
-def test_chi_linear_weighs_each_form_by_its_conditioning():
-    # next to n*pi, sinh(s)/sin(s) carries ulp(s)*|cot(s)| ~ 1e-3 of
-    # rounding: the root is accepted, a root moved by 1e-6 is not
+def test_chi_linear_checks_the_residual_of_its_root():
+    # next to n*pi, as on linear:1e12, the root is accepted; a root moved by
+    # 1e-6 leaves a residual of 1e-6 to 2e-6 and is not
     path = SqueezePath.power_law(1e12, 1.0)
     sigma = _root(_linear_c(path), 1)
     assert chi_linear(sigma, 1e12) < -3e13
-    with pytest.raises(NotARootError, match="spread"):
+    with pytest.raises(NotARootError,
+                       match=re.escape(f"sigma = {sigma + 1e-6} is no root")):
         chi_linear(sigma + 1e-6, 1e12)
     for c in (0.0, 1.0):
         root = _root(_linear_c(SqueezePath.power_law(c, 1.0)), 3)
         chi_linear(root, c)
-        with pytest.raises(NotARootError, match="spread"):
+        with pytest.raises(NotARootError,
+                           match=re.escape(f"sigma = {root + 1e-6} is no")):
             chi_linear(root + 1e-6, c)
 
 
@@ -220,6 +228,8 @@ def test_g_overflow_is_a_typed_error(spec, count, n):
     # sinh(s) itself overflows past s = 710
     with pytest.raises(DeltaPrimeError, match=r"g overflows .*\(n = 254,"):
         g_quadratic(800.0, 1.0)
+    with pytest.raises(DeltaPrimeError, match=r"g overflows .*\(n = 1, c = inf"):
+        g_quadratic(SIGMA1, math.inf)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 1.0])
@@ -235,6 +245,13 @@ def test_g_quadratic_names_a_non_finite_sigma(sigma):
     with pytest.raises(NotARootError,
                        match=re.escape(f"sigma = {sigma} lies in no root")):
         g_quadratic(sigma, 1.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, -1.0])
+def test_g_quadratic_rejects_a_bad_path_constant(c):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"path constant c must be >= 0, got {c}")):
+        g_quadratic(SIGMA1, c)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 4.2, 0.0, -SIGMA1])
@@ -305,19 +322,6 @@ def test_resonant_scattering_rejects_bad_input():
         resonant_scattering(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         resonant_scattering(2.0, 0.0, 0.0)
-
-
-def test_bound_state_kappa():
-    assert bound_state_kappa(CHI1, 0.0) is None
-    assert bound_state_kappa(2.0, 5.0) is None  # kappa = -2 < 0
-    kappa = bound_state_kappa(CHI1, G1_C1)
-    assert kappa == pytest.approx(KAPPA1_C1, rel=1e-11)
-    assert kappa == pytest.approx(0.5 * SIGMA1 ** 2 * math.tanh(SIGMA1) ** 2,
-                                  rel=1e-11)
-    with pytest.raises(ValueError):
-        bound_state_kappa(0.0, 1.0)
-    with pytest.raises(ValueError):
-        bound_state_kappa(complex(1, 1), 1.0)
 
 
 @pytest.mark.parametrize("spec", [
