@@ -46,8 +46,7 @@ class Resonance:
         lam: resonant coupling, sigma**2.
         chi: limiting upper-left connection-matrix entry; sign (-1)**n.
         g: limiting lower-left entry (0 except on the quadratic path).
-        kappa: bound-state decay constant, -g/(chi + 1/chi) if positive,
-            else 0.
+        kappa: bound-state decay constant -g/(chi + 1/chi), 0 unless > 0.
         path: the squeeze rule this resonance belongs to.
     """
 
@@ -104,10 +103,12 @@ def _solve_bracketed(g, lo: float, hi: float, f) -> float:
 
 
 def _index_of(sigma: float) -> int:
-    """Bracket index floor(sigma/pi) >= 1 of a finite root sigma >= pi."""
+    """Bracket index n >= 1 of a finite root sigma >= pi, with n*pi rounded
+    as the solver's bracket end (a root can round onto it, below n*pi)."""
     if not math.pi <= sigma < math.inf:
         raise NotARootError(f"sigma = {sigma} lies in no root bracket")
-    return int(sigma // math.pi)
+    n = int(sigma // math.pi)
+    return n + ((n + 1) * math.pi <= sigma) - (sigma < n * math.pi)
 
 
 def has_resonances(path: SqueezePath) -> bool:
@@ -137,10 +138,12 @@ def _residual(s: float, c: float) -> float:
 
 
 def _check_root(sigma: float, c: float) -> int:
-    """Bracket index of ``sigma``, checked to be a root of the resonance
-    equation at constant ``c`` by the solver's own residual test."""
+    """Bracket index n of ``sigma``, checked to be a root at constant ``c``
+    as the solver checks it: sigma <= n*pi + pi/2, which at large c rules
+    out a small residual just below (n + 1)*pi, and |residual| <= 1e-10."""
     n = _index_of(sigma)
-    if not abs(_residual(sigma, c)) <= _ROOT_TOL:
+    if not (sigma <= n * math.pi + 0.5 * math.pi
+            and abs(_residual(sigma, c)) <= _ROOT_TOL):
         equation = ("tanh(s) = tan(s)" if c == 0.0 else
                     f"tanh(s)/(1 + c*s*tanh(s)) = tan(s) at c = {c}")
         raise NotARootError(f"sigma = {sigma} is no root of {equation}")
@@ -162,11 +165,9 @@ def _root(c: float, n: int) -> float:
         lo, lo + 0.5 * math.pi, lambda s: _residual(s, c))
 
 
-# (sigma_n, chi_n) of tanh(s) = tan(s) for n = 1, 2, ...: the roots and chi
-# of every rule with c = 0, solved once per process.  Only entries that
-# passed the root and chi checks are kept.  The table grows by rebinding a
-# new tuple, so a concurrent reader sees a shorter prefix at worst; it stops
-# where chi overflows (_ADJACENT_COUNT entries).
+# Checked (sigma_n, chi_n) of tanh(s) = tan(s), n = 1, 2, ..., shared by every
+# c = 0 rule and grown by rebinding a new tuple (a concurrent reader sees a
+# shorter prefix at worst); it stops where chi overflows (_ADJACENT_COUNT).
 _ADJACENT_ROOTS: tuple[tuple[float, float], ...] = ()
 _ADJACENT_COUNT = 112
 

@@ -210,6 +210,37 @@ def test_chi_linear_checks_the_residual_of_its_root():
             chi_linear(root + 1e-6, c)
 
 
+def test_chi_linear_takes_no_root_tolerance_beyond_the_residual():
+    # the residual is the only root test: a table root moved by 1e-8
+    # leaves a residual of about 2e-8 at c = 0 and raises
+    sigma = SIGMA1 + 1e-8
+    with pytest.raises(NotARootError,
+                       match=re.escape(f"sigma = {sigma} is no root")):
+        chi_linear(sigma, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [2 * math.pi - 1e-11, 3 * math.pi - 5e-11])
+def test_chi_linear_rejects_the_upper_half_of_a_bracket(sigma):
+    # at c = 1e12 lhs is about 1/(c*s), so just below (n + 1)*pi the
+    # residual is under 1e-10 although the root of bracket n is near n*pi
+    assert abs(resonance._residual(sigma, 1e12)) <= 1e-10
+    with pytest.raises(NotARootError,
+                       match=re.escape(f"sigma = {sigma} is no root")):
+        chi_linear(sigma, 1e12)
+
+
+@pytest.mark.parametrize("n", [86, 91, 97, 102])
+def test_a_root_on_its_bracket_end_keeps_its_index(n):
+    # at c = 1e12 these roots round onto the float n*pi, which lies below
+    # the real product n*pi, so floor(sigma/pi) reads n - 1
+    path = SqueezePath.power_law(1e12, 1.0)
+    sigma = _root(_linear_c(path), n)
+    assert sigma == n * math.pi and sigma // math.pi == n - 1
+    r = _record(path, sigma)
+    assert r.n == n
+    assert math.copysign(1.0, r.chi) == (-1.0) ** n
+
+
 def test_chi_overflow_is_a_typed_error():
     # cosh(2s) overflows from n = 113 on
     root = _root(_linear_c(SqueezePath.adjacent()), 113)
