@@ -313,7 +313,7 @@ def params_from_resonance(lam_n: float, chi_n: float, g_n: float) -> ProductPara
         raise ValueError(
             f"lam_n = {lam_n}, chi_n = {chi_n}, g_n = {g_n} give "
             f"alpha = {alpha}, beta = {beta}: not finite")
-    return ProductParams(alpha=alpha, beta=beta, lam_fit=lam_n, offset=delta)
+    return ProductParams(alpha, beta, lam_n, delta)
 
 
 def scattering(m: UnitDetMatrix, k: float) -> ScatteringAmplitudes:
@@ -332,13 +332,14 @@ def bound_state(cm: ConnectionMatrix) -> list[float]:
     """
     a, b, c = cm.l12, cm.l11 + cm.l22, cm.l21
     if a == 0.0:
-        roots = [] if b == 0.0 else [-c / b]
+        r1, r2 = 0.0, (0.0 if b == 0.0 else -c / b)
     elif c == 0.0:
-        roots = [0.0, -b / a]
+        r1, r2 = 0.0, -b / a
     else:
         disc = b * b - 4.0 * a * c
         if disc < 0:
             return []
         q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        roots = [q / a, c / q]
-    return sorted(r for r in roots if r > 0.0)
+        r1, r2 = q / a, c / q
+    r1, r2 = (r2, r1) if r2 < r1 else (r1, r2)
+    return [r1, r2] if r1 > 0.0 else [r2] if r2 > 0.0 else []

@@ -234,7 +234,7 @@ def cmd_bc_fit(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     path = _parse_path(args.path, resonant_only=True)
-    r = _record(path, *_nth_root(path, args.n))
+    r = _record(path, args.n, *_nth_root(path, args.n))
     params = params_from_resonance(r.lam, r.chi, r.g)
     cm = bc_from_product(params, r.lam)
     residual = max(abs(cm.l11 - r.chi) / max(1.0, abs(r.chi)),

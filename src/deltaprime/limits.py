@@ -267,7 +267,7 @@ def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
             continue
         sigma, chi = _nth_root(path, n)
         if abs(lam - sigma * sigma) <= _MATCH_TOL:
-            r = _record(path, sigma, chi)
+            r = _record(path, n, sigma, chi)
             return resonant_matrix(r.chi, r.g)
     return None
 

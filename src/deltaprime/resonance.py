@@ -15,6 +15,7 @@ a bound state with decay constant kappa.
 from __future__ import annotations
 
 import math
+import operator
 
 from ._record import record
 from .boundary import ScatteringAmplitudes, amplitudes
@@ -137,17 +138,15 @@ def _residual(s: float, c: float) -> float:
     return _lhs(s, c) - math.tan(s)
 
 
-def _check_root(sigma: float, c: float) -> int:
-    """Bracket index n of ``sigma``, checked to be a root at constant ``c``
-    as the solver checks it: sigma <= n*pi + pi/2, which at large c rules
-    out a small residual just below (n + 1)*pi, and |residual| <= 1e-10."""
-    n = _index_of(sigma)
+def _check_root(sigma: float, c: float, n: int) -> None:
+    """Check ``sigma`` of bracket n to be a root at constant ``c`` as the
+    solver checks it: sigma <= n*pi + pi/2, which at large c rules out a
+    small residual just below (n + 1)*pi, and |residual| <= 1e-10."""
     if not (sigma <= n * math.pi + 0.5 * math.pi
             and abs(_residual(sigma, c)) <= _ROOT_TOL):
         equation = ("tanh(s) = tan(s)" if c == 0.0 else
                     f"tanh(s)/(1 + c*s*tanh(s)) = tan(s) at c = {c}")
         raise NotARootError(f"sigma = {sigma} is no root of {equation}")
-    return n
 
 
 def _root(c: float, n: int) -> float:
@@ -183,8 +182,8 @@ def _roots(c: float, count: int):
         grown = list(table)
         try:
             for n in range(len(grown) + 1, count + 1):
-                sigma = _root(c, n)
-                grown.append((sigma, chi_linear(sigma, c)))
+                sigma = _root(c, n)  # checked by the solver
+                grown.append((sigma, _chi(sigma, c, n)))
         except DeltaPrimeError as exc:
             error = exc
         table = tuple(grown)
@@ -202,18 +201,16 @@ def _nth_root(path: SqueezePath, n: int) -> tuple[float, float | None]:
     return _root(c, n), None
 
 
-def _record(path: SqueezePath, sigma: float,
+def _record(path: SqueezePath, n: int, sigma: float,
             chi: float | None = None) -> Resonance:
-    """The Resonance of ``path`` at the root ``sigma`` with entry ``chi``,
-    formed here where it is None."""
+    """The Resonance of ``path`` at its checked root ``sigma`` of bracket n
+    with entry ``chi``, formed here where it is None."""
     if chi is None:
-        chi = chi_linear(sigma, _linear_c(path))
-    quadratic = path.kind == POWER and path.tau == 2.0
-    g = g_quadratic(sigma, path.c) if quadratic else 0.0
+        chi = _chi(sigma, _linear_c(path), n)
+    g = _g(sigma, path.c, n) if path.kind == POWER and path.tau == 2.0 else 0.0
     kappa = -g / (chi + 1.0 / chi)  # the bound state's, when positive
-    return Resonance(n=_index_of(sigma), sigma=sigma, lam=sigma * sigma,
-                     chi=chi, g=g, kappa=kappa if kappa > 0 else 0.0,
-                     path=path)
+    return Resonance(n, sigma, sigma * sigma, chi, g,
+                     kappa if kappa > 0 else 0.0, path)
 
 
 def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
@@ -221,14 +218,21 @@ def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
 
     Adjacent and power laws with tau > 2 share the adjacent resonance set
     with g = 0; tau = 2 adds the nonzero g (and a bound state); tau = 1 has
-    its own roots.  Other rules give separated half-lines and raise.  The
-    shared roots and chi are read from a table solved once per process.
+    its own roots.  Other rules give separated half-lines and raise, as does
+    a count that is no integer >= 1.  The shared roots and chi are read from
+    a table solved once per process.
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ValueError(
+            f"count must be an integer >= 1, got {count!r}") from None
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     roots, error = _roots(_linear_c(path), count)
     # records first, so that an error at a lower index is raised first
-    out = [_record(path, sigma, chi) for sigma, chi in roots]
+    out = [_record(path, n, sigma, chi)
+           for n, (sigma, chi) in enumerate(roots, 1)]
     if error is not None:
         raise error
     return out
@@ -246,16 +250,24 @@ def chi_linear(sigma: float, c: float) -> float:
     """
     if not c >= 0:
         raise ValueError(f"path constant c must be >= 0, got {c}")
+    n = _index_of(sigma)
+    chi = _chi(sigma, c, n)
+    _check_root(sigma, c, n)
+    return chi
+
+
+def _chi(sigma: float, c: float, n: int) -> float:
+    """chi_linear at the root sigma of bracket n, with no root check."""
     cs = c * sigma
     try:
         square = (math.cosh(2.0 * sigma) + cs * math.sinh(2.0 * sigma)
                   + (cs * math.sinh(sigma)) ** 2)
     except OverflowError:
         square = math.inf
-    if not square < math.inf:  # a sigma in no bracket raises at its index
-        raise DeltaPrimeError(f"chi overflows at sigma = {sigma} "
-                              f"(n = {_index_of(sigma)}, c = {c})")
-    return (-1.0) ** _check_root(sigma, c) * math.sqrt(square)
+    if not square < math.inf:
+        raise DeltaPrimeError(
+            f"chi overflows at sigma = {sigma} (n = {n}, c = {c})")
+    return (-1.0) ** n * math.sqrt(square)
 
 
 def g_quadratic(sigma: float, c: float) -> float:
@@ -264,20 +276,27 @@ def g_quadratic(sigma: float, c: float) -> float:
     Two equivalent forms, -c*s**2*sinh(s)*sin(s) and
     (-1)**(n+1)*c*s**2*sinh(s)**2/sqrt(cosh(2s)); the first is returned.
     The quadratic rule keeps tanh(s) = tan(s) as its resonance condition.
-    Raises :class:`ValueError` unless c >= 0, :class:`DeltaPrimeError` where
-    g overflows or sigma is not finite, else :class:`NotARootError` where
-    sigma is not a root of that condition.
+    Raises :class:`ValueError` unless c >= 0, :class:`NotARootError` where
+    sigma lies in no bracket, :class:`DeltaPrimeError` where g overflows,
+    else :class:`NotARootError` where sigma is not a root of that condition.
     """
     if not c >= 0:
         raise ValueError(f"path constant c must be >= 0, got {c}")
+    n = _index_of(sigma)
+    g = _g(sigma, c, n)
+    _check_root(sigma, 0.0, n)
+    return g
+
+
+def _g(sigma: float, c: float, n: int) -> float:
+    """g_quadratic at the root sigma of bracket n, with no root check."""
     try:
         g = -c * sigma * sigma * math.sinh(sigma) * math.sin(sigma)
-    except (OverflowError, ValueError):  # sinh(s) overflows; sin(+-inf)
+    except OverflowError:  # sinh(s) overflows
         g = math.inf
-    if not abs(g) < math.inf:  # a sigma in no bracket raises at its index
-        raise DeltaPrimeError(f"g overflows at sigma = {sigma} "
-                              f"(n = {_index_of(sigma)}, c = {c})")
-    _check_root(sigma, 0.0)
+    if not abs(g) < math.inf:
+        raise DeltaPrimeError(
+            f"g overflows at sigma = {sigma} (n = {n}, c = {c})")
     return g + 0.0  # normalize -0.0 at c = 0
 
 

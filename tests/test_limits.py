@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import eager_amplitudes
 from deltaprime import (DeltaPrimeError, PrecisionFloorError, RectProfile,
-                        SqueezePath, classify, limits, piecewise_transfer,
-                        predict, resonance, resonance_set, resonant_matrix,
-                        scattering, trace, transfer_matrix,
+                        SqueezePath, chi_linear, classify, g_quadratic, limits,
+                        piecewise_transfer, predict, resonance, resonance_set,
+                        resonant_matrix, scattering, trace, transfer_matrix,
                         transmission_sweep)
 from deltaprime.transfer import det_residual, transfer_entries
 
@@ -464,7 +464,8 @@ def test_det_residual_on_arrays_matches_the_scalar_form():
 
 
 def _reference_predict(path, lam):
-    """predict with one bracket solve each and _record of the root alone."""
+    """predict with one bracket solve each, and chi and g of the matching
+    root from the public chi_linear and g_quadratic, which check it."""
     if not resonance.has_resonances(path):
         return None
     c = resonance._linear_c(path)
@@ -473,8 +474,10 @@ def _reference_predict(path, lam):
         if n >= 1:
             sigma = resonance._root(c, n)
             if abs(lam - sigma * sigma) <= limits._MATCH_TOL:
-                r = resonance._record(path, sigma)
-                return resonant_matrix(r.chi, r.g)
+                quadratic = path.kind == "power" and path.tau == 2.0
+                return resonant_matrix(
+                    chi_linear(sigma, c),
+                    g_quadratic(sigma, path.c) if quadratic else 0.0)
     return None
 
 
@@ -495,6 +498,18 @@ def test_predict_matches_one_solve_per_bracket_bit_for_bit(spec):
         hits += want is not None
         assert _hex(predict(path, lam)) == _hex(want), (spec, lam)
     assert hits == (6 if own is path else 0)
+
+
+def test_predict_past_the_resonance_data():
+    # past the shared table (n = 112) each bracket is solved on its own: a
+    # coupling between two roots matches none and forms no chi, a root's
+    # own coupling forms it and raises where it overflows
+    for lam in (1.3e5, 4e5, 1e6):
+        assert predict(ADJ, lam) is None
+    sigma = resonance._root(0.0, 114)
+    with pytest.raises(DeltaPrimeError,
+                       match=r"^chi overflows .*\(n = 114, c = 0\.0\)$"):
+        predict(ADJ, sigma ** 2)
 
 
 def test_predict_solves_nothing_once_the_shared_table_holds_n(monkeypatch):

@@ -11,7 +11,8 @@ from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
                         bound_state, chi_linear, g_quadratic, resonance_set,
                         resonant_matrix, resonant_scattering)
 from deltaprime import resonance
-from deltaprime.resonance import _linear_c, _record, _root, _solve_bracketed
+from deltaprime.resonance import (Resonance, _index_of, _linear_c, _root,
+                                  _solve_bracketed)
 
 # frozen reference values (independent bisection + direct evaluation)
 SIGMA1 = 3.9266023120479188
@@ -69,8 +70,24 @@ def test_linear_root_c1_against_oracle():
 def test_linear_rejects_negative_c_and_bad_count():
     with pytest.raises(ValueError):
         resonance_set(SqueezePath.power_law(-0.5, 1.0), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=re.escape("count must be >= 1, got 0")):
         resonance_set(SqueezePath.adjacent(), 0)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, math.nan, "3"])
+def test_resonance_set_rejects_a_count_that_is_no_integer(count):
+    with pytest.raises(ValueError, match=re.escape(
+            f"count must be an integer >= 1, got {count!r}")):
+        resonance_set(SqueezePath.adjacent(), count)
+
+
+def test_resonance_set_takes_any_integer_count():
+    np = pytest.importorskip("numpy")
+    path = SqueezePath.adjacent()
+    want = resonance_set(path, 3)
+    assert resonance_set(path, np.int64(3)) == want
+    assert resonance_set(path, True) == want[:1]
 
 
 def test_chi_adjacent_value_and_chain():
@@ -236,9 +253,8 @@ def test_a_root_on_its_bracket_end_keeps_its_index(n):
     path = SqueezePath.power_law(1e12, 1.0)
     sigma = _root(_linear_c(path), n)
     assert sigma == n * math.pi and sigma // math.pi == n - 1
-    r = _record(path, sigma)
-    assert r.n == n
-    assert math.copysign(1.0, r.chi) == (-1.0) ** n
+    assert _index_of(sigma) == n
+    assert math.copysign(1.0, chi_linear(sigma, 1e12)) == (-1.0) ** n
 
 
 def test_chi_overflow_is_a_typed_error():
@@ -398,12 +414,47 @@ def test_resonance_set_dispatch():
         resonance_set(SqueezePath.adjacent(), 0)
 
 
+def test_each_root_is_checked_once_where_it_is_solved(monkeypatch):
+    # the solver checks the residual of each root it solves; records built
+    # from the shared table or from solved roots check nothing again
+    resonance_set(SqueezePath.adjacent(), 60)  # fill the shared table
+    calls = dict.fromkeys(("_check_root", "_residual"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(resonance, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(resonance, name, counted)
+
+    def count(run, *args):
+        calls.update(dict.fromkeys(calls, 0))
+        run(*args)
+        return calls["_check_root"], calls["_residual"]
+
+    for spec, want in [("quadratic:1.3", (0, 0)), ("linear:0.7", (0, 60)),
+                       ("adjacent", (0, 0))]:
+        assert count(resonance_set, SqueezePath.parse(spec), 60) == want
+    # a sigma passed in from outside is checked once
+    assert count(chi_linear, SIGMA1, 0.0) == (1, 1)
+    assert count(g_quadratic, SIGMA1, 1.0) == (1, 1)
+
+
 SHARED_ROOT_RULES = ["adjacent", "quadratic:3", "power:2:3"]
 
 
 def reference_set(path, count):
-    return [repr(_record(path, _root(_linear_c(path), n)))
-            for n in range(1, count + 1)]
+    """Records of fresh bracket solves, chi and g from the public checked
+    chi_linear and g_quadratic."""
+    out, c = [], _linear_c(path)
+    quadratic = path.kind == "power" and path.tau == 2.0
+    for n in range(1, count + 1):
+        sigma = _root(c, n)
+        chi = chi_linear(sigma, c)
+        g = g_quadratic(sigma, path.c) if quadratic else 0.0
+        kappa = -g / (chi + 1.0 / chi)
+        out.append(repr(Resonance(
+            n=_index_of(sigma), sigma=sigma, lam=sigma * sigma, chi=chi, g=g,
+            kappa=kappa if kappa > 0 else 0.0, path=path)))
+    return out
 
 
 @pytest.mark.parametrize("spec", SHARED_ROOT_RULES)
