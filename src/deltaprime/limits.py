@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import fields
 
 import numpy as np
@@ -56,9 +55,11 @@ _MATCH_TOL = 1e-9
 SWEEP_BLOCK = 4096
 
 # Size caps, checked before anything is allocated.  A trace needs a few
-# dozen widths; 10**4 keeps the width-grid cache below
-# _GRID_CACHE_SIZE * MAX_TRACE_POINTS * 8 bytes = 1.3 MB.  A sweep holds
-# its couplings, |T|^2 and |R|^2 in full: 96 MB at MAX_SWEEP_SAMPLES.
+# dozen widths; 10**4 keeps the width-grid cache below 1.9 MB: each of
+# _GRID_CACHE_SIZE grids holds MAX_TRACE_POINTS widths, a slope vector over
+# half of them and at most 10 x 9 Richardson weights, in 8-byte floats.  A
+# sweep holds its couplings, |T|^2 and |R|^2 in full: 96 MB at
+# MAX_SWEEP_SAMPLES.
 MAX_TRACE_POINTS = 10_000
 MAX_SWEEP_SAMPLES = 4_000_000
 _GRID_CACHE_SIZE = 16
@@ -131,28 +132,40 @@ class LimitVerdict:
         return "resonant"
 
 
-def _powers(ratio: float) -> tuple:
-    """(ratio**j, ratio**j - 1) for j = 1 .. ``_RICHARDSON_DEPTH``."""
-    return tuple((ratio ** j, ratio ** j - 1.0)
-                 for j in range(1, _RICHARDSON_DEPTH + 1))
-
-
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _width_grid(l_start: float, l_end: float, points: int) -> tuple:
     """``np.geomspace(l_start, l_end, points)``, built once per grid and
-    shared read-only, and its slope design (x, x @ x, _powers(ratio)) for
-    :func:`classify`, where x is the centred log of the grid's tail."""
+    shared read-only, and the two linear maps :func:`classify` applies to
+    each entry, also read-only: the slope vector x / (x @ x), x the centred
+    log of the grid's tail, and the weight matrix W whose rows give the
+    last two values and Richardson levels 1 .. m - 1 at the last point as
+    combinations of the last m = min(points - 1, ``_RICHARDSON_DEPTH``) + 1
+    values.  W is the extrapolation triangle run on the unit vectors, with
+    ratio**j and ratio**j - 1 for level j of the grid ratio."""
     ls = np.geomspace(l_start, l_end, points)
-    ls.flags.writeable = False
     x = np.log(ls[len(ls) // 2:])
     x -= x.mean()
+    ratio = float(ls[0] / ls[1])
+    grid = f"l_start = {l_start}, l_end = {l_end}, points = {points}: the grid"
     try:
-        powers = _powers(float(ls[0] / ls[1]))
+        powers = [(ratio ** j, ratio ** j - 1.0)
+                  for j in range(1, _RICHARDSON_DEPTH + 1)]
     except OverflowError:
         raise ValueError(
-            f"l_start = {l_start}, l_end = {l_end}, points = {points}: the "
-            f"grid ratio**{_RICHARDSON_DEPTH} overflows") from None
-    return ls, (x, x @ x, powers)
+            f"{grid} ratio**{_RICHARDSON_DEPTH} overflows") from None
+    xx = x @ x
+    if not (ratio > 1.0 and xx > 0.0):
+        raise ValueError(f"{grid} widths are too close to tell apart")
+    m = min(points - 1, _RICHARDSON_DEPTH) + 1
+    level = np.eye(m)  # level 0 at each of the last m points
+    rows = [level[-2], level[-1]]
+    for f, f1 in powers[:m - 1]:
+        level = (f * level[1:] - level[:-1]) / f1
+        rows.append(level[-1])
+    maps = ls, x / xx, np.array(rows)
+    for a in maps:
+        a.flags.writeable = False
+    return maps
 
 
 def trace(path: SqueezePath, lam: float, E: float,
@@ -160,7 +173,8 @@ def trace(path: SqueezePath, lam: float, E: float,
     """Evaluate the transfer matrix on a geometric width grid along ``path``.
 
     Requires 8 <= points <= ``MAX_TRACE_POINTS``, a finite l_start > l_end
-    >= the double-precision floor (grid ratio**8 finite) and a finite
+    >= the double-precision floor (grid ratio**8 finite, and the ratio and
+    the logs of the last half not rounding to one value) and a finite
     lam >= 0; every point is checked against the unit-determinant invariant.
     """
     if not points >= 8:
@@ -189,29 +203,6 @@ def trace(path: SqueezePath, lam: float, E: float,
                       entries=np.array(entries).T)
 
 
-def _richardson(values: Sequence[float], powers) -> tuple[float, float]:
-    """Limit estimate for a geometric-grid sequence, given :func:`_powers`
-    of its common ratio, with a power-series error model; the error
-    estimate is the smallest change produced by an extrapolation level.
-
-    Level j of the extrapolation triangle is only read at its last element,
-    which depends on the last j + 1 values, so only the last
-    ``_RICHARDSON_DEPTH + 1`` values are combined, one row at a time.
-    """
-    row: list[float] = []
-    for value in values[-min(len(values) - 1, _RICHARDSON_DEPTH) - 1:]:
-        prev, cur = row, float(value)
-        row = [cur]
-        for (f, f1), a in zip(powers, prev):
-            cur = (f * cur - a) / f1
-            row.append(cur)
-    best, best_err = row[0], abs(row[0] - prev[0])
-    for lower, level in zip(row, row[1:]):
-        if abs(level - lower) < best_err:
-            best, best_err = level, abs(level - lower)
-    return best, best_err
-
-
 def classify(tr: LimitTrace) -> LimitVerdict:
     """Classify each entry's limit from the trace.
 
@@ -220,32 +211,38 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     ``DIVERGENCE_SLOPE`` (magnitudes growing as l shrinks give negative
     slopes).  Entries that stay below 1e-6 in the tail, or change sign
     there, carry no usable slope and are classified by their extrapolated
-    value instead.  The four entries are tested together, one row each.
+    value instead: the Richardson level, for a power-series error model,
+    that changes least from the level below it, with that change as the
+    error (a NaN change, where a level overflows, never wins).  Both steps
+    are the grid's cached linear maps (:func:`_width_grid`), applied to
+    all four entries in one product each.
     """
     ls = tr.l_values  # from np.geomspace, which sets both ends exactly
-    x, xx, powers = _width_grid(float(ls[0]), float(ls[-1]), len(ls))[1]
+    _, slope, weights = _width_grid(float(ls[0]), float(ls[-1]), len(ls))
     tail = tr.entries[len(ls) // 2:].T  # one row per entry
     size = np.abs(tail)
-    # one reduction per test; fmin skips NaN, so a NaN marks no sign change
-    flat = ((size.max(axis=1) < _TINY_TAIL) | (np.fmin.reduce(
-        tail[:, :-1] * tail[:, 1:], axis=1) <= 0.0)).tolist()
-    # least-squares slopes in closed form, one dot product per sloped row:
-    # np.polyfit costs several times more on these few points, and a
-    # strided column or a matrix-vector product rounds differently; the
-    # mean is y.mean's own sum and division, without its Python wrapper
-    with np.errstate(divide="ignore", invalid="ignore"):  # flat rows may hold 0
+    # flat rows may hold 0, and the products and upper levels of a huge
+    # entry overflow, keeping their signs
+    with np.errstate(all="ignore"):
+        # one reduction per test; fmin skips NaN, so a NaN marks no sign
+        # change
+        flat = (size.max(axis=1) < _TINY_TAIL) | (np.fmin.reduce(
+            tail[:, :-1] * tail[:, 1:], axis=1) <= 0.0)
         y = np.log(size)
         y -= np.add.reduce(y, axis=1, keepdims=True) / y.shape[1]
-    last_values = tr.entries[-_RICHARDSON_DEPTH - 1:].T.tolist()
-    verdicts: dict[str, EntryVerdict] = {}
+        slopes = (y @ slope).tolist()
+        levels = weights @ tr.entries[-weights.shape[1]:]
+        change = np.abs(levels[1:] - levels[:-1])
+        error = np.fmin.reduce(change)  # fmin skips NaN, so NaN never wins
+    best = (change == error).argmax(axis=0).tolist()  # the first smallest
+    flat, levels, error = flat.tolist(), levels.T.tolist(), error.tolist()
+    verdicts = {}
     for j, name in enumerate(ENTRY_NAMES):
-        if not flat[j]:
-            slope = float(x @ y[j] / xx)
-            if slope <= DIVERGENCE_SLOPE:
-                verdicts[name] = EntryVerdict(kind=DIVERGENT, exponent=slope)
-                continue
-        est, err = _richardson(last_values[j], powers)
-        verdicts[name] = EntryVerdict(kind=CONVERGES, value=est, error=err)
+        if not flat[j] and slopes[j] <= DIVERGENCE_SLOPE:
+            verdicts[name] = EntryVerdict(kind=DIVERGENT, exponent=slopes[j])
+        else:
+            verdicts[name] = EntryVerdict(kind=CONVERGES, value=levels[j][
+                best[j] + 1], error=error[j])
     return LimitVerdict(entries=verdicts)
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import struct
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +65,21 @@ def test_trace_width_grid_is_shared_and_read_only():
     again = make_trace(QUAD, LAM1)
     assert again.l_values is tr.l_values
     assert again.l_values.tobytes() == expected
+    # so are classify's slope vector and Richardson weights, and an evicted
+    # grid rebuilds them equal
+    maps = _grid_maps(tr.l_values)
+    assert all(a is b for a, b in zip(maps, _grid_maps(again.l_values)))
+    for a in maps:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    for i in range(limits._GRID_CACHE_SIZE):
+        make_trace(ADJ, LAM1, l_start=0.05 + 1e-3 * i, points=9 + i)
+    fresh = make_trace(ADJ, LAM1)
+    assert fresh.l_values is not tr.l_values
+    rebuilt = _grid_maps(fresh.l_values)
+    assert all(a is not b and a.tobytes() == b.tobytes() and a.shape == b.shape
+               for a, b in zip(maps, rebuilt))
 
 
 def test_classify_after_grid_cache_eviction_matches_fresh_trace():
@@ -111,6 +128,20 @@ def test_trace_rejects_a_grid_whose_richardson_powers_overflow():
     # ratio**8 = 1e235 stays finite: the grid traces
     tr = make_trace(ADJ, 1.0, l_start=1e200, l_end=1e-6, points=8)
     assert len(tr.l_values) == 8
+
+
+@pytest.mark.parametrize("l_start, points", [(1.0000000000000002e-4, 8),
+                                             (1.0000000000010001e-4, 10_000)])
+def test_trace_rejects_a_grid_whose_widths_round_together(l_start, points):
+    # the first grid's logs round to one value, so its slope vector would
+    # divide by x @ x = 0; the second's ratio rounds to 1, so its Richardson
+    # weights would divide by ratio - 1 = 0
+    with pytest.raises(ValueError, match=f"points = {points}: the grid "
+                                         "widths are too close"):
+        make_trace(ADJ, 1.0, l_start=l_start, l_end=1e-4, points=points)
+    # a ratio of 1 + 1.2e-14 still traces and classifies
+    tr = make_trace(ADJ, 1.0, l_start=1.0000000000001e-4, l_end=1e-4, points=9)
+    assert classify(tr).separated
 
 
 def test_trace_rows_keep_unit_determinant():
@@ -363,20 +394,57 @@ def _bits(x):
     return None if x is None else struct.pack("<d", x)
 
 
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
+
+
 def _full_richardson(values, ratio):
-    """Every level of the extrapolation triangle over the whole sequence."""
+    """Every level of the extrapolation triangle over the whole sequence,
+    read at its last element, in the row order of the grid's weight matrix:
+    the last two values, then levels 1, 2, ..."""
     prev = [float(v) for v in values]
-    best = prev[-1]
-    best_err = abs(prev[-1] - prev[-2])
+    levels = prev[-2:]
     for j in range(1, min(len(values), limits._RICHARDSON_DEPTH + 1)):
         f = ratio ** j
-        cur = [(f * prev[i] - prev[i - 1]) / (f - 1.0)
-               for i in range(1, len(prev))]
-        err = abs(cur[-1] - prev[-1])
-        if err < best_err:
-            best, best_err = cur[-1], err
-        prev = cur
-    return best, best_err
+        prev = [(f * prev[i] - prev[i - 1]) / (f - 1.0)
+                for i in range(1, len(prev))]
+        levels.append(prev[-1])
+    return levels
+
+
+def _best_index(change):
+    """Index of the first smallest change; a NaN change never wins."""
+    k = 0
+    for i, c in enumerate(change):
+        if c < change[k]:
+            k = i
+    return k
+
+
+def _grid_maps(ls):
+    return limits._width_grid(float(ls[0]), float(ls[-1]), len(ls))[1:]
+
+
+def _level_bounds(weights, values):
+    """4 eps sum |w| |v| for each row of the weight matrix, plus m units of
+    the smallest subnormal per sum |w| for products that underflow."""
+    m = weights.shape[1]
+    size = np.abs(weights)
+    return (4.0 * EPS * (size @ np.abs(values[-m:]))
+            + m * TINY * size.sum(axis=1))
+
+
+def _assert_selection_matches(value, error, levels, bound):
+    """The selected (value, error) is a level of the reference triangle, to
+    the bound, whose change is smallest within the bounds: the reference's
+    own best wherever that beats every other level by more than them."""
+    change = np.abs(np.diff(levels))
+    slack = bound[1:] + bound[:-1]  # bound on each change
+    k = _best_index(change)
+    near = set(np.flatnonzero(change <= change[k] + slack + slack[k])) | {k}
+    assert any(abs(value - levels[i + 1]) <= bound[i + 1] and
+               abs(error - change[i]) <= slack[i] for i in near), \
+        (value, error, levels[k + 1], change[k])
 
 
 @settings(max_examples=300, deadline=None)
@@ -388,34 +456,59 @@ def _full_richardson(values, ratio):
 @example(points=8, ratio=2.0, coeffs=[1.0, -3.0, 0.5], power=1.0, zero=-1)
 def test_tail_richardson_equals_full_triangle(points, ratio, coeffs, power,
                                               zero):
-    l = ratio ** -np.arange(points, dtype=float)
-    values = coeffs[0] + coeffs[1] * l ** power + coeffs[2] * l ** (2 * power)
+    # every level of the cached weight matrix against the float triangle
+    # over the whole sequence, each to 4 eps sum |w| |v|; the selected
+    # (value, error) of classify against the triangle's best level
+    ls = np.geomspace(1.0, ratio ** -(points - 1), points)
+    ratio = float(ls[0] / ls[1])
+    values = coeffs[0] + coeffs[1] * ls ** power + coeffs[2] * ls ** (2 * power)
     if zero is not None:
         values[zero] = 0.0
-    got = limits._richardson(values, limits._powers(ratio))
-    want = _full_richardson(values, ratio)
-    assert list(map(_bits, got)) == list(map(_bits, want))
+    _, weights = _grid_maps(ls)
+    levels = np.array(_full_richardson(values, ratio))
+    bound = _level_bounds(weights, values)
+    got = weights @ values[-weights.shape[1]:]
+    assert (np.abs(got - levels) <= bound).all(), (got, levels, bound)
+    tr = limits.LimitTrace(path=ADJ, lam=0.0, E=1.0, l_values=ls,
+                           rho_values=np.zeros(points),
+                           entries=np.repeat(values[:, None], 4, axis=1))
+    v = classify(tr).entries["L11"]
+    if v.kind == limits.CONVERGES:
+        _assert_selection_matches(v.value, v.error, levels, bound)
 
 
 def _reference_classify(tr):
-    """One entry at a time, with one dot product per entry."""
+    """One entry at a time: the slope as one dot product, the limit from
+    the float triangle over the whole sequence.  Each entry maps to (kind,
+    exponent, value, error, check): for a divergent entry the bound of its
+    exponent, 4 eps sum |x| |y| / (x @ x); for a convergent one its
+    triangle levels and their bounds."""
     half = len(tr.l_values) // 2
     x = np.log(tr.l_values[half:])
     x -= x.mean()
+    weights = _grid_maps(tr.l_values)[1]
+    ratio = float(tr.l_values[0] / tr.l_values[1])
     out = {}
     for j, name in enumerate(limits.ENTRY_NAMES):
         v = tr.entries[:, j]
         vt = v[half:]
-        crosses = bool(np.any(vt[:-1] * vt[1:] <= 0.0))
+        with np.errstate(over="ignore"):  # a product overflows with its sign
+            crosses = bool(np.any(vt[:-1] * vt[1:] <= 0.0))
         if not (np.all(np.abs(vt) < limits._TINY_TAIL) or crosses):
             y = np.log(np.abs(vt))
-            slope = float(x @ (y - y.mean()) / (x @ x))
+            y -= y.mean()
+            slope = float(x @ y / (x @ x))
             if slope <= limits.DIVERGENCE_SLOPE:
-                out[name] = (limits.DIVERGENT, slope, None, None)
+                bound = 4.0 * EPS * float(np.abs(x) @ np.abs(y) / (x @ x))
+                out[name] = (limits.DIVERGENT, slope, None, None, bound)
                 continue
-        ratio = float(tr.l_values[0] / tr.l_values[1])
-        est, err = _full_richardson(v, ratio)
-        out[name] = (limits.CONVERGES, None, est, err)
+        with np.errstate(over="ignore", invalid="ignore"):
+            levels = _full_richardson(v, ratio)
+            change = np.abs(np.diff(levels))
+            bound = _level_bounds(weights, v)
+        k = _best_index(change)
+        out[name] = (limits.CONVERGES, None, levels[k + 1], float(change[k]),
+                     (levels, bound))
     return out
 
 
@@ -425,6 +518,8 @@ SEVEN_RULES = ["adjacent", "barrier-first:0.5", "linear:1.3", "quadratic:0.7",
 
 @pytest.mark.parametrize("spec", SEVEN_RULES)
 def test_classify_matches_per_entry_reference_bit_for_bit(spec):
+    # entry order and kinds bit for bit; exponent, value and error to the
+    # bound of the grid's linear map, 4 eps sum |w| |v|
     path = SqueezePath.parse(spec)
     lams = [0.0, 0.8, 10.0, LAM1, 123.4, 377.7]
     if spec in ("adjacent", "linear:1.3", "quadratic:0.7", "power:2.1:3"):
@@ -436,13 +531,71 @@ def test_classify_matches_per_entry_reference_bit_for_bit(spec):
             got = classify(tr).entries
             want = _reference_classify(tr)
             assert list(got) == list(want)
-            for name, (kind, exponent, value, error) in want.items():
+            for name, (kind, exponent, _, _, check) in want.items():
                 v = got[name]
                 kinds.add(kind)
                 assert v.kind == kind, (spec, lam, name)
-                assert [_bits(v.exponent), _bits(v.value), _bits(v.error)] == \
-                    [_bits(exponent), _bits(value), _bits(error)], (spec, lam, name)
+                if kind == limits.DIVERGENT:
+                    assert v.value is None and v.error is None
+                    assert abs(v.exponent - exponent) <= check, (spec, lam, name)
+                else:
+                    assert v.exponent is None
+                    _assert_selection_matches(v.value, v.error, *check)
     assert kinds == {limits.DIVERGENT, limits.CONVERGES}
+
+
+# the default grid, one at ratio 2 and one with 40 points
+@pytest.mark.parametrize("grid", [(1e-1, 1e-4, 13), (1.0, 2.0 ** -7, 8),
+                                  (1e-1, 1e-4, 40)])
+def test_weights_recover_a_polynomial_against_an_exact_oracle(grid):
+    # Level m - 1 removes the powers l, l**2, .., l**(m - 1) of a geometric
+    # grid: applied to a polynomial of degree <= m - 1 in l it returns the
+    # constant term.  The polynomial, and the error of the float product,
+    # are exact rationals, so the check does not lean on the triangle.
+    ls = np.geomspace(*grid)
+    _, weights = _grid_maps(ls)
+    m = weights.shape[1]
+    ratio = Fraction(float(ls[0] / ls[1]))
+    l_tail = [Fraction(float(ls[-1])) * ratio ** (m - 1 - t) for t in range(m)]
+    rng = np.random.default_rng(grid[2])
+    for degree in range(m):
+        for _ in range(5):
+            coeffs = [Fraction(c) for c in rng.uniform(-1.0, 1.0, degree + 1)]
+            exact = [sum(c * l ** d for d, c in enumerate(coeffs))
+                     for l in l_tail]
+            values = np.array([float(v) for v in exact])
+            got = Fraction(float(weights[-1] @ values))
+            bound = 4.0 * EPS * float(np.abs(weights[-1]) @ np.abs(values))
+            assert abs(got - coeffs[0]) <= bound, (degree, got - coeffs[0])
+    # each row sums to 1, the degree-0 case, exactly summed
+    for row in weights:
+        total = sum(Fraction(float(w)) for w in row)
+        assert abs(total - 1) <= 4.0 * EPS * np.abs(row).sum(), row
+
+
+def test_classify_skips_the_levels_that_overflow():
+    # one column of 1e307 and 1e308 whose products of neighbours and upper
+    # Richardson levels overflow to inf and NaN: classify warns nothing and
+    # picks the level that the triangle picks, since a NaN change never wins
+    ls = np.geomspace(1e-1, 1e-4, 13)
+    big = 1e308 * (-1.0) ** np.arange(13)
+    big[-2:] = 0.999e307, 1e307
+    entries = np.stack([big, np.full(13, 0.5), 1.0 / ls, np.full(13, 2.0)], 1)
+    tr = limits.LimitTrace(path=ADJ, lam=0.0, E=1.0, l_values=ls,
+                           rho_values=np.zeros(13), entries=entries)
+    weights = _grid_maps(ls)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = weights @ big[-weights.shape[1]:]
+        assert np.isnan(np.diff(levels)).any()
+        assert np.isnan(np.diff(_full_richardson(big, ls[0] / ls[1]))).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classify(tr).entries
+    kind, _, value, error, _ = _reference_classify(tr)["L11"]
+    assert got["L11"].kind == kind == limits.CONVERGES
+    assert (got["L11"].value, got["L11"].error) == (value, error)
+    assert (value, error) == (1e307, 1e307 - 0.999e307)
+    assert got["L21"].kind == limits.DIVERGENT
 
 
 def test_det_residual_on_arrays_matches_the_scalar_form():
