@@ -29,12 +29,15 @@ for lam, label in ((LAM1, "first resonant coupling"),
     for path in paths:
         tr = trace(path, lam, E=1.0, l_start=1e-1, l_end=1e-4, points=13)
         verdict = classify(tr)
+        # a limit this far below the largest entry is rounding noise around 0
+        noise = 1e-12 * abs(tr.entries[-1]).max()
         bits = []
         for name, e in verdict.entries.items():
             if e.is_divergent:
                 bits.append(f"{name} ~ l^{e.exponent:.2f}")
             else:
-                bits.append(f"{name} -> {e.value:.4g}")
+                value = e.value if abs(e.value) >= noise else 0.0
+                bits.append(f"{name} -> {value:.4g}")
         expected = predict(path, lam)
         tag = "wall" if expected is None else "transmits"
         agree = verdict.separated == (expected is None)

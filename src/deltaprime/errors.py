@@ -38,12 +38,14 @@ def holds(ok) -> bool:
     """Whether ``ok``, a boolean scalar or array, holds at every element.
 
     Scalars are tested directly: reducing a numpy scalar costs more than a
-    one-point evaluation of the transfer kernel's arithmetic.  No array can
-    exist before numpy is loaded, so the scalar paths never load it.
+    one-point evaluation of the transfer kernel's arithmetic.  Arrays take
+    the ufunc reduction, which skips ``ndarray.all``'s Python wrapper.  No
+    array can exist before numpy is loaded, so the scalar paths never load
+    it.
     """
     np = sys.modules.get("numpy")
     if np is not None and isinstance(ok, np.ndarray):
-        return bool(ok.all())
+        return bool(np.logical_and.reduce(ok, axis=None))
     return bool(ok)
 
 

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import fields
 
 import numpy as np
 
 from ._record import record
-from .boundary import (ConnectionMatrix, amplitudes, det_residual,
+from .boundary import (_quiet, ConnectionMatrix, amplitudes, det_residual,
                        resonant_matrix)
 from .errors import InvariantViolation, PrecisionFloorError, require
 from .paths import SqueezePath
 from .resonance import _nth_root, _record, has_resonances
-from .transfer import PRECISION_FLOOR, transfer_entries
+from .transfer import (PRECISION_FLOOR, _check_energy, _entries, _gap,
+                       transfer_entries)
 
 __all__ = [
     "LimitTrace",
@@ -55,9 +57,11 @@ _MATCH_TOL = 1e-9
 SWEEP_BLOCK = 4096
 
 # Size caps, checked before anything is allocated.  A trace needs a few
-# dozen widths; 10**4 keeps the width-grid cache below 1.9 MB: each of
-# _GRID_CACHE_SIZE grids holds MAX_TRACE_POINTS widths, a slope vector over
-# half of them and at most 10 x 9 Richardson weights, in 8-byte floats.  A
+# dozen widths; 10**4 keeps the width-grid and trace-plan caches below
+# 8.4 MB: each of _GRID_CACHE_SIZE grids holds MAX_TRACE_POINTS widths, a
+# slope vector over half of them and at most 10 x 9 Richardson weights
+# (1.9 MB), and each of as many plans at most five arrays of MAX_TRACE_POINTS
+# (its grid, l**2, rho, cos(k*rho), sin(k*rho): 6.4 MB), in 8-byte floats.  A
 # sweep holds its couplings, |T|^2 and |R|^2 in full: 96 MB at
 # MAX_SWEEP_SAMPLES.
 MAX_TRACE_POINTS = 10_000
@@ -82,7 +86,9 @@ class LimitTrace:
 
     ``entries`` has shape (points, 4) ordered (L11, L12, L21, L22), a
     transposed view of one row per entry; the closed forms are real.
-    ``l_values`` is shared by every trace on the same grid and is read-only.
+    ``l_values`` is shared by every trace on the same grid and
+    ``rho_values`` by every trace with the same path, energy and grid; both
+    are read-only.
     """
 
     path: SqueezePath
@@ -168,6 +174,39 @@ def _width_grid(l_start: float, l_end: float, points: int) -> tuple:
     return maps
 
 
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _trace_plan(path: SqueezePath, E: float, l_start: float, l_end: float,
+                points: int) -> tuple:
+    """What :func:`trace` reads that does not depend on the coupling, built
+    once per (path, E, grid) and shared read-only: the widths ``ls`` of
+    :func:`_width_grid`, ls**2, the gaps ``rho_values`` along ``path`` and
+    the gap factors of :func:`transfer._gap` (arrays on the power rules,
+    scalars where the gap is constant)."""
+    ls = _width_grid(l_start, l_end, points)[0]
+    rho = path.rho_of(ls)  # a scalar on the constant-gap rules
+    _check_energy(E)
+    with _quiet():
+        plan = ls, np.square(ls), np.zeros(points) + rho, _gap(E, rho)
+    for a in (*plan[:3], *plan[3]):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float, where it is one real number (a numpy scalar or
+    a 0-d array too); else a :class:`ValueError` that names it."""
+    if type(value) is float:
+        return value
+    try:
+        if (np.ndim(value) == 0 and not np.iscomplexobj(value)
+                and not isinstance(value, (str, bytes))):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be one real number, got {value!r}")
+
+
 def trace(path: SqueezePath, lam: float, E: float,
           l_start: float, l_end: float, points: int) -> LimitTrace:
     """Evaluate the transfer matrix on a geometric width grid along ``path``.
@@ -175,8 +214,17 @@ def trace(path: SqueezePath, lam: float, E: float,
     Requires 8 <= points <= ``MAX_TRACE_POINTS``, a finite l_start > l_end
     >= the double-precision floor (grid ratio**8 finite, and the ratio and
     the logs of the last half not rounding to one value) and a finite
-    lam >= 0; every point is checked against the unit-determinant invariant.
+    lam >= 0, each a single real number; every point is checked against the
+    unit-determinant invariant.  The lam-independent part is the cached
+    plan of :func:`_trace_plan`.
     """
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ValueError(
+            f"points must be an integer, got {points!r}") from None
+    lam, E = _real("lam", lam), _real("E", E)
+    l_start, l_end = _real("l_start", l_start), _real("l_end", l_end)
     if not points >= 8:
         raise ValueError(f"need at least 8 trace points, got {points}")
     if not points <= MAX_TRACE_POINTS:
@@ -191,16 +239,14 @@ def trace(path: SqueezePath, lam: float, E: float,
     if not 0 <= lam < math.inf:
         raise ValueError(f"coupling must be finite and >= 0, got {lam}")
 
-    ls = _width_grid(l_start, l_end, points)[0]
-    rho = path.rho_of(ls)  # a scalar on the constant-gap rules
-    entries = transfer_entries(ls, rho, lam, E)
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the check
+    ls, l2, rho_values, gap = _trace_plan(path, E, l_start, l_end, points)
+    with _quiet():  # NaN fails the check
+        entries = _entries(l2, ls, lam, E, gap)
         residual = det_residual(*entries)
     require(residual <= 1e-10, InvariantViolation,
             "determinant residual {} at l = {}", residual, ls)
     return LimitTrace(path=path, lam=lam, E=E, l_values=ls,
-                      rho_values=np.zeros(points) + rho,
-                      entries=np.array(entries).T)
+                      rho_values=rho_values, entries=np.array(entries).T)
 
 
 def classify(tr: LimitTrace) -> LimitVerdict:

@@ -12,10 +12,11 @@ floating-point warnings off: an overflow gives inf or NaN values, which the
 per-element invariant checks report.  Each region tests the sign of its
 s = p**2 or -q**2 once per call: if every element grows, or every element
 oscillates, only that form is computed and the product leaves out the terms
-that vanish in it; mixed signs or an exact s = 0 merge both forms.  Each
-element gets the same arithmetic either way.  The scattering extraction,
-:func:`amplitudes` and :func:`scattering`, is re-exported from the
-numpy-free :mod:`.boundary`.
+that vanish in it; mixed signs or an exact s = 0 merge both forms.  The
+well skips its test where the barrier grows everywhere, since it then
+oscillates everywhere.  Each element gets the same arithmetic either way.
+The scattering extraction, :func:`amplitudes` and :func:`scattering`, is
+re-exported from the numpy-free :mod:`.boundary`.
 """
 
 from __future__ import annotations
@@ -66,10 +67,22 @@ class TransferMatrix(UnitDetMatrix):
     x0: float = field()  # required: no default from UnitDetMatrix.x0
 
 
-def _region(s, l):
+def _form(s):
+    """The form a region of ``psi'' = s * psi`` takes: True or False when
+    every element grows (s > 0) or every element oscillates (s < 0), else
+    the elementwise ``s > 0``; mixed signs, NaN or an exact s = 0 merge both
+    forms, as np.where(s > 0, ...) would."""
+    if isinstance(s, np.ndarray):  # two ufunc reductions, cheaper than s > 0
+        return (True if np.minimum.reduce(s, axis=None, initial=np.inf) > 0
+                else False if np.maximum.reduce(s, axis=None, initial=-np.inf)
+                < 0 else s > 0)
+    return bool(s > 0) if s != 0 else np.False_
+
+
+def _region(s, l, grows):
     """Propagation matrix of psi'' = s * psi over width ``l``, elementwise,
-    split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a); returns (grows, c, t,
-    d, g, a), ``grows`` True or False when all elements take that form.
+    split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a); returns (c, t, d, g,
+    a) in the form ``grows`` = :func:`_form` (s) selects.
 
     For s = a**2 > 0 the region grows: c = exp(-a*l), t = d = 0 and
     g = sinh(a*l), so the sum is [[cosh, sinh/a], [a*sinh, cosh]] while
@@ -80,20 +93,15 @@ def _region(s, l):
     """
     a = np.sqrt(np.abs(s))
     x = a * l
-    if isinstance(s, np.ndarray):  # two reductions, cheaper than s > 0, s < 0
-        grows = (True if s.min(initial=np.inf) > 0
-                 else False if s.max(initial=-np.inf) < 0 else s > 0)
-    else:  # s = 0 exactly takes the merge, as np.where(s > 0, ...) would
-        grows = bool(s > 0) if s != 0 else np.False_
     if grows is not False:
         up = np.exp(-x), 0.0, 0.0, np.sinh(x), a
     if grows is not True:
         sn = np.sin(x)
         osc = np.cos(x), sn / a, -a * sn, 0.0, 1.0
     if grows is True or grows is False:
-        return (grows, *(up if grows else osc))
+        return up if grows else osc
     c, t, d, g, p = (np.where(grows, u, o) for u, o in zip(up, osc))
-    return grows, c, np.where(a == 0, l, t), d, g, p
+    return c, np.where(a == 0, l, t), d, g, p
 
 
 def transfer_entries(l, rho, lam, E):
@@ -115,27 +123,44 @@ def transfer_entries(l, rho, lam, E):
     """
     _check_energy(E)
     with _quiet():
-        scale = lam / np.square(l)  # numpy division: l**2 may underflow
-        grows, c, t, d, g, p = _region(scale - E, l)
-        wgrows, wc, wt, wd, wg, wa = _region(-(scale + E), l)
-        cq, sq, dq = ((wc, wt, wd) if wgrows is False  # g = 0
-                      else (wc + wg, wt + wg / wa, wd + wg * wa))
-        k = np.sqrt(E)
-        ckr, skr = np.cos(k * rho), np.sin(k * rho)
+        return _entries(np.square(l), l, lam, E, _gap(E, rho))
 
-        # well @ gap
-        n11 = cq * ckr - k * sq * skr
-        n12 = cq * skr / k + sq * ckr
-        n21 = dq * ckr - k * cq * skr
-        n22 = dq * skr / k + cq * ckr
-        # (well @ gap) @ barrier, without the terms of the form not taken
-        l11, l12, l21, l22 = c * n11, c * n12, c * n21, c * n22
-        if grows is not True:  # t and d may be nonzero
-            l11, l12, l21, l22 = (l11 + d * n12, t * n11 + l12,
-                                  l21 + d * n22, t * n21 + l22)
-        if grows is not False:  # g may be nonzero
-            g1, g2 = g * (n11 + p * n12), g * (n21 + p * n22)
-            l11, l12, l21, l22 = l11 + g1, l12 + g1 / p, l21 + g2, l22 + g2 / p
+
+def _gap(E, rho):
+    """The gap's factors (k, cos(k*rho), sin(k*rho)), k = sqrt(E)."""
+    k = np.sqrt(E)
+    return k, np.cos(k * rho), np.sin(k * rho)
+
+
+def _entries(l2, l, lam, E, gap):
+    """The body of :func:`transfer_entries` on ``l2`` = l**2 and the gap
+    factors of :func:`_gap`, unchecked and under the caller's errstate."""
+    scale = lam / l2  # numpy division: l**2 may underflow
+    s = scale - E
+    grows = _form(s)
+    c, t, d, g, p = _region(s, l, grows)
+    # a barrier that grows everywhere has scale > E > 0, so the well's
+    # -(scale + E) < 0 oscillates everywhere: g = 0
+    s = -(scale + E)
+    wgrows = False if grows is True else _form(s)
+    wc, wt, wd, wg, wa = _region(s, l, wgrows)
+    cq, sq, dq = ((wc, wt, wd) if wgrows is False
+                  else (wc + wg, wt + wg / wa, wd + wg * wa))
+    k, ckr, skr = gap
+
+    # well @ gap
+    n11 = cq * ckr - k * sq * skr
+    n12 = cq * skr / k + sq * ckr
+    n21 = dq * ckr - k * cq * skr
+    n22 = dq * skr / k + cq * ckr
+    # (well @ gap) @ barrier, without the terms of the form not taken
+    l11, l12, l21, l22 = c * n11, c * n12, c * n21, c * n22
+    if grows is not True:  # t and d may be nonzero
+        l11, l12, l21, l22 = (l11 + d * n12, t * n11 + l12,
+                              l21 + d * n22, t * n21 + l22)
+    if grows is not False:  # g may be nonzero
+        g1, g2 = g * (n11 + p * n12), g * (n21 + p * n22)
+        l11, l12, l21, l22 = l11 + g1, l12 + g1 / p, l21 + g2, l22 + g2 / p
     return l11, l12, l21, l22
 
 

@@ -99,12 +99,74 @@ def test_classify_after_grid_cache_eviction_matches_fresh_trace():
 
 
 def test_an_int_grid_end_shares_the_float_grid():
-    # the grid cache is untyped, so 1 and 1.0 are one key; classify reads the
-    # design back from the float ends of the trace's grid
+    # trace takes the grid ends as floats, so 1 and 1.0 are one key; classify
+    # reads the design back from the float ends of the trace's grid
     a = make_trace(ADJ, LAM1, l_start=1, points=8)
     b = make_trace(ADJ, LAM1, l_start=1.0, points=8)
     assert a.l_values is b.l_values and a.l_values[0] == 1.0
     assert classify(a) == classify(b)
+
+
+def test_trace_plan_is_shared_per_path_energy_and_grid():
+    a, b = make_trace(QUAD, LAM1), make_trace(QUAD, 10.0)
+    plan = limits._trace_plan(QUAD, 1.0, 1e-1, 1e-4, 13)
+    ls, l2, rho_values, gap = plan
+    assert a.rho_values is b.rho_values is rho_values
+    assert a.l_values is b.l_values is ls
+    arrays = [l2, rho_values, *(v for v in gap if isinstance(v, np.ndarray))]
+    assert len(arrays) == 4  # cos(k*rho) and sin(k*rho) vary on this rule
+    for path in (ADJ, SqueezePath.barrier_first(0.5)):  # a constant gap
+        factors = limits._trace_plan(path, 1.0, 1e-1, 1e-4, 13)[3]
+        assert not any(isinstance(v, np.ndarray) for v in factors)
+    for v in arrays:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+    # another energy or path is another plan on the same grid
+    for other in (make_trace(QUAD, LAM1, E=2.0),
+                  make_trace(SqueezePath.power_law(0.7, 2.0), LAM1)):
+        assert other.l_values is ls
+        assert other.rho_values is not rho_values
+    assert make_trace(ADJ, LAM1, E=2.0).rho_values is not make_trace(
+        ADJ, LAM1).rho_values
+    # 16 other grids evict it; it is rebuilt bit-equal
+    for i in range(limits._GRID_CACHE_SIZE):
+        make_trace(QUAD, LAM1, l_start=0.05 + 1e-3 * i, points=9 + i)
+    fresh = limits._trace_plan(QUAD, 1.0, 1e-1, 1e-4, 13)
+    assert fresh[2] is not rho_values
+
+    def flat(p):
+        return [*p[:3], *p[3]]
+
+    for old, new in zip(flat(plan), flat(fresh)):
+        assert old is not new
+        assert np.asarray(old).tobytes() == np.asarray(new).tobytes()
+    assert make_trace(QUAD, LAM1).entries.tobytes() == a.entries.tobytes()
+
+
+_GOOD = dict(path=ADJ, lam=LAM1, E=1.0, l_start=1e-1, l_end=1e-4, points=13)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("points", 13.0), ("points", "13"), ("points", np.array([13])),
+    ("lam", np.array([9.0, 10.0])), ("lam", "12"), ("lam", 12 + 0j),
+    ("E", np.array([1.0, 2.0])), ("l_start", [0.1]),
+    ("l_end", np.array([1e-4])), ("l_end", None)])
+def test_trace_names_an_argument_that_is_not_one_number(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        trace(**{**_GOOD, name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("l_start", np.array(0.1)), ("l_end", np.float32(2.0 ** -13)),
+    ("lam", np.array(LAM1)), ("E", np.array(1.0)), ("E", np.int64(1))])
+def test_trace_takes_a_numpy_scalar_as_its_float(name, value):
+    tr = trace(**{**_GOOD, name: value})
+    want = trace(**{**_GOOD, name: float(value)})
+    assert type(tr.lam) is float and type(tr.E) is float
+    assert tr.rho_values is want.rho_values  # one plan
+    assert tr.l_values is want.l_values
+    assert tr.entries.tobytes() == want.entries.tobytes()
 
 
 def test_trace_and_sweep_cap_their_sizes():
@@ -545,6 +607,25 @@ def test_classify_matches_per_entry_reference_bit_for_bit(spec):
 
 
 # the default grid, one at ratio 2 and one with 40 points
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(SEVEN_RULES), lam=st.floats(0.0, 400.0),
+       E=st.floats(0.01, 10.0))
+@example(spec="adjacent", lam=LAM1, E=1.0)
+@example(spec="quadratic:0.7", lam=0.0, E=0.5)
+def test_trace_on_its_plan_matches_the_kernel_bit_for_bit(spec, lam, E):
+    path = SqueezePath.parse(spec)
+    ls = np.geomspace(1e-1, 1e-4, 13)
+    rho = path.rho_of(ls)
+    want = np.array(transfer_entries(ls, rho, lam, E))
+    if not (det_residual(*want) <= 1e-10).all():
+        with pytest.raises(DeltaPrimeError, match="determinant residual"):
+            make_trace(path, lam, E)
+        return
+    tr = make_trace(path, lam, E)
+    assert tr.entries.T.tobytes() == want.tobytes()
+    assert tr.rho_values.tobytes() == (np.zeros(13) + rho).tobytes()
+
+
 @pytest.mark.parametrize("grid", [(1e-1, 1e-4, 13), (1.0, 2.0 ** -7, 8),
                                   (1e-1, 1e-4, 40)])
 def test_weights_recover_a_polynomial_against_an_exact_oracle(grid):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import eager_amplitudes, reference_entries
 from deltaprime import (InvariantViolation, RectProfile, TransferMatrix,
                         piecewise_transfer, scattering, transfer_matrix)
-from deltaprime.transfer import _region, amplitudes, transfer_entries
+from deltaprime.transfer import _form, _region, amplitudes, transfer_entries
 
 LAM1 = 15.418205716980063  # first adjacent resonance coupling, sigma_1**2
 SIGMA1 = 3.926602312047919
@@ -142,18 +142,34 @@ def test_kernel_matches_elementwise_reference_bit_for_bit(inputs):
 
 
 def test_region_computes_one_form_when_signs_agree():
-    assert _region(np.array([2.0, 3.0]), 0.1)[0] is True
-    assert _region(np.array([-2.0, -3.0]), 0.1)[0] is False
-    assert _region(np.float64(2.0), 0.1)[0] is True
-    assert _region(np.float64(-2.0), 0.1)[0] is False
-    # mixed signs, or s = 0 exactly, merge both forms elementwise; at s = 0
-    # sin(x)/a is 0/0, which the merge replaces by l
+    assert _form(np.array([2.0, 3.0])) is True
+    assert _form(np.array([-2.0, -3.0])) is False
+    assert _form(np.float64(2.0)) is True
+    assert _form(np.float64(-2.0)) is False
+    # mixed signs, NaN, or s = 0 exactly, merge both forms elementwise; at
+    # s = 0 sin(x)/a is 0/0, which the merge replaces by l
     with np.errstate(invalid="ignore"):
         for s in (np.array([-2.0, 3.0]), np.array([0.0, 3.0]),
-                  np.array([-2.0, -0.0])):
-            np.testing.assert_array_equal(_region(s, 0.1)[0], s > 0)
-        grows, c, t, d, g, a = _region(np.float64(0.0), 0.5)
-    assert (grows, c, t, d, g, a) == (False, 1.0, 0.5, 0.0, 0.0, 1.0)
+                  np.array([-2.0, -0.0]), np.array([np.nan, 3.0])):
+            np.testing.assert_array_equal(_form(s), s > 0)
+        grows = _form(np.float64(0.0))
+        assert grows is np.False_
+        c, t, d, g, a = _region(np.float64(0.0), 0.5, grows)
+    assert (c, t, d, g, a) == (1.0, 0.5, 0.0, 0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 1.0), st.floats(0.01, 10.0),
+       st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8))
+def test_well_oscillates_wherever_the_barrier_grows(l, E, lams):
+    # the kernel skips the well's sign test where the barrier's form is
+    # True; the form that test would find is False there, an overflowing
+    # scale = inf included
+    with np.errstate(over="ignore"):
+        for scale in (np.array(lams) / np.square(l),
+                      lams[0] / np.square(l)):
+            if _form(scale - E) is True:
+                assert _form(-(scale + E)) is False
 
 
 def test_scattering_identity_matrix():
