@@ -155,11 +155,13 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
     v = k*l12 + l21/k and Delta = s - i*d, |T|**2 = 4/|Delta|**2 and
     |R|**2 = |u + i*v|**2/|Delta|**2 are formed from the real and imaginary
     parts in real arithmetic (by hypot where the squares overflow), R and T
-    only when read.  A real unit-determinant matrix has |Delta| >= 2, so a
-    smaller value flags it as corrupt.  Flux conservation, |R|**2 + |T|**2
-    = 1 to 1e-10, is checked, which also rejects non-finite amplitudes.
-    Plain Python numbers load no numpy, save in those two rare cases; a
-    scalar phase factor comes from ``cmath.exp``, which rounds as ``np.exp``.
+    only when read.  Flux conservation, |R|**2 + |T|**2 = 1 to 1e-10, is
+    the one check.  It rejects non-finite amplitudes and, as a real matrix
+    has |Delta|**2 = |u + i*v|**2 + 4*det and so a residual
+    4*|1 - det|/|Delta|**2, every real matrix with |Delta| < 2 - 1e-9.
+    Plain Python numbers load no numpy, save where the check fails or the
+    squares overflow; a scalar phase factor comes from ``cmath.exp``, which
+    rounds as ``np.exp``.
     """
     require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
     with _quiet():
@@ -173,22 +175,13 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
             t2, r2 = 4.0 / size2, (nr * nr + ni * ni) / size2
         except ZeroDivisionError:  # Python numbers: x/0 as numpy forms it
             t2, r2 = math.inf, (nr * nr + ni * ni) * math.inf
-        large = size2 >= (2.0 - 1e-9) ** 2
         residual = abs(r2 + t2 - 1.0)
-        if not holds(large & (residual <= 1e-10)):  # failed, or overflowed
+        if not holds(residual <= 1e-10):  # failed, or overflowed
             import numpy as np
 
             over, size = size2 == math.inf, np.hypot(dr, di)
             t2 = np.where(over, np.square(2.0 / size), t2)[()]
             r2 = np.where(over, np.square(np.hypot(nr, ni) / size), r2)[()]
-            small = ~np.asarray(large)
-            *e, size = (np.broadcast_to(w, np.shape(size))[small]
-                        for w in (l11, l12, l21, l22, size))
-            e = np.array(e)
-            real = (np.abs(e.imag).max(axis=0)
-                    <= 1e-9 * np.fmax(1.0, np.abs(e).max(axis=0)))
-            require(~real, InvariantViolation, "|Delta| = {}, not >= 2, for "
-                    "a real unit-determinant matrix", size)
             residual = abs(r2 + t2 - 1.0)
             require(residual <= 1e-10, InvariantViolation,
                     "conservation residual {}", residual)

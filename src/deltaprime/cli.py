@@ -3,8 +3,10 @@
 Subcommands: resonances, transfer, limit-trace, sweep, bc, bc-fit.  Output
 is deterministic CSV (header row, shortest round-trip floats) or JSON with
 the same key names; commands whose result has a non-tabular part (limit
-verdicts, peak lists, bound states) append it as a JSON block.  Exit codes:
-0 success, 2 usage error, 3 numeric or precondition failure.
+verdicts, peak lists, bound states) append it as a JSON block.  Each
+subcommand returns its columns and that block, and :func:`main` writes
+them.  Exit codes: 0 success, 2 usage error, 3 numeric or precondition
+failure.
 
 Only the subcommands that build arrays load numpy, when they run.
 """
@@ -125,7 +127,7 @@ def _parse_path(spec: str, resonant_only: bool = False) -> SqueezePath:
     return path
 
 
-def cmd_resonances(args) -> int:
+def cmd_resonances(args) -> tuple[dict, dict]:
     import numpy as np
 
     if args.count < 1:
@@ -136,13 +138,12 @@ def cmd_resonances(args) -> int:
     sigma, lam, chi, g, kappa = np.array(
         [(r.sigma, r.lam, r.chi, r.g, r.kappa) for r in rs]).T
     amp = resonant_scattering(chi, g, k)
-    _emit(args, {"n": [r.n for r in rs], "sigma": sigma, "lambda": lam,
-                 "chi": chi, "g": g, "kappa": kappa, "R": amp.R, "T": amp.T,
-                 "k": [k] * len(rs)})
-    return EXIT_OK
+    return {"n": [r.n for r in rs], "sigma": sigma, "lambda": lam, "chi": chi,
+            "g": g, "kappa": kappa, "R": amp.R, "T": amp.T,
+            "k": [k] * len(rs)}, {}
 
 
-def cmd_transfer(args) -> int:
+def cmd_transfer(args) -> tuple[dict, dict]:
     from .profile import RectProfile
     from .transfer import piecewise_transfer, transfer_matrix
 
@@ -170,11 +171,10 @@ def cmd_transfer(args) -> int:
         if not resid <= 1e-10:
             raise InvariantViolation(f"oracle disagreement {resid}")
         cols["oracle_residual"] = [resid]
-    _emit(args, cols)
-    return EXIT_OK
+    return cols, {}
 
 
-def cmd_limit_trace(args) -> int:
+def cmd_limit_trace(args) -> tuple[dict, dict]:
     from .limits import classify, trace
 
     if args.points < 8:
@@ -192,14 +192,12 @@ def cmd_limit_trace(args) -> int:
                  "error": v.error} for k, v in verdict.entries.items()}
     block["variant"] = verdict.variant
     e = tr.entries.T
-    _emit(args, {"l": tr.l_values, "rho": tr.rho_values, "L11": e[0],
-                 "L12": e[1], "L21": e[2], "L22": e[3],
-                 "det": e[0] * e[3] - e[1] * e[2]},
-          extras={"verdict": block})
-    return EXIT_OK
+    return ({"l": tr.l_values, "rho": tr.rho_values, "L11": e[0],
+             "L12": e[1], "L21": e[2], "L22": e[3],
+             "det": e[0] * e[3] - e[1] * e[2]}, {"verdict": block})
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[dict, dict]:
     from .limits import transmission_sweep
 
     if args.samples < 2:
@@ -212,25 +210,22 @@ def cmd_sweep(args) -> int:
     res = transmission_sweep(path, args.l, args.lambda_min, args.lambda_max,
                              args.samples, args.E)
     peaks = [{"lambda": p.lam, "T2": p.T2} for p in res.peaks]
-    _emit(args, {"lambda": res.lambdas, "T2": res.T2, "R2": res.R2},
-          extras={"peaks": peaks})
-    return EXIT_OK
+    return ({"lambda": res.lambdas, "T2": res.T2, "R2": res.R2},
+            {"peaks": peaks})
 
 
-def cmd_bc(args) -> int:
+def cmd_bc(args) -> tuple[dict, dict]:
     if args.k <= 0:
         raise UsageError(f"--k must be positive, got {args.k}")
     cm = bc_from_product(ProductParams(alpha=args.alpha, beta=args.beta),
                          args.lam)
     amp = scattering(cm, args.k)
-    _emit(args, {"alpha": [args.alpha], "beta": [args.beta],
-                 "lambda": [args.lam], "k": [args.k], "A": [cm.l11],
-                 "B": [cm.l21], "R": [amp.R], "T": [amp.T]},
-          extras={"bound_states": bound_state(cm)})
-    return EXIT_OK
+    return {"alpha": [args.alpha], "beta": [args.beta], "lambda": [args.lam],
+            "k": [args.k], "A": [cm.l11], "B": [cm.l21], "R": [amp.R],
+            "T": [amp.T]}, {"bound_states": bound_state(cm)}
 
 
-def cmd_bc_fit(args) -> int:
+def cmd_bc_fit(args) -> tuple[dict, dict]:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     path = _parse_path(args.path, resonant_only=True)
@@ -239,10 +234,9 @@ def cmd_bc_fit(args) -> int:
     cm = bc_from_product(params, r.lam)
     residual = max(abs(cm.l11 - r.chi) / max(1.0, abs(r.chi)),
                    abs(cm.l21 - r.g) / max(1.0, abs(r.g)))
-    _emit(args, {"n": [r.n], "lambda": [r.lam], "chi": [r.chi], "g": [r.g],
-                 "alpha": [params.alpha], "beta": [params.beta],
-                 "residual": [residual]})
-    return EXIT_OK
+    return {"n": [r.n], "lambda": [r.lam], "chi": [r.chi], "g": [r.g],
+            "alpha": [params.alpha], "beta": [params.beta],
+            "residual": [residual]}, {}
 
 
 @functools.cache
@@ -324,13 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args, *args.func(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DeltaPrimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
-"""Typed errors shared across the library, and the elementwise check that
-raises them."""
+"""Typed errors shared across the library, the elementwise check that
+raises them, and the intake of integer arguments."""
 
+import operator
 import sys
 
 __all__ = [
@@ -65,3 +66,12 @@ def require(ok, error: type[Exception], message: str, *values) -> None:
     i = int(np.argmin(ok))
     raise error(message.format(
         *(np.broadcast_to(v, ok.shape).flat[i].item() for v in values)))
+
+
+def _integer(name: str, value, kind: str = "an integer") -> int:
+    """``value`` as an int, where it is one (a numpy integer too); else a
+    :class:`ValueError` that names it: "``name`` must be ``kind``"."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be {kind}, got {value!r}") from None

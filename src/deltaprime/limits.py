@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import fields
 
 import numpy as np
@@ -19,7 +18,8 @@ import numpy as np
 from ._record import record
 from .boundary import (_quiet, ConnectionMatrix, amplitudes, det_residual,
                        resonant_matrix)
-from .errors import InvariantViolation, PrecisionFloorError, require
+from .errors import (InvariantViolation, PrecisionFloorError, _integer,
+                     require)
 from .paths import SqueezePath
 from .resonance import _nth_root, _record, has_resonances
 from .transfer import (PRECISION_FLOOR, _check_energy, _entries, _gap,
@@ -218,11 +218,7 @@ def trace(path: SqueezePath, lam: float, E: float,
     unit-determinant invariant.  The lam-independent part is the cached
     plan of :func:`_trace_plan`.
     """
-    try:
-        points = operator.index(points)
-    except TypeError:
-        raise ValueError(
-            f"points must be an integer, got {points!r}") from None
+    points = _integer("points", points)
     lam, E = _real("lam", lam), _real("E", E)
     l_start, l_end = _real("l_start", l_start), _real("l_end", l_end)
     if not points >= 8:
@@ -299,7 +295,9 @@ def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
     and ``lam`` sits on one (within 1e-9), else None, meaning the
     half-lines decouple and the point is opaque.  Only the two brackets
     around sqrt(lam) are read, from the shared root table on c = 0 rules.
+    ``lam`` is one real number, as in :func:`trace`.
     """
+    lam = _real("lam", lam)
     if not 0 < lam < math.inf:
         raise ValueError(f"coupling must be positive and finite, got {lam}")
     if not has_resonances(path):
@@ -341,12 +339,16 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
                        lam_max: float, samples: int, E: float = 1.0) -> SweepResult:
     """|T|^2 and |R|^2 over an evenly spaced coupling grid at width ``l``.
 
-    Requires 2 <= samples <= ``MAX_SWEEP_SAMPLES``.  The grid is evaluated
-    in blocks of ``SWEEP_BLOCK`` couplings.  Peaks are
+    Requires an integer 2 <= samples <= ``MAX_SWEEP_SAMPLES`` and the
+    other arguments one real number each, as :func:`trace` does.  The grid
+    is evaluated in blocks of ``SWEEP_BLOCK`` couplings.  Peaks are
     strict local maxima of |T|^2 over the grid, refined by a parabola
     through the three surrounding samples (the refinement never leaves the
     neighbouring half-intervals).
     """
+    samples = _integer("samples", samples)
+    l, E = _real("l", l), _real("E", E)
+    lam_min, lam_max = _real("lam_min", lam_min), _real("lam_max", lam_max)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if not samples <= MAX_SWEEP_SAMPLES:

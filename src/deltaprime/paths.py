@@ -27,7 +27,9 @@ class SqueezePath:
         adjacent:      rho = 0 identically,
         power:         rho = c * l**tau.
 
-    A power law with c = 0 is normalized to the adjacent rule.
+    The constructor checks the kind and the fields it reads: rho > 0 on
+    barrier-first, c >= 0 and tau > 0 on a power law, each finite.
+    :meth:`power_law` normalizes c = 0 to the adjacent rule.
     """
 
     kind: str
@@ -35,11 +37,23 @@ class SqueezePath:
     c: float = 0.0
     tau: float = 0.0
 
+    def __post_init__(self):
+        if self.kind == BARRIER_FIRST:
+            if not 0 < self.rho < math.inf:
+                raise ValueError("barrier-first separation must be positive "
+                                 f"and finite, got {self.rho}")
+        elif self.kind == POWER:
+            if not 0 <= self.c < math.inf:
+                raise ValueError(
+                    f"path constant c must be finite and >= 0, got {self.c}")
+            if not 0 < self.tau < math.inf:
+                raise ValueError("path exponent tau must be positive and "
+                                 f"finite, got {self.tau}")
+        elif self.kind != ADJACENT:
+            raise ValueError(f"unknown squeeze rule kind {self.kind!r}")
+
     @classmethod
     def barrier_first(cls, rho: float) -> "SqueezePath":
-        if not 0 < rho < math.inf:
-            raise ValueError(
-                f"barrier-first separation must be positive and finite, got {rho}")
         return cls(kind=BARRIER_FIRST, rho=rho)
 
     @classmethod
@@ -48,14 +62,8 @@ class SqueezePath:
 
     @classmethod
     def power_law(cls, c: float, tau: float) -> "SqueezePath":
-        if not 0 <= c < math.inf:
-            raise ValueError(f"path constant c must be finite and >= 0, got {c}")
-        if not 0 < tau < math.inf:
-            raise ValueError(
-                f"path exponent tau must be positive and finite, got {tau}")
-        if c == 0:
-            return cls.adjacent()
-        return cls(kind=POWER, c=c, tau=tau)
+        path = cls(kind=POWER, c=c, tau=tau)  # checks c and tau
+        return path if c != 0 else cls.adjacent()
 
     @classmethod
     def parse(cls, spec: str) -> "SqueezePath":

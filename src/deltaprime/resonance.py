@@ -15,11 +15,10 @@ a bound state with decay constant kappa.
 from __future__ import annotations
 
 import math
-import operator
 
 from ._record import record
 from .boundary import ScatteringAmplitudes, amplitudes
-from .errors import DeltaPrimeError, NotARootError, require
+from .errors import DeltaPrimeError, NotARootError, _integer, require
 from .paths import ADJACENT, POWER, SqueezePath
 
 __all__ = [
@@ -222,11 +221,7 @@ def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
     a count that is no integer >= 1.  The shared roots and chi are read from
     a table solved once per process.
     """
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise ValueError(
-            f"count must be an integer >= 1, got {count!r}") from None
+    count = _integer("count", count, "an integer >= 1")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     roots, error = _roots(_linear_c(path), count)
@@ -248,12 +243,20 @@ def chi_linear(sigma: float, c: float) -> float:
     :class:`DeltaPrimeError` where chi overflows, else
     :class:`NotARootError` where sigma is not a root.
     """
+    return _checked(_chi, sigma, c, c)
+
+
+def _checked(form, sigma: float, c: float, c_root: float) -> float:
+    """``form(sigma, c, n)`` of the root sigma of bracket n, checked in
+    this order: c >= 0 (:class:`ValueError`), the bracket of sigma, the
+    form's own overflow check, then sigma as a root of the equation at
+    constant ``c_root``."""
     if not c >= 0:
         raise ValueError(f"path constant c must be >= 0, got {c}")
     n = _index_of(sigma)
-    chi = _chi(sigma, c, n)
-    _check_root(sigma, c, n)
-    return chi
+    value = form(sigma, c, n)
+    _check_root(sigma, c_root, n)
+    return value
 
 
 def _chi(sigma: float, c: float, n: int) -> float:
@@ -280,12 +283,7 @@ def g_quadratic(sigma: float, c: float) -> float:
     sigma lies in no bracket, :class:`DeltaPrimeError` where g overflows,
     else :class:`NotARootError` where sigma is not a root of that condition.
     """
-    if not c >= 0:
-        raise ValueError(f"path constant c must be >= 0, got {c}")
-    n = _index_of(sigma)
-    g = _g(sigma, c, n)
-    _check_root(sigma, 0.0, n)
-    return g
+    return _checked(_g, sigma, c, 0.0)
 
 
 def _g(sigma: float, c: float, n: int) -> float:

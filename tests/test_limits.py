@@ -169,6 +169,22 @@ def test_trace_takes_a_numpy_scalar_as_its_float(name, value):
     assert tr.entries.tobytes() == want.entries.tobytes()
 
 
+_SWEEP = dict(path=ADJ, l=1e-3, lam_min=1.0, lam_max=60.0, samples=5)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (transmission_sweep, "samples", 2.5), (transmission_sweep, "samples", "5"),
+    (transmission_sweep, "lam_min", 1j), (transmission_sweep, "lam_max", "60"),
+    (transmission_sweep, "l", None), (transmission_sweep, "E", 1j),
+    (transmission_sweep, "E", np.array([1.0, 2.0])),
+    (predict, "lam", 1j), (predict, "lam", "3")])
+def test_sweep_and_predict_name_an_argument_that_is_not_one_number(
+        call, name, value):
+    good = _SWEEP if call is transmission_sweep else dict(path=ADJ, lam=LAM1)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(**{**good, name: value})
+
+
 def test_trace_and_sweep_cap_their_sizes():
     cap = limits.MAX_TRACE_POINTS
     with pytest.raises(ValueError, match=f"points = {cap + 1} exceeds"):
@@ -474,6 +490,20 @@ def _full_richardson(values, ratio):
     return levels
 
 
+def _exact_richardson(values, ratio, m):
+    """The levels of :func:`_full_richardson` from an exact triangle on the
+    last m values: rational arithmetic on the same doubles, with the same
+    float pairs (ratio**j, ratio**j - 1) that build the weight matrix."""
+    prev = [Fraction(float(v)) for v in values[-m:]]
+    levels = prev[-2:]
+    for j in range(1, m):
+        f = ratio ** j
+        f, f1 = Fraction(f), Fraction(f - 1.0)
+        prev = [(f * prev[i] - prev[i - 1]) / f1 for i in range(1, len(prev))]
+        levels.append(prev[-1])
+    return levels
+
+
 def _best_index(change):
     """Index of the first smallest change; a NaN change never wins."""
     k = 0
@@ -516,21 +546,28 @@ def _assert_selection_matches(value, error, levels, bound):
 @example(points=13, ratio=10 ** 0.25, coeffs=[2.5, 0.0, 0.0], power=1.0,
          zero=None)  # constant
 @example(points=8, ratio=2.0, coeffs=[1.0, -3.0, 0.5], power=1.0, zero=-1)
+@example(points=8, ratio=2.837873397002703, coeffs=[720.4387309782151, 0.0,
+                                                    0.0], power=1.0, zero=-1)
 def test_tail_richardson_equals_full_triangle(points, ratio, coeffs, power,
                                               zero):
-    # every level of the cached weight matrix against the float triangle
-    # over the whole sequence, each to 4 eps sum |w| |v|; the selected
-    # (value, error) of classify against the triangle's best level
+    # every level of the cached weight matrix against the exact triangle,
+    # each to 4 eps sum |w| |v|; the selected (value, error) of classify
+    # against that triangle's best level.  A float triangle is no
+    # reference: its own rounding is of the same size (at the last
+    # example W @ v meets the exact level to 0.70 of the bound and the
+    # float triangle to 0.51, with opposite signs)
     ls = np.geomspace(1.0, ratio ** -(points - 1), points)
     ratio = float(ls[0] / ls[1])
     values = coeffs[0] + coeffs[1] * ls ** power + coeffs[2] * ls ** (2 * power)
     if zero is not None:
         values[zero] = 0.0
     _, weights = _grid_maps(ls)
-    levels = np.array(_full_richardson(values, ratio))
+    exact = _exact_richardson(values, ratio, weights.shape[1])
     bound = _level_bounds(weights, values)
     got = weights @ values[-weights.shape[1]:]
-    assert (np.abs(got - levels) <= bound).all(), (got, levels, bound)
+    assert all(abs(Fraction(g) - e) <= b for g, e, b in
+               zip(got.tolist(), exact, bound.tolist())), (got, exact, bound)
+    levels = np.array([float(e) for e in exact])
     tr = limits.LimitTrace(path=ADJ, lam=0.0, E=1.0, l_values=ls,
                            rho_values=np.zeros(points),
                            entries=np.repeat(values[:, None], 4, axis=1))

@@ -29,6 +29,20 @@ def test_constructor_validation():
         SqueezePath.power_law(-1.0, 2.0)
     with pytest.raises(ValueError):
         SqueezePath.power_law(1.0, 0.0)
+    with pytest.raises(ValueError, match="exponent tau"):
+        SqueezePath.power_law(0.0, 0.0)  # checked before c = 0 is adjacent
+
+
+@pytest.mark.parametrize("fields, match", [
+    (dict(kind="bogus"), "unknown squeeze rule kind 'bogus'"),
+    (dict(kind="power", c=-1.0, tau=2.0), "path constant c"),
+    (dict(kind="power", c=1.0, tau=0.0), "exponent tau"),
+    (dict(kind="barrier-first", rho=-1.0), "separation"),
+])
+def test_constructor_checks_its_fields(fields, match):
+    # the classmethods are not the only way in
+    with pytest.raises(ValueError, match=match):
+        SqueezePath(**fields)
 
 
 @pytest.mark.parametrize("build,name", [

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import eager_amplitudes, reference_entries
 from deltaprime import (InvariantViolation, RectProfile, TransferMatrix,
@@ -179,7 +179,7 @@ def test_scattering_identity_matrix():
 
 
 def test_scattering_rejects_non_conserving_matrix():
-    # det = 4: |Delta| = 4 passes the |Delta| >= 2 test, but T = 0.5, R = 0
+    # det = 4: |Delta| = 4, but T = 0.5, R = 0
     with pytest.raises(InvariantViolation, match="conservation"):
         scattering(TransferMatrix(2.0, 0.0, 0.0, 2.0, x0=0.0), 1.0)
 
@@ -193,13 +193,13 @@ def test_batch_checks_name_first_failing_element():
     with pytest.raises(ValueError, match="wavenumber must be positive, got nan"):
         amplitudes(ones, zeros, zeros, ones, np.array([1.0, np.nan, 0.0]))
     nan_middle = np.array([1.0, np.nan, 1.0])
-    with pytest.raises(InvariantViolation, match=r"\|Delta\| = nan"):
+    with pytest.raises(InvariantViolation, match="conservation residual nan"):
         amplitudes(nan_middle, zeros, zeros, nan_middle, 1.0)
 
 
 @pytest.mark.parametrize("entries, match", [
-    ((1.0, 0.0, 0.0, -1.0), r"\|Delta\| = 0.0, not >= 2"),
-    ((1, 0, 0, -1), r"\|Delta\| = 0.0, not >= 2"),
+    ((1.0, 0.0, 0.0, -1.0), "conservation residual inf"),
+    ((1, 0, 0, -1), "conservation residual inf"),
     ((1j, 0.0, 0.0, -1j), "conservation residual inf"),
 ], ids=["real", "int", "complex"])
 def test_zero_delta_is_the_same_typed_error_on_scalars_and_arrays(entries,
@@ -209,6 +209,36 @@ def test_zero_delta_is_the_same_typed_error_on_scalars_and_arrays(entries,
     for args in (entries, [np.array([v]) for v in entries]):
         with pytest.raises(InvariantViolation, match=match):
             amplitudes(*args, 1.0)
+
+
+# A real matrix has |Delta|**2 = |u + i*v|**2 + 4*det, so one with
+# |Delta| < 2 - 1e-9 has a flux residual 4*|1 - det|/|Delta|**2 above 1e-9:
+# the flux check alone rejects it.  The matrix is drawn as (s, d, u, v),
+# which covers every real matrix at a given k.  The residual is least,
+# about 1e-9, where |Delta| is next to 2 - 1e-9 and u + i*v next to 0.
+_NEAR_TWO = st.one_of(st.floats(2.0 - 1e-8, 2.0 - 1e-9),
+                      st.floats(0.0, 2.0 - 1e-9))
+_NEAR_ZERO = st.one_of(st.floats(-1e-5, 1e-5), st.floats(-1e200, 1e200))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(size=_NEAR_TWO, angle=st.floats(0.0, 2.0 * math.pi), u=_NEAR_ZERO,
+       v=_NEAR_ZERO, k=st.floats(1e-3, 1e3))
+@example(size=2.0 - 2e-9, angle=0.0, u=0.0, v=0.0, k=1.0)
+def test_flux_check_rejects_every_real_matrix_with_small_delta(size, angle,
+                                                               u, v, k):
+    s, d = size * math.cos(angle), size * math.sin(angle)
+    entries = ((s + u) / 2.0, (d + v) / (2.0 * k), (v - d) * k / 2.0,
+               (s - u) / 2.0)
+    l11, l12, l21, l22 = entries
+    assume(math.hypot(l11 + l22, k * l12 - l21 / k) < 2.0 - 1e-9)
+    with pytest.raises(InvariantViolation, match="conservation residual"):
+        amplitudes(*entries, k)
+    # the same matrix between two identities: the array names it
+    arrays = [np.array([one, e, one]) for one, e in zip((1.0, 0.0, 0.0, 1.0),
+                                                         entries)]
+    with pytest.raises(InvariantViolation, match="conservation residual"):
+        amplitudes(*arrays, k)
 
 
 def test_conservation_simple_case():
