@@ -5,8 +5,9 @@ is deterministic CSV (header row, shortest round-trip floats) or JSON with
 the same key names; commands whose result has a non-tabular part (limit
 verdicts, peak lists, bound states) append it as a JSON block.  Each
 subcommand returns its columns and that block, and :func:`main` writes
-them.  Exit codes: 0 success, 2 usage error, 3 numeric or precondition
-failure.
+them; argparse parses the options and the library checks them.  Exit codes:
+0 success, 2 for an option argparse rejects (a path spec too) or an
+unwritable ``--out``, 3 with the library's message for any other failure.
 
 Only the subcommands that build arrays load numpy, when they run.
 """
@@ -24,8 +25,7 @@ from .boundary import (ProductParams, bc_from_product, bound_state,
                        params_from_resonance, scattering)
 from .errors import DeltaPrimeError, InvariantViolation
 from .paths import SqueezePath
-from .resonance import (_nth_root, _record, has_resonances, resonance_set,
-                        resonant_scattering)
+from .resonance import _nth_root, _record, resonance_set, resonant_scattering
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,12 +37,12 @@ _RESONANT_PATH_HELP = ("adjacent | linear[:C] | quadratic[:C] | "
                        "power:C:TAU (TAU = 1 or >= 2)")
 
 
-class UsageError(Exception):
-    """Bad command-line arguments detected before dispatch.
-
-    The range guards on float options let NaN through on purpose: the
-    library's own guards reject non-finite values (exit 3).
-    """
+def _path(spec: str) -> SqueezePath:
+    """argparse type of ``--path``: a bad spec exits 2 with its message."""
+    try:
+        return SqueezePath.parse(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fmt(v) -> str:
@@ -55,14 +55,6 @@ def _fmt(v) -> str:
             return repr(float(v.real))
         return repr(complex(v))
     return repr(float(v))
-
-
-def _write(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
 
 def _cells(col) -> list[str]:
@@ -113,28 +105,18 @@ def _emit(args, cols: dict, extras: dict | None = None) -> None:
         text = "\n".join(lines) + "\n"
         if extras:
             text += "\n" + json.dumps(extras, indent=2) + "\n"
-    _write(args.out, text)
-
-
-def _parse_path(spec: str, resonant_only: bool = False) -> SqueezePath:
-    try:
-        path = SqueezePath.parse(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if resonant_only and not has_resonances(path):
-        raise UsageError(f"path {spec!r} carries no resonance set; "
-                         f"choose {_RESONANT_PATH_HELP}")
-    return path
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def cmd_resonances(args) -> tuple[dict, dict]:
     import numpy as np
 
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
-    path = _parse_path(args.path, resonant_only=True)
     k = 1.0
-    rs = resonance_set(path, args.count)
+    rs = resonance_set(args.path, args.count)
     sigma, lam, chi, g, kappa = np.array(
         [(r.sigma, r.lam, r.chi, r.g, r.kappa) for r in rs]).T
     amp = resonant_scattering(chi, g, k)
@@ -147,16 +129,8 @@ def cmd_transfer(args) -> tuple[dict, dict]:
     from .profile import RectProfile
     from .transfer import piecewise_transfer, transfer_matrix
 
-    if args.l <= 0:
-        raise UsageError(f"--l must be positive, got {args.l}")
-    if args.rho < 0:
-        raise UsageError(f"--rho must be >= 0, got {args.rho}")
-    if args.E <= 0:
-        raise UsageError(f"--E must be positive, got {args.E}")
     profile = RectProfile(l=args.l, rho=args.rho, lam=args.lam)
     tm = transfer_matrix(profile, args.E)
-    if not tm.det_residual() <= 1e-12:
-        raise InvariantViolation(f"determinant residual {tm.det_residual()}")
     amp = scattering(tm, math.sqrt(args.E))
     cols = {"l": [args.l], "rho": [args.rho], "lambda": [args.lam],
             "E": [args.E], "L11": [tm.l11], "L12": [tm.l12], "L21": [tm.l21],
@@ -177,16 +151,8 @@ def cmd_transfer(args) -> tuple[dict, dict]:
 def cmd_limit_trace(args) -> tuple[dict, dict]:
     from .limits import classify, trace
 
-    if args.points < 8:
-        raise UsageError(f"--points must be >= 8, got {args.points}")
-    if args.lam < 0:
-        raise UsageError(f"--lambda must be >= 0, got {args.lam}")
-    if args.E <= 0:
-        raise UsageError(f"--E must be positive, got {args.E}")
-    if not args.l_start > args.l_end:
-        raise UsageError("--l-start must exceed --l-end")
-    path = _parse_path(args.path)
-    tr = trace(path, args.lam, args.E, args.l_start, args.l_end, args.points)
+    tr = trace(args.path, args.lam, args.E, args.l_start, args.l_end,
+               args.points)
     verdict = classify(tr)
     block = {k: {"kind": v.kind, "exponent": v.exponent, "value": v.value,
                  "error": v.error} for k, v in verdict.entries.items()}
@@ -200,23 +166,14 @@ def cmd_limit_trace(args) -> tuple[dict, dict]:
 def cmd_sweep(args) -> tuple[dict, dict]:
     from .limits import transmission_sweep
 
-    if args.samples < 2:
-        raise UsageError(f"--samples must be >= 2, got {args.samples}")
-    if args.l <= 0:
-        raise UsageError(f"--l must be positive, got {args.l}")
-    if args.E <= 0:
-        raise UsageError(f"--E must be positive, got {args.E}")
-    path = _parse_path(args.path)
-    res = transmission_sweep(path, args.l, args.lambda_min, args.lambda_max,
-                             args.samples, args.E)
+    res = transmission_sweep(args.path, args.l, args.lambda_min,
+                             args.lambda_max, args.samples, args.E)
     peaks = [{"lambda": p.lam, "T2": p.T2} for p in res.peaks]
     return ({"lambda": res.lambdas, "T2": res.T2, "R2": res.R2},
             {"peaks": peaks})
 
 
 def cmd_bc(args) -> tuple[dict, dict]:
-    if args.k <= 0:
-        raise UsageError(f"--k must be positive, got {args.k}")
     cm = bc_from_product(ProductParams(alpha=args.alpha, beta=args.beta),
                          args.lam)
     amp = scattering(cm, args.k)
@@ -226,10 +183,7 @@ def cmd_bc(args) -> tuple[dict, dict]:
 
 
 def cmd_bc_fit(args) -> tuple[dict, dict]:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    path = _parse_path(args.path, resonant_only=True)
-    r = _record(path, args.n, *_nth_root(path, args.n))
+    r = _record(args.path, args.n, *_nth_root(args.path, args.n))
     params = params_from_resonance(r.lam, r.chi, r.g)
     cm = bc_from_product(params, r.lam)
     residual = max(abs(cm.l11 - r.chi) / max(1.0, abs(r.chi)),
@@ -255,10 +209,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "squeeze-path limits, transmission sweeps and "
                     "boundary-condition fits.")
     sub = parser.add_subparsers(dest="command", required=True)
+    path = dict(default="adjacent", type=_path)
 
     p = sub.add_parser("resonances", parents=[common], formatter_class=fmt_cls,
                        help="resonance table for a squeeze path")
-    p.add_argument("--path", default="adjacent", help=_RESONANT_PATH_HELP)
+    p.add_argument("--path", **path, help=_RESONANT_PATH_HELP)
     p.add_argument("--count", type=int, default=5, help="number of resonances")
     p.set_defaults(func=cmd_resonances)
 
@@ -276,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit-trace", parents=[common], formatter_class=fmt_cls,
                        help="trace matrix entries along a squeeze path")
-    p.add_argument("--path", default="adjacent", help=_PATH_HELP)
+    p.add_argument("--path", **path, help=_PATH_HELP)
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="coupling constant")
     p.add_argument("--E", type=float, default=1.0, help="probe energy")
@@ -288,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], formatter_class=fmt_cls,
                        help="transmission curve over a coupling grid")
-    p.add_argument("--path", default="adjacent", help=_PATH_HELP)
+    p.add_argument("--path", **path, help=_PATH_HELP)
     p.add_argument("--l", type=float, default=1e-3, help="barrier/well width")
     p.add_argument("--lambda-min", dest="lambda_min", type=float, default=1.0,
                    help="lower end of the coupling grid")
@@ -309,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bc-fit", parents=[common], formatter_class=fmt_cls,
                        help="fit product weights to a resonance")
-    p.add_argument("--path", default="adjacent", help=_RESONANT_PATH_HELP)
+    p.add_argument("--path", **path, help=_RESONANT_PATH_HELP)
     p.add_argument("--n", type=int, required=True, help="resonance index")
     p.set_defaults(func=cmd_bc_fit)
     return parser
@@ -319,12 +274,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _emit(args, *args.func(args))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DeltaPrimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # the output could not be written
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -257,10 +257,13 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     that changes least from the level below it, with that change as the
     error (a NaN change, where a level overflows, never wins).  Both steps
     are the grid's cached linear maps (:func:`_width_grid`), applied to
-    all four entries in one product each.
+    all four entries in one product each; a trace on any other grid than
+    that geometric one raises :class:`ValueError`.
     """
     ls = tr.l_values  # from np.geomspace, which sets both ends exactly
-    _, slope, weights = _width_grid(float(ls[0]), float(ls[-1]), len(ls))
+    grid, slope, weights = _width_grid(float(ls[0]), float(ls[-1]), len(ls))
+    if ls is not grid and not np.array_equal(ls, grid):
+        raise ValueError("the trace is not on the geometric grid it spans")
     tail = tr.entries[len(ls) // 2:].T  # one row per entry
     size = np.abs(tail)
     # flat rows may hold 0, and the products and upper levels of a huge

@@ -27,9 +27,9 @@ class SqueezePath:
         adjacent:      rho = 0 identically,
         power:         rho = c * l**tau.
 
-    The constructor checks the kind and the fields it reads: rho > 0 on
-    barrier-first, c >= 0 and tau > 0 on a power law, each finite.
-    :meth:`power_law` normalizes c = 0 to the adjacent rule.
+    The constructor checks the kind and its fields: rho > 0 on
+    barrier-first, c >= 0 and tau > 0 on a power law, each finite, and 0 in
+    each field the kind does not read.  c = 0 gives the adjacent rule.
     """
 
     kind: str
@@ -51,6 +51,12 @@ class SqueezePath:
                                  f"finite, got {self.tau}")
         elif self.kind != ADJACENT:
             raise ValueError(f"unknown squeeze rule kind {self.kind!r}")
+        if (self.kind != POWER and (self.c or self.tau)
+                or self.kind != BARRIER_FIRST and self.rho):
+            raise ValueError(f"{self!r} sets a field its kind does not read")
+        if self.kind == POWER and self.c == 0:  # rho = 0 identically
+            object.__setattr__(self, "kind", ADJACENT)
+            object.__setattr__(self, "tau", 0.0)
 
     @classmethod
     def barrier_first(cls, rho: float) -> "SqueezePath":
@@ -62,8 +68,7 @@ class SqueezePath:
 
     @classmethod
     def power_law(cls, c: float, tau: float) -> "SqueezePath":
-        path = cls(kind=POWER, c=c, tau=tau)  # checks c and tau
-        return path if c != 0 else cls.adjacent()
+        return cls(kind=POWER, c=c, tau=tau)
 
     @classmethod
     def parse(cls, spec: str) -> "SqueezePath":
@@ -109,8 +114,11 @@ class SqueezePath:
         return gap if top is l else self.c * l ** self.tau
 
     def describe(self) -> str:
+        """The spec that :meth:`parse` reads back as this very rule."""
+        rho, c, tau = (repr(float(v)).removesuffix(".0")
+                       for v in (self.rho, self.c, self.tau))
         if self.kind == BARRIER_FIRST:
-            return f"barrier-first:{self.rho:g}"
+            return f"barrier-first:{rho}"
         if self.kind == ADJACENT:
             return "adjacent"
-        return f"power:{self.c:g}:{self.tau:g}"
+        return f"power:{c}:{tau}"

@@ -193,7 +193,10 @@ def _roots(c: float, count: int):
 
 def _nth_root(path: SqueezePath, n: int) -> tuple[float, float | None]:
     """(sigma_n, chi_n) of ``path``, from the shared table on c = 0 rules up
-    to its end, else from one solve of the n-th bracket with chi_n None."""
+    to its end, else from one solve of the n-th bracket with chi_n None;
+    a :class:`ValueError` unless n >= 1."""
+    if not n >= 1:
+        raise ValueError(f"resonance index n must be >= 1, got {n}")
     c = _linear_c(path)
     if c == 0.0 and n <= _ADJACENT_COUNT:
         return _roots(c, n)[0][n - 1]

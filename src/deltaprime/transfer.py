@@ -30,7 +30,7 @@ import numpy as np
 from ._record import record
 from .boundary import (_quiet, ScatteringAmplitudes, UnitDetMatrix,
                        amplitudes, det_residual, scattering)
-from .errors import require
+from .errors import InvariantViolation, require
 from .profile import RectProfile
 
 __all__ = [
@@ -166,10 +166,15 @@ def _entries(l2, l, lam, E, gap):
 
 def transfer_matrix(profile: RectProfile, E: float) -> TransferMatrix:
     """Transfer matrix of ``profile`` at energy ``E``: the closed form of
-    :func:`transfer_entries` at one point."""
+    :func:`transfer_entries` at one point, with a determinant residual of
+    at most 1e-12 (:class:`InvariantViolation` otherwise, NaN included)."""
     l11, l12, l21, l22 = (complex(v) for v in transfer_entries(
         profile.l, profile.rho, profile.lam, E))
-    return TransferMatrix(l11, l12, l21, l22, x0=2.0 * profile.l + profile.rho)
+    tm = TransferMatrix(l11, l12, l21, l22, x0=2.0 * profile.l + profile.rho)
+    residual = tm.det_residual()
+    if not residual <= 1e-12:
+        raise InvariantViolation(f"determinant residual {residual}")
+    return tm
 
 
 def _slab(local_ksq: complex, width: float) -> np.ndarray:

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
 import numbers
+import os
 import re
 import subprocess
 import sys
@@ -63,16 +65,17 @@ def test_resonances_quadratic_row(capsys):
 
 
 def test_resonances_bad_count_is_usage_error(capsys):
+    # the library's check, as every range check: exit 3
     code, _, err = run_cli(capsys, "resonances", "--count", "0")
-    assert code == 2
+    assert code == 3
     assert "count" in err
 
 
 def test_resonances_rejects_non_resonant_path(capsys):
     for spec in ("barrier-first:0.5", "power:1:1.5"):
         code, _, err = run_cli(capsys, "resonances", "--path", spec)
-        assert code == 2
-        assert "resonance" in err
+        assert code == 3
+        assert err == f"error: squeeze rule {spec} admits no resonance set\n"
 
 
 def test_resonances_power_path_defers_to_library(capsys):
@@ -86,8 +89,15 @@ def test_resonances_power_path_defers_to_library(capsys):
 
 
 def test_unknown_path_spec_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--path", "bogus:1")
-    assert code == 2
+    # argparse rejects it, as any option it cannot parse
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--path", "bogus:1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: deltaprime sweep ")
+    assert captured.err.endswith("deltaprime sweep: error: argument --path: "
+                                 "bad squeeze-path spec 'bogus:1'\n")
 
 
 def test_transfer_free_propagation(capsys):
@@ -130,9 +140,9 @@ def test_transfer_check_exits_3_on_an_oracle_disagreement(capsys,
 
 
 def test_transfer_usage_errors(capsys):
-    assert run_cli(capsys, "transfer", "--l", "0", "--lambda", "1")[0] == 2
+    assert run_cli(capsys, "transfer", "--l", "0", "--lambda", "1")[0] == 3
     assert run_cli(capsys, "transfer", "--l", "1", "--lambda", "1",
-                   "--E", "-1")[0] == 2
+                   "--E", "-1")[0] == 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,7 +215,7 @@ def test_repeated_calls_share_no_state(capsys):
     assert code == 0 and len(json.loads(out)["rows"]) == 2
     code, out, _ = run_cli(capsys, "resonances", "--count", "2")
     assert code == 0 and parse_csv(out)[0][0] == "n"
-    assert run_cli(capsys, "bc-fit", "--n", "0")[0] == 2
+    assert run_cli(capsys, "bc-fit", "--n", "0")[0] == 3
     code, out, _ = run_cli(capsys, "bc-fit", "--n", "1")
     assert code == 0 and parse_csv(out)[1][0]["n"] == "1"
 
@@ -235,7 +245,7 @@ def test_limit_trace_separated_verdict(capsys):
 def test_limit_trace_points_usage_error(capsys):
     code, _, err = run_cli(capsys, "limit-trace", "--lambda", "10",
                            "--points", "4")
-    assert code == 2
+    assert code == 3
     assert "points" in err
 
 
@@ -260,7 +270,7 @@ def test_sweep_peaks_block(capsys):
 
 def test_sweep_csv_cells_are_the_library_values_bit_for_bit(capsys):
     args = _build_parser().parse_args(["sweep"])
-    res = transmission_sweep(SqueezePath.parse(args.path), args.l,
+    res = transmission_sweep(args.path, args.l,
                              args.lambda_min, args.lambda_max, args.samples,
                              args.E)
     code, out, _ = run_cli(capsys, "sweep")
@@ -275,7 +285,46 @@ def test_sweep_csv_cells_are_the_library_values_bit_for_bit(capsys):
 
 
 def test_sweep_samples_usage_error(capsys):
-    assert run_cli(capsys, "sweep", "--samples", "1")[0] == 2
+    assert run_cli(capsys, "sweep", "--samples", "1")[0] == 3
+
+
+# Each numeric option on both sides of its range: the library's check and
+# message, exit 3.
+@pytest.mark.parametrize("argv, message", [
+    ("limit-trace --lambda 1 --points 7",
+     "need at least 8 trace points, got 7"),
+    ("limit-trace --lambda 1 --points 10001",
+     "points = 10001 exceeds the cap of 10000 trace points"),
+    ("sweep --l 0", "l = 0.0 below the precision floor 1e-06"),
+    ("sweep --l 1e-9", "l = 1e-09 below the precision floor 1e-06"),
+    ("resonances --count 0", "count must be >= 1, got 0"),
+    ("resonances --count 113",
+     "chi overflows at sigma = 355.7853680190441 (n = 113, c = 0.0)"),
+    ("transfer --l 1e-3 --lambda 1 --E 0",
+     "scattering energy must be positive and finite, got 0.0"),
+    ("transfer --l 1e-3 --lambda 1 --E inf",
+     "scattering energy must be positive and finite, got inf"),
+    ("bc --alpha 0.5 --lambda 1 --k 0",
+     "wavenumber must be positive, got 0.0"),
+    ("bc --alpha 0.5 --lambda 1 --k nan",
+     "wavenumber must be positive, got nan"),
+    ("bc-fit --n 0", "resonance index n must be >= 1, got 0"),
+    ("bc-fit --n=-1", "resonance index n must be >= 1, got -1"),
+])
+def test_option_bounds_exit_3_with_the_library_message(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("target, code", [
+    (".", errno.EISDIR), ("missing/rows.csv", errno.ENOENT)])
+def test_unwritable_out_exits_2_and_names_the_file(tmp_path, capsys, target,
+                                                  code):
+    path = tmp_path / target
+    got = run_cli(capsys, "bc", "--alpha", "0.5", "--lambda", "1",
+                  "--out", str(path))
+    assert got == (2, "", f"error: cannot write {path}: "
+                          f"{os.strerror(code)}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bc_report(capsys):

@@ -98,6 +98,21 @@ def test_classify_after_grid_cache_eviction_matches_fresh_trace():
     assert bits(classify(first)) == bits(classify(fresh))
 
 
+def test_classify_rejects_a_trace_on_another_grid():
+    # the maps of the geometric grid with the same ends and length read an
+    # L21 of -0.409 off these exact adjacent lambda_1 entries (limit 3e-9)
+    ls = np.linspace(1e-1, 1e-4, 13)
+    entries = np.array(transfer_entries(ls, 0.0, LAM1, 1.0)).T
+    tr = limits.LimitTrace(path=ADJ, lam=LAM1, E=1.0, l_values=ls,
+                           rho_values=np.zeros(13), entries=entries)
+    with pytest.raises(ValueError, match="not on the geometric grid"):
+        classify(tr)
+    # an equal copy of the grid is the grid
+    good = make_trace(ADJ, LAM1)
+    copy = dataclasses.replace(good, l_values=good.l_values.copy())
+    assert classify(copy) == classify(good)
+
+
 def test_an_int_grid_end_shares_the_float_grid():
     # trace takes the grid ends as floats, so 1 and 1.0 are one key; classify
     # reads the design back from the float ends of the trace's grid

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from deltaprime import SqueezePath
 
@@ -20,6 +21,8 @@ def test_overflowing_gap_is_a_value_error(l):
 
 def test_zero_constant_power_law_is_adjacent():
     assert SqueezePath.power_law(0.0, 2.0) == SqueezePath.adjacent()
+    # the constructor normalizes too, so the rule has one value
+    assert SqueezePath("power", c=-0.0, tau=2.0) == SqueezePath.adjacent()
 
 
 def test_constructor_validation():
@@ -38,6 +41,12 @@ def test_constructor_validation():
     (dict(kind="power", c=-1.0, tau=2.0), "path constant c"),
     (dict(kind="power", c=1.0, tau=0.0), "exponent tau"),
     (dict(kind="barrier-first", rho=-1.0), "separation"),
+    # a field the kind does not read
+    (dict(kind="adjacent", rho=5.0), r"kind='adjacent', rho=5\.0, c=0\.0, "
+                                     r"tau=0\.0\) sets a field its kind does"),
+    (dict(kind="adjacent", c=float("nan")), "sets a field"),
+    (dict(kind="barrier-first", rho=0.5, tau=3.0), "sets a field"),
+    (dict(kind="power", rho=1.0, c=0.0, tau=2.0), "sets a field"),
 ])
 def test_constructor_checks_its_fields(fields, match):
     # the classmethods are not the only way in
@@ -77,3 +86,21 @@ def test_parse_round_trip(spec, expected):
 def test_parse_rejects_malformed_specs(spec):
     with pytest.raises(ValueError):
         SqueezePath.parse(spec)
+
+
+def test_describe_keeps_every_digit():
+    assert (SqueezePath.barrier_first(0.123456789).describe()
+            == "barrier-first:0.123456789")
+    assert SqueezePath.power_law(1.0, 0.5).describe() == "power:1:0.5"
+
+
+_CONSTANTS = st.floats(0.0, 1e300, allow_subnormal=True)
+
+
+@given(st.one_of(
+    st.just(SqueezePath.adjacent()),
+    _CONSTANTS.filter(lambda v: v > 0).map(SqueezePath.barrier_first),
+    st.builds(SqueezePath.power_law, _CONSTANTS,
+              _CONSTANTS.filter(lambda v: v > 0))))
+def test_parse_reads_back_every_description(path):
+    assert SqueezePath.parse(path.describe()) == path

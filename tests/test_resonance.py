@@ -11,8 +11,8 @@ from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
                         bound_state, chi_linear, g_quadratic, resonance_set,
                         resonant_matrix, resonant_scattering)
 from deltaprime import resonance
-from deltaprime.resonance import (Resonance, _index_of, _linear_c, _root,
-                                  _solve_bracketed)
+from deltaprime.resonance import (Resonance, _index_of, _linear_c, _nth_root,
+                                  _root, _solve_bracketed)
 
 # frozen reference values (independent bisection + direct evaluation)
 SIGMA1 = 3.9266023120479188
@@ -492,3 +492,14 @@ def test_concurrent_callers_get_the_same_records(monkeypatch):
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(run, range(4)))
     assert results == [reference_set(path, MAX_INDEX)] * 4
+
+
+@pytest.mark.parametrize("path", [SqueezePath.adjacent(),
+                                  SqueezePath.power_law(0.7, 1.0)])
+@pytest.mark.parametrize("n", [0, -1])
+def test_nth_root_rejects_an_index_below_1(path, n):
+    # a negative n used to index the shared root table from its end
+    resonance_set(SqueezePath.adjacent(), 10)
+    with pytest.raises(ValueError,
+                       match=rf"^resonance index n must be >= 1, got {n}$"):
+        _nth_root(path, n)

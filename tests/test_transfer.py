@@ -255,6 +255,13 @@ def test_resonant_transmission_near_limit():
     assert amp.T2 == pytest.approx(target, abs=1e-4)
 
 
+def test_transfer_matrix_checks_its_determinant():
+    # at lam = 5.1e5 the barrier's cosh overflows: inf and NaN entries
+    with pytest.raises(InvariantViolation,
+                       match=r"^determinant residual nan$"):
+        transfer_matrix(RectProfile(0.01, 0.0, 5.1e5), 1.0)
+
+
 def test_rejects_nonpositive_energy():
     profile = RectProfile(l=1.0, rho=0.0, lam=1.0)
     for E in (0.0, -1.0, math.inf, math.nan):
