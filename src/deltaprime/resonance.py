@@ -31,9 +31,6 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-10
-# Residual at which the solver stops: a few ulps of the pole-free form, whose
-# slope at a root is about 1.
-_STOP_TOL = 2.0 ** -50
 
 
 @record
@@ -57,49 +54,6 @@ class Resonance:
     g: float
     kappa: float
     path: SqueezePath
-
-
-def _solve_bracketed(g, lo: float, hi: float, f) -> float:
-    """Illinois regula falsi for the zero of ``g`` on [lo, hi].
-
-    Needs g(lo) > 0 > g(hi).  Each step takes the secant point of the
-    bracket; an endpoint kept twice in a row has its value halved, which
-    keeps the convergence superlinear.  The iteration stops once |g| <=
-    2**-50 or once the next secant point no longer falls strictly inside
-    the bracket, i.e. the bracket is as tight as rounding allows; as every
-    step shrinks the bracket, the loop always ends.  The best point is then
-    checked against ``f``, the equation ``g`` stands in for: a sign change
-    that is not a zero (a pole or a jump) leaves |f| large and raises
-    :class:`NotARootError`.
-    """
-    glo, ghi = g(lo), g(hi)
-    if not (glo > 0 > ghi):
-        raise NotARootError(f"no sign change on [{lo}, {hi}]")
-    root, groot = (lo, glo) if glo < -ghi else (hi, ghi)
-    kept = 0  # endpoint the last step kept: +1 lo, -1 hi
-    while True:
-        x = hi - ghi * (hi - lo) / (ghi - glo)
-        if not lo < x < hi:
-            break
-        gx = g(x)
-        if abs(gx) <= abs(groot):
-            root, groot = x, gx
-        if not abs(gx) > _STOP_TOL:
-            break
-        if gx > 0:
-            lo, glo = x, gx
-            if kept < 0:
-                ghi *= 0.5
-            kept = -1
-        else:
-            hi, ghi = x, gx
-            if kept > 0:
-                glo *= 0.5
-            kept = 1
-    fr = f(root)
-    if not abs(fr) <= _ROOT_TOL:
-        raise NotARootError(f"residual {fr} at the sign change {root}")
-    return root
 
 
 def _index_of(sigma: float) -> int:
@@ -152,15 +106,38 @@ def _root(c: float, n: int) -> float:
     """Root in the n-th bracket of lhs(s) = tan(s), see :func:`_lhs`.
 
     lhs stays inside (0, 1), so every bracket (n*pi, n*pi + pi/2) holds
-    exactly one root.  The solver runs on the pole-free form
-    (-1)**n*(cos(s)*lhs(s) - sin(s)) = f(s)*|cos(s)|, with the same single
-    zero, > 0 at n*pi and -1 at n*pi + pi/2; f = lhs - tan is checked.
+    exactly one root, the fixed point of t = atan(lhs(n*pi + t)) with
+    s = n*pi + t.  Two steps of that map from t = 0 start Newton's method
+    on the pole-free form g(s) = cos(s)*lhs(s) - sin(s), each step clamped
+    into the float bracket, so a root within an ulp of n*pi is reached
+    too.  The point of least |g| is kept; the iteration stops once |g|
+    stops falling or a step returns that point, so it always ends.  Its
+    residual lhs - tan is then checked against 1e-10
+    (:class:`NotARootError`).
     """
-    sign = -1.0 if n % 2 else 1.0
     lo = n * math.pi
-    return _solve_bracketed(
-        lambda s: sign * (math.cos(s) * _lhs(s, c) - math.sin(s)),
-        lo, lo + 0.5 * math.pi, lambda s: _residual(s, c))
+    hi = lo + 0.5 * math.pi
+    s = lo + math.atan(_lhs(lo + math.atan(_lhs(lo, c)), c))
+    root = g_root = None
+    while True:
+        th = math.tanh(s)
+        d = 1.0 + c * s * th
+        lhs, cos, sin = th / d, math.cos(s), math.sin(s)
+        g = cos * lhs - sin
+        if root is not None and not abs(g) < abs(g_root):
+            break
+        root, g_root = s, g
+        dlhs = ((1.0 - th * th) - c * th * th) / (d * d)
+        s -= g / (cos * (dlhs - 1.0) - sin * lhs)
+        s = lo if s < lo else hi if s > hi else s  # builtin min/max cost more
+        if s == root:
+            break
+    r = _residual(root, c)
+    if not abs(r) <= _ROOT_TOL:
+        raise NotARootError(
+            f"no sigma in bracket n = {n} at c = {c} meets |residual| <= "
+            f"{_ROOT_TOL} (residual {r:.3g} at sigma = {root})")
+    return root
 
 
 # Checked (sigma_n, chi_n) of tanh(s) = tan(s), n = 1, 2, ..., shared by every

@@ -386,13 +386,13 @@ def test_bc_fit_keeps_double_precision_at_large_chi(capsys):
 
 def test_bc_fit_solves_only_the_requested_bracket(capsys, monkeypatch):
     calls = []
-    solve = resonance._solve_bracketed
-    monkeypatch.setattr(resonance, "_solve_bracketed",
+    solve = resonance._root
+    monkeypatch.setattr(resonance, "_root",
                         lambda *a: calls.append(a) or solve(*a))
     code, out, _ = run_cli(capsys, "bc-fit", "--path", "linear:0.7",
                            "--n", "25")
     assert code == 0
-    assert len(calls) == 1
+    assert calls == [(0.7, 25)]
     r = resonance_set(SqueezePath.parse("linear:0.7"), 25)[-1]
     _, rows = parse_csv(out)
     assert [rows[0][k] for k in ("n", "lambda", "chi", "g")] == \

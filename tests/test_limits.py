@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import warnings
 from fractions import Fraction
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import eager_amplitudes
-from deltaprime import (DeltaPrimeError, PrecisionFloorError, RectProfile,
-                        SqueezePath, chi_linear, classify, g_quadratic, limits,
-                        piecewise_transfer, predict, resonance, resonance_set,
-                        resonant_matrix, scattering, trace, transfer_matrix,
-                        transmission_sweep)
+from deltaprime import (DeltaPrimeError, NotARootError, PrecisionFloorError,
+                        RectProfile, SqueezePath, chi_linear, classify,
+                        g_quadratic, limits, piecewise_transfer, predict,
+                        resonance, resonance_set, resonant_matrix, scattering,
+                        trace, transfer_matrix, transmission_sweep)
 from deltaprime.transfer import det_residual, transfer_entries
 
 LAM1 = 15.418205716980063
@@ -798,11 +799,25 @@ def test_predict_past_the_resonance_data():
         predict(ADJ, sigma ** 2)
 
 
+@pytest.mark.parametrize("lam, n, residual, sigma", [
+    # one ulp of s = 1e10 moves tan(s) by about 2e-6
+    (1e20, 3183098861, "9.29e-07", "9999999998.153036"),
+    # the bracket (n*pi, n*pi + pi/2) is narrower than one ulp of 1e20
+    (1e40, 31830988618379067392, "1.84", "1e+20"),
+])
+def test_predict_names_the_bracket_no_float_solves(lam, n, residual, sigma):
+    # a root exists, but no double in the bracket meets the residual bound
+    message = (f"no sigma in bracket n = {n} at c = 0.0 meets |residual| "
+               f"<= 1e-10 (residual {residual} at sigma = {sigma})")
+    with pytest.raises(NotARootError, match=f"^{re.escape(message)}$"):
+        predict(ADJ, lam)
+
+
 def test_predict_solves_nothing_once_the_shared_table_holds_n(monkeypatch):
     resonance_set(ADJ, 8)  # the table now holds n = 1 .. 8 at least
     calls = []
-    solve = resonance._solve_bracketed
-    monkeypatch.setattr(resonance, "_solve_bracketed",
+    solve = resonance._root
+    monkeypatch.setattr(resonance, "_root",
                         lambda *a: calls.append(a) or solve(*a))
     for lam in [r.lam for r in resonance_set(QUAD, 6)] + [10.0, 400.0]:
         for path in (ADJ, QUAD, SqueezePath.power_law(2.1, 3.0)):
@@ -816,7 +831,7 @@ def test_predict_solves_nothing_once_the_shared_table_holds_n(monkeypatch):
     del calls[:]
     with pytest.raises(DeltaPrimeError, match=r"\(n = 113,"):
         predict(ADJ, sigma * sigma)
-    assert len(calls) == 1  # bracket 113 alone, which matches and overflows
+    assert calls == [(0.0, 113)]  # alone: it matches and overflows
 
 
 def test_traces_and_sweeps_compare_by_value():

@@ -11,8 +11,8 @@ from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
                         bound_state, chi_linear, g_quadratic, resonance_set,
                         resonant_matrix, resonant_scattering)
 from deltaprime import resonance
-from deltaprime.resonance import (Resonance, _index_of, _linear_c, _nth_root,
-                                  _root, _solve_bracketed)
+from deltaprime.resonance import (Resonance, _check_root, _index_of,
+                                  _linear_c, _nth_root, _root)
 
 # frozen reference values (independent bisection + direct evaluation)
 SIGMA1 = 3.9266023120479188
@@ -113,22 +113,21 @@ def test_chi_adjacent_rejects_non_root():
         chi_linear(1.0, 0.0)  # below the first bracket
 
 
-@pytest.mark.parametrize("g", [lambda s: 1.0, lambda s: s - 4.5])
-def test_solve_bracketed_needs_a_falling_sign_change(g):
-    # g(lo) > 0 > g(hi) is required: no sign change, or a rising one, raises
-    # before any step
-    with pytest.raises(NotARootError, match=r"no sign change on \[4.0, 5.0\]"):
-        _solve_bracketed(g, 4.0, 5.0, g)
+def test_root_checks_its_residual_once_at_the_point_it_returns(monkeypatch):
+    # the residual the solver checks is the one of the sigma it returns
+    seen = []
 
+    def residual(s, c, _fn=resonance._residual):
+        seen.append(s)
+        return _fn(s, c)
 
-def test_solve_bracketed_rejects_a_jump():
-    # a sign change without a zero: the secant points close in on the jump
-    # at 4.5 until the bracket cannot shrink, and |f| there is still 1
-    def step(s):
-        return 1.0 if s < 4.5 else -1.0
-
-    with pytest.raises(NotARootError, match="residual"):
-        _solve_bracketed(step, 4.0, 5.0, step)
+    monkeypatch.setattr(resonance, "_residual", residual)
+    assert _root(0.7, 5) == seen[-1] and len(seen) == 1
+    monkeypatch.setattr(resonance, "_residual", lambda s, c: 2e-10)
+    with pytest.raises(NotARootError, match=r"^no sigma in bracket n = 5 at "
+                       r"c = 0\.7 meets \|residual\| <= 1e-10 \(residual "
+                       r"2e-10 at sigma = "):
+        _root(0.7, 5)
 
 
 # Rules whose roots are checked against 40-digit mpmath, by the constant c
@@ -160,26 +159,55 @@ def test_roots_match_mpmath_to_two_ulp(rule):
             assert abs(got - want) <= 2 * math.ulp(got), (rule, n)
 
 
-def test_each_root_takes_at_most_twelve_evaluations(monkeypatch):
+def test_each_root_takes_at_most_five_evaluations(monkeypatch):
+    # each evaluation of the pole-free form takes one cos: one at the start,
+    # then one after each Newton step that moves; two on average
     counts = []
-    solve = resonance._solve_bracketed
 
-    def counting(g, lo, hi, f):
-        def counted(s):
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def cos(self, s):
             counts[-1] += 1
-            return g(s)
-        counts.append(0)
-        return solve(counted, lo, hi, f)
+            return math.cos(s)
 
-    monkeypatch.setattr(resonance, "_solve_bracketed", counting)
+    monkeypatch.setattr(resonance, "math", CountingMath())
     paths = [SqueezePath.adjacent(), SqueezePath.power_law(1.0, 2.0)]
     paths += [SqueezePath.power_law(c, 1.0)
               for c in (0.1, 0.7, 1.0, 2.0, 3.0, 1e3, 1e6)]
     for path in paths:
         for n in range(1, MAX_INDEX + 1):
+            counts.append(0)
             _root(_linear_c(path), n)
-    assert len(counts) == len(paths) * MAX_INDEX
-    assert max(counts) <= 12
+    assert max(counts) <= 5
+    assert sum(counts) <= 2 * len(counts)
+
+
+# c of the bracket scan: 0, small and moderate c, and large c where the
+# root lies within an ulp of n*pi (from 3.3e11 on the rounded n*pi can sit
+# on or past it, as at n = 52 and 86 on linear:1e12)
+ORACLE_C = [0.0, 1e-4, 0.1, 10.0, 1e4, 3.3e11, 1e12, 1e15, 1e300]
+ORACLE_N = [1, 2, 36, 52, 86, 112]
+
+
+@pytest.mark.parametrize("c", ORACLE_C)
+def test_roots_are_the_correctly_rounded_60_digit_roots(c):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(70):
+        for n in ORACLE_N:
+            # t = atan(lhs(n*pi + t)) contracts by at most about 1/(4*n*pi)
+            base, t = n * mpmath.pi, mpmath.mpf(0)
+            for _ in range(100):
+                th = mpmath.tanh(base + t)
+                t, last = mpmath.atan(th / (1 + c * (base + t) * th)), t
+                if abs(t - last) <= abs(t) * mpmath.mpf(10) ** -65:
+                    break
+            want = float(base + t)  # rounds to nearest
+            sigma = _root(c, n)
+            assert sigma == want, (c, n, sigma.hex(), want.hex())
+            _check_root(sigma, c, n)
+            assert _index_of(sigma) == n
 
 
 def test_root_next_to_the_bracket_end():
