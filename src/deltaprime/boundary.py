@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from ._record import record
 from .errors import (DeltaPrimeError, InvariantViolation,
-                     SingularParameterError, holds, require)
+                     SingularParameterError, require)
 
 __all__ = [
     "UnitDetMatrix",
@@ -153,30 +153,35 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
     check holds at each element, and an error names the first value that
     fails it.  With s = l11 + l22, d = k*l12 - l21/k, u = l11 - l22,
     v = k*l12 + l21/k and Delta = s - i*d, |T|**2 = 4/|Delta|**2 and
-    |R|**2 = |u + i*v|**2/|Delta|**2 are formed from the real and imaginary
-    parts in real arithmetic (by hypot where the squares overflow), R and T
-    only when read.  Flux conservation, |R|**2 + |T|**2 = 1 to 1e-10, is
-    the one check.  It rejects non-finite amplitudes and, as a real matrix
-    has |Delta|**2 = |u + i*v|**2 + 4*det and so a residual
-    4*|1 - det|/|Delta|**2, every real matrix with |Delta| < 2 - 1e-9.
-    Plain Python numbers load no numpy, save where the check fails or the
-    squares overflow; a scalar phase factor comes from ``cmath.exp``, which
-    rounds as ``np.exp``.
+    |R|**2 = |u + i*v|**2/|Delta|**2 are formed in real arithmetic from the
+    real and imaginary parts, or from s, d, u and v where these are float64
+    (the parts are s, -d, u and v up to signs of zero, and the squares, by
+    hypot where they overflow, drop signs); R and T only when read.  Flux
+    conservation, |R|**2 + |T|**2 = 1 to 1e-10, is the one check.  It
+    rejects non-finite amplitudes and, as a real matrix has |Delta|**2 =
+    |u + i*v|**2 + 4*det and so a residual 4*|1 - det|/|Delta|**2, every
+    real matrix with |Delta| < 2 - 1e-9.  Plain Python numbers load no
+    numpy, save where the check fails or the squares overflow; a scalar
+    phase factor comes from ``cmath.exp``, which rounds as ``np.exp``.
     """
     require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
     with _quiet():
         kl12, l21k = k * l12, l21 / k
         s, d, u, v = l11 + l22, kl12 - l21k, l11 - l22, kl12 + l21k
         # Delta = (s.real + d.imag) + i*(s.imag - d.real), u + i*v likewise
-        dr, di = s.real + d.imag, s.imag - d.real
-        nr, ni = u.real - v.imag, u.imag + v.real
+        real = getattr(s, "dtype", None) == getattr(d, "dtype", None) == float
+        dr, di = (s, d) if real else (s.real + d.imag, s.imag - d.real)
+        nr, ni = (u, v) if real else (u.real - v.imag, u.imag + v.real)
         size2 = dr * dr + di * di
         try:
             t2, r2 = 4.0 / size2, (nr * nr + ni * ni) / size2
         except ZeroDivisionError:  # Python numbers: x/0 as numpy forms it
             t2, r2 = math.inf, (nr * nr + ni * ni) * math.inf
         residual = abs(r2 + t2 - 1.0)
-        if not holds(residual <= 1e-10):  # failed, or overflowed
+        np = sys.modules.get("numpy")  # none loaded: no array
+        if not (np.maximum.reduce(residual, axis=None, initial=-np.inf)
+                if np is not None and isinstance(residual, np.ndarray)
+                else residual) <= 1e-10:  # failed (NaN too), or overflowed
             import numpy as np
 
             over, size = size2 == math.inf, np.hypot(dr, di)

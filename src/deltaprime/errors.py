@@ -10,7 +10,6 @@ __all__ = [
     "PrecisionFloorError",
     "NotARootError",
     "InvariantViolation",
-    "holds",
     "require",
 ]
 
@@ -35,21 +34,6 @@ class InvariantViolation(DeltaPrimeError):
     """A computed result failed one of its built-in consistency checks."""
 
 
-def holds(ok) -> bool:
-    """Whether ``ok``, a boolean scalar or array, holds at every element.
-
-    Scalars are tested directly: reducing a numpy scalar costs more than a
-    one-point evaluation of the transfer kernel's arithmetic.  Arrays take
-    the ufunc reduction, which skips ``ndarray.all``'s Python wrapper.  No
-    array can exist before numpy is loaded, so the scalar paths never load
-    it.
-    """
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(ok, np.ndarray):
-        return bool(np.logical_and.reduce(ok, axis=None))
-    return bool(ok)
-
-
 def require(ok, error: type[Exception], message: str, *values) -> None:
     """Raise ``error`` unless ``ok`` holds at every element.
 
@@ -58,7 +42,9 @@ def require(ok, error: type[Exception], message: str, *values) -> None:
     with the elements of ``values``, broadcast to the shape of ``ok``, at
     the first position where it fails.
     """
-    if holds(ok):
+    np = sys.modules.get("numpy")  # no array exists before numpy is loaded
+    if (np.logical_and.reduce(ok, axis=None) if np is not None
+            and isinstance(ok, np.ndarray) else ok):  # scalars directly
         return
     import numpy as np
 

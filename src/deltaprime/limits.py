@@ -84,11 +84,10 @@ def _eq(self, other):
 class LimitTrace:
     """Transfer-matrix entries along a shrinking-width sequence.
 
-    ``entries`` has shape (points, 4) ordered (L11, L12, L21, L22), a
-    transposed view of one row per entry; the closed forms are real.
-    ``l_values`` is shared by every trace on the same grid and
-    ``rho_values`` by every trace with the same path, energy and grid; both
-    are read-only.
+    ``entries`` is real, a transposed view of shape (points, 4) ordered
+    (L11, L12, L21, L22).  ``l_values`` is shared by every trace on the same
+    grid and ``rho_values`` by every trace with the same path, energy and
+    grid; both are read-only.
     """
 
     path: SqueezePath
@@ -239,8 +238,9 @@ def trace(path: SqueezePath, lam: float, E: float,
     with _quiet():  # NaN fails the check
         entries = _entries(l2, ls, lam, E, gap)
         residual = det_residual(*entries)
-    require(residual <= 1e-10, InvariantViolation,
-            "determinant residual {} at l = {}", residual, ls)
+    if not np.maximum.reduce(residual, axis=None) <= 1e-10:  # NaN fails
+        require(residual <= 1e-10, InvariantViolation,
+                "determinant residual {} at l = {}", residual, ls)
     return LimitTrace(path=path, lam=lam, E=E, l_values=ls,
                       rho_values=rho_values, entries=np.array(entries).T)
 
@@ -250,45 +250,54 @@ def classify(tr: LimitTrace) -> LimitVerdict:
 
     An entry is divergent when the least-squares log-log slope of its
     magnitude against l over the last half of the trace is at or below
-    ``DIVERGENCE_SLOPE`` (magnitudes growing as l shrinks give negative
-    slopes).  Entries that stay below 1e-6 in the tail, or change sign
-    there, carry no usable slope and are classified by their extrapolated
-    value instead: the Richardson level, for a power-series error model,
-    that changes least from the level below it, with that change as the
-    error (a NaN change, where a level overflows, never wins).  Both steps
-    are the grid's cached linear maps (:func:`_width_grid`), applied to
-    all four entries in one product each; a trace on any other grid than
-    that geometric one raises :class:`ValueError`.
+    ``DIVERGENCE_SLOPE`` (negative: it grows as l shrinks).  Entries below
+    1e-6 in the tail, or changing sign there, carry no usable slope and are
+    classified by their extrapolated value instead: the Richardson level,
+    for a power-series error model, that changes least from the level below
+    it, with that change as the error (a NaN change, where a level
+    overflows, never wins).  Both steps are the grid's cached linear maps
+    (:func:`_width_grid`), one product each for all four entries.  A
+    :class:`ValueError` names a trace on another grid, with entries that
+    are not a real (points, 4) array, or with a chosen exponent or value
+    that is not finite.
     """
-    ls = tr.l_values  # from np.geomspace, which sets both ends exactly
-    grid, slope, weights = _width_grid(float(ls[0]), float(ls[-1]), len(ls))
+    ls, e, n = tr.l_values, tr.entries, len(tr.l_values)
+    # l_values come from np.geomspace, which sets both ends exactly
+    grid, slope, weights = _width_grid(float(ls[0]), float(ls[-1]), n)
     if ls is not grid and not np.array_equal(ls, grid):
-        raise ValueError("the trace is not on the geometric grid it spans")
-    tail = tr.entries[len(ls) // 2:].T  # one row per entry
+        raise ValueError(f"{_named(tr)} is not on the geometric grid it spans")
+    if getattr(e, "shape", None) != (n, 4) or e.dtype.kind != "f":
+        raise ValueError(f"{_named(tr)}: need real entries of shape ({n}, 4)")
+    tail = e[n // 2:].T  # one row per entry
     size = np.abs(tail)
     # flat rows may hold 0, and the products and upper levels of a huge
     # entry overflow, keeping their signs
     with np.errstate(all="ignore"):
-        # one reduction per test; fmin skips NaN, so a NaN marks no sign
-        # change
-        flat = (size.max(axis=1) < _TINY_TAIL) | (np.fmin.reduce(
-            tail[:, :-1] * tail[:, 1:], axis=1) <= 0.0)
+        top = np.maximum.reduce(size, axis=1).tolist()
+        # fmin skips NaN, so a NaN marks no sign change
+        turn = np.fmin.reduce(tail[:, :-1] * tail[:, 1:], axis=1).tolist()
         y = np.log(size)
         y -= np.add.reduce(y, axis=1, keepdims=True) / y.shape[1]
         slopes = (y @ slope).tolist()
-        levels = weights @ tr.entries[-weights.shape[1]:]
+        levels = weights @ e[-weights.shape[1]:]
         change = np.abs(levels[1:] - levels[:-1])
         error = np.fmin.reduce(change)  # fmin skips NaN, so NaN never wins
     best = (change == error).argmax(axis=0).tolist()  # the first smallest
-    flat, levels, error = flat.tolist(), levels.T.tolist(), error.tolist()
+    levels, error = levels.T.tolist(), error.tolist()
     verdicts = {}
     for j, name in enumerate(ENTRY_NAMES):
-        if not flat[j] and slopes[j] <= DIVERGENCE_SLOPE:
-            verdicts[name] = EntryVerdict(kind=DIVERGENT, exponent=slopes[j])
-        else:
-            verdicts[name] = EntryVerdict(kind=CONVERGES, value=levels[j][
-                best[j] + 1], error=error[j])
+        flat = top[j] < _TINY_TAIL or turn[j] <= 0.0
+        divergent = not flat and slopes[j] <= DIVERGENCE_SLOPE
+        x = slopes[j] if divergent else levels[j][best[j] + 1]
+        if not abs(x) < math.inf:  # NaN fails too
+            raise ValueError(f"{_named(tr)}: {name} reads {x}, not finite")
+        verdicts[name] = (EntryVerdict(DIVERGENT, exponent=x) if divergent else
+                          EntryVerdict(CONVERGES, value=x, error=error[j]))
     return LimitVerdict(entries=verdicts)
+
+
+def _named(tr: LimitTrace) -> str:
+    return f"the trace of {tr.path.describe()} at lam = {tr.lam}, E = {tr.E}"
 
 
 def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
@@ -368,13 +377,16 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
 
     lams = np.linspace(lam_min, lam_max, samples)
     rho = path.rho_of(l)
-    t2 = np.empty(samples)
-    r2 = np.empty(samples)
+    one = samples <= SWEEP_BLOCK  # one block keeps amplitudes' own arrays
+    t2, r2 = (None, None) if one else (np.empty(samples), np.empty(samples))
     for start in range(0, samples, SWEEP_BLOCK):
         block = slice(start, start + SWEEP_BLOCK)
         entries = transfer_entries(l, rho, lams[block], E)
         amp = amplitudes(*entries, math.sqrt(E), 2.0 * l + rho)
-        t2[block], r2[block] = amp.T2, amp.R2
+        if one:
+            t2, r2 = amp.T2, amp.R2
+        else:
+            t2[block], r2[block] = amp.T2, amp.R2
 
     h = lams[1] - lams[0]
     i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1

@@ -9,14 +9,11 @@ of p**2 and q**2 that hold on either side of the barrier top.
 
 The closed form takes scalars or numpy arrays, elementwise, with numpy's
 floating-point warnings off: an overflow gives inf or NaN values, which the
-per-element invariant checks report.  Each region tests the sign of its
-s = p**2 or -q**2 once per call: if every element grows, or every element
-oscillates, only that form is computed and the product leaves out the terms
-that vanish in it; mixed signs or an exact s = 0 merge both forms.  The
-well skips its test where the barrier grows everywhere, since it then
-oscillates everywhere.  Each element gets the same arithmetic either way.
-The scattering extraction, :func:`amplitudes` and :func:`scattering`, is
-re-exported from the numpy-free :mod:`.boundary`.
+per-element invariant checks report.  Each region computes only the form,
+growing or oscillating, that the sign of its s = p**2 or -q**2 selects (one
+test per call), and the product leaves out the terms that vanish in it:
+each element gets the same arithmetic, bit for bit.  :func:`amplitudes` and
+:func:`scattering` are re-exported from the numpy-free :mod:`.boundary`.
 """
 
 from __future__ import annotations
@@ -79,19 +76,17 @@ def _form(s):
     return bool(s > 0) if s != 0 else np.False_
 
 
-def _region(s, l, grows):
+def _region(a2, l, grows):
     """Propagation matrix of psi'' = s * psi over width ``l``, elementwise,
-    split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a); returns (c, t, d, g,
-    a) in the form ``grows`` = :func:`_form` (s) selects.
-
+    split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a): the real (c, t, d, g,
+    a) from ``a2`` = |s| in the form ``grows`` = :func:`_form` (s) selects.
     For s = a**2 > 0 the region grows: c = exp(-a*l), t = d = 0 and
-    g = sinh(a*l), so the sum is [[cosh, sinh/a], [a*sinh, cosh]] while
-    the exponentially large part stays a separate rank-one term.  For
+    g = sinh(a*l), so the sum is [[cosh, sinh/a], [a*sinh, cosh]] while the
+    exponentially large part stays a separate rank-one term.  For
     s = -b**2 < 0 the split part vanishes (g = 0) and [[c, t], [d, c]] is
-    [[cos, sin/b], [-b*sin, cos]]; at s = 0 it is [[1, l], [0, 1]].  All
-    five are real.
+    [[cos, sin/b], [-b*sin, cos]]; at s = 0 it is [[1, l], [0, 1]].
     """
-    a = np.sqrt(np.abs(s))
+    a = np.sqrt(a2)
     x = a * l
     if grows is not False:
         up = np.exp(-x), 0.0, 0.0, np.sinh(x), a
@@ -112,13 +107,12 @@ def transfer_entries(l, rho, lam, E):
     The matrix is the product well @ gap @ barrier of the three region
     matrices, with p**2 = lam/l**2 - E in the barrier, q**2 = lam/l**2 + E
     in the well and k = sqrt(E) in the gap, each real for real p**2 and
-    q**2.  Above the barrier top the barrier's cosh and sinh grow like
-    exp(p*l) and nearly cancel in the entries near a resonance; keeping
-    their common growth as the rank-one term of :func:`_region` makes that
-    cancellation happen in the combinations (n_i1 + p*n_i2) of the
-    well-gap product instead, where its rounding moves det only by about
-    eps (the entries lose the same digits either way).
-    Valid for any real coupling; E must be positive and finite.  Callers
+    q**2.  Below the barrier top the barrier's cosh and sinh grow like
+    exp(p*l) and nearly cancel in the entries near a resonance; kept as the
+    rank-one term of :func:`_region`, their common growth cancels in the
+    combinations (n_i1 + p*n_i2) of the well-gap product instead, where its
+    rounding moves det only by about eps (the entries lose the same digits
+    either way).  Valid for any real coupling and finite E > 0; callers
     validate the geometry (l > 0, rho >= 0, all finite).
     """
     _check_energy(E)
@@ -138,21 +132,23 @@ def _entries(l2, l, lam, E, gap):
     scale = lam / l2  # numpy division: l**2 may underflow
     s = scale - E
     grows = _form(s)
-    c, t, d, g, p = _region(s, l, grows)
+    c, t, d, g, p = _region(s if grows is True else np.abs(s), l, grows)
     # a barrier that grows everywhere has scale > E > 0, so the well's
-    # -(scale + E) < 0 oscillates everywhere: g = 0
-    s = -(scale + E)
+    # s = -(scale + E) oscillates everywhere (g = 0): |s| is scale + E
+    s = scale + E if grows is True else -(scale + E)
     wgrows = False if grows is True else _form(s)
-    wc, wt, wd, wg, wa = _region(s, l, wgrows)
+    wc, wt, wd, wg, wa = _region(s if grows is True else np.abs(s), l, wgrows)
     cq, sq, dq = ((wc, wt, wd) if wgrows is False
                   else (wc + wg, wt + wg / wa, wd + wg * wa))
     k, ckr, skr = gap
-
-    # well @ gap
-    n11 = cq * ckr - k * sq * skr
-    n12 = cq * skr / k + sq * ckr
-    n21 = dq * ckr - k * cq * skr
-    n22 = dq * skr / k + cq * ckr
+    # well @ gap, which is the oscillating well itself at a scalar zero gap
+    if wgrows is False and type(skr) is not np.ndarray and skr == 0.0:
+        n11, n12, n21, n22 = cq, sq, dq, cq
+    else:
+        n11 = cq * ckr - k * sq * skr
+        n12 = cq * skr / k + sq * ckr
+        n21 = dq * ckr - k * cq * skr
+        n22 = dq * skr / k + cq * ckr
     # (well @ gap) @ barrier, without the terms of the form not taken
     l11, l12, l21, l22 = c * n11, c * n12, c * n21, c * n22
     if grows is not True:  # t and d may be nonzero

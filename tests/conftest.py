@@ -106,3 +106,22 @@ def eager_amplitudes(l11, l12, l21, l22, k, x0=0.0):
         T = 2.0 / delta * (cmath.exp(phase) if isinstance(phase, complex)
                            else np.exp(phase))
         return SimpleNamespace(R=R, T=T, R2=abs(R) ** 2, T2=abs(T) ** 2)
+
+
+def parts_probabilities(l11, l12, l21, l22, k):
+    """(|T|**2, |R|**2) as ``boundary.amplitudes`` formed them from the real
+    and imaginary parts of s, d, u and v on every input, real or complex,
+    with its hypot fallback where the flux check fails; no checks.  The
+    reference its real-entry shortcut must match bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kl12, l21k = k * l12, l21 / k
+        s, d, u, v = l11 + l22, kl12 - l21k, l11 - l22, kl12 + l21k
+        dr, di = s.real + d.imag, s.imag - d.real
+        nr, ni = u.real - v.imag, u.imag + v.real
+        size2 = dr * dr + di * di
+        t2, r2 = 4.0 / size2, (nr * nr + ni * ni) / size2
+        if not np.all(abs(r2 + t2 - 1.0) <= 1e-10):
+            over, size = size2 == math.inf, np.hypot(dr, di)
+            t2 = np.where(over, np.square(2.0 / size), t2)[()]
+            r2 = np.where(over, np.square(np.hypot(nr, ni) / size), r2)[()]
+    return t2, r2

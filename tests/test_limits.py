@@ -114,6 +114,28 @@ def test_classify_rejects_a_trace_on_another_grid():
     assert classify(copy) == classify(good)
 
 
+_NOT_REAL_13x4 = r"need real entries of shape \(13, 4\)"
+
+
+@pytest.mark.parametrize("entries, match", [
+    (np.ones((13, 3)), _NOT_REAL_13x4),
+    (np.ones((12, 4)), _NOT_REAL_13x4),
+    (np.ones((13, 4), complex), _NOT_REAL_13x4),
+    (np.ones(52).tolist(), _NOT_REAL_13x4),
+    (np.full((13, 4), np.nan), "L11 reads nan, not finite"),
+    (np.vstack([np.ones((12, 4)), np.full(4, -np.inf)]),
+     "L11 reads -inf, not finite"),
+], ids=["13x3", "12x4", "complex", "list", "nan", "inf"])
+def test_classify_names_a_hand_built_trace_with_bad_entries(entries, match):
+    # entries of another shape or kind, or whose chosen limit is not finite,
+    # raise a ValueError that names the trace, not an IndexError, numpy's
+    # matmul message or a "resonant" verdict of NaN values
+    tr = dataclasses.replace(make_trace(ADJ, LAM1), entries=entries)
+    with pytest.raises(ValueError, match=r"^the trace of adjacent at "
+                       rf"lam = {LAM1}, E = 1.0: {match}$"):
+        classify(tr)
+
+
 def test_an_int_grid_end_shares_the_float_grid():
     # trace takes the grid ends as floats, so 1 and 1.0 are one key; classify
     # reads the design back from the float ends of the trace's grid
@@ -244,6 +266,15 @@ def test_trace_rows_keep_unit_determinant():
             - tr.entries[:, 1] * tr.entries[:, 2])
     scale = np.maximum(1.0, np.abs(tr.entries).max(axis=1) ** 2)
     assert (np.abs(dets - 1.0) / scale < 1e-10).all()
+
+
+def test_trace_checks_the_determinant_at_every_width():
+    # at E = 100 the barrier oscillates at l = 100 (lam/l**2 = 40 < E) and
+    # the check holds there; the entries overflow at every smaller width,
+    # and the error names the first of them
+    with pytest.raises(DeltaPrimeError, match=r"^determinant residual nan "
+                       r"at l = 46\.4158883361278$"):
+        trace(ADJ, 4e5, 100.0, 100.0, 0.01, 13)
 
 
 @pytest.mark.parametrize("spec", ["adjacent", "linear:2",

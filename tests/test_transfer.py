@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import eager_amplitudes, reference_entries
+from conftest import (eager_amplitudes, parts_probabilities,
+                      reference_entries)
 from deltaprime import (InvariantViolation, RectProfile, TransferMatrix,
                         piecewise_transfer, scattering, transfer_matrix)
 from deltaprime.transfer import _form, _region, amplitudes, transfer_entries
@@ -129,6 +130,17 @@ def kernel_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_inputs())
+# a zero gap, where an oscillating well is its own product with the gap,
+# with the barrier growing everywhere, oscillating everywhere, or mixed
+@example((0.1, 0.0, 2.5, [15.418205716980063, 100.0, 3e3]))
+@example((0.5, 0.0, 3.0, [0.1, 0.2, 0.5]))
+@example((0.5, 0.0, 3.0, [0.1, 15.0, -0.5]))
+# E = 1: s = 0 exactly in the barrier and in the well, at l = 1/4
+@example((0.25, 0.3, 1.0, [0.0625, -0.0625, 3.0, -3.0]))
+# a growing well whose sinh overflows (x = 1000 and 2000): inf and NaN
+# entries, with and without a gap
+@example((0.5, 0.0, 1.0, [-1e6, -4e6, 2.0]))
+@example((0.5, 0.7, 1.0, [-1e6, -4e6]))
 def test_kernel_matches_elementwise_reference_bit_for_bit(inputs):
     l, rho, E, lams = inputs
     arr = np.array(lams)
@@ -353,6 +365,40 @@ def test_reading_amplitudes_of_huge_entries_raises_no_warning():
     huge = np.array([1e308])
     with pytest.warns(RuntimeWarning):  # what the lazy forms switch off
         _ = -(huge + 1j * huge) / (huge - 1j * huge)
+
+
+# unit-determinant matrices with signed zeros, one per column
+_SIGNED_ZEROS = [np.array(row) for row in zip(
+    (1.0, -0.0, 0.0, 1.0), (-1.0, 0.0, -0.0, -1.0), (0.0, 1.0, -1.0, 0.0),
+    (-0.0, -1.0, 1.0, -0.0), (-0.0, 1.0, -1.0, -0.0))]
+_BIG = np.array([1e300, 1e200, 2.0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(l=st.floats(1e-3, 1.0), rho=st.floats(0.0, 1.0),
+       lam=st.floats(-30.0, 60.0), E=st.floats(0.1, 10.0))
+def test_probabilities_match_complex_parts_arithmetic_bit_for_bit(l, rho,
+                                                                  lam, E):
+    # |T|**2 and |R|**2 against the arithmetic on the real and imaginary
+    # parts of s, d, u and v that amplitudes ran on every input: float
+    # arrays, complex arrays (with +0 and -0 imaginary parts), Python and
+    # numpy floats, complex numbers, signed zeros and huge entries, whose
+    # |Delta|**2 overflows into the hypot fallback
+    k = math.sqrt(E)
+    rows = transfer_entries(l, rho, lam + np.linspace(-5.0, 5.0, 9), E)
+    tm = piecewise_transfer(RectProfile(l=l, rho=rho, lam=lam), E)
+    cases = [rows, [r.astype(complex) for r in rows],
+             [np.conj(r.astype(complex)) for r in rows],
+             [r[0].item() for r in rows], [r[0] for r in rows],
+             [complex(r[0]) for r in rows], (tm.l11, tm.l12, tm.l21, tm.l22),
+             _SIGNED_ZEROS, [r[2].item() for r in _SIGNED_ZEROS],
+             [-r for r in _SIGNED_ZEROS],
+             (_BIG, _BIG, -1.0 / _BIG, 0.0 * _BIG)]
+    for entries in cases:
+        amp = amplitudes(*entries, k)
+        want = parts_probabilities(*entries, k)
+        _same_bits(amp.T2, want[0])
+        _same_bits(amp.R2, want[1])
 
 
 _HUGE = 1e308, 1e308, -1e-308, 0.0
