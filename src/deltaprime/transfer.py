@@ -2,10 +2,10 @@
 
 Two independent constructions of the same 2x2 matrix carrying (psi, psi')
 across the potential's support: closed-form entries, and an ordered product
-of per-region propagation matrices obtained by matching the solution at the
-four interfaces.  The second exists purely to validate the first; it works
-in complex arithmetic, while the closed form is written in real functions
-of p**2 and q**2 that hold on either side of the barrier top.
+of per-region propagation matrices matched at the four interfaces, which
+exists purely to validate the first, in complex arithmetic.  The closed form
+is in real functions of p**2 and q**2 that hold on either side of the barrier
+top, an oscillating region's cos and sin coming from one numpy tan(x/2).
 
 The closed form takes scalars or numpy arrays, elementwise, with numpy's
 floating-point warnings off: an overflow gives inf or NaN values, which the
@@ -81,18 +81,21 @@ def _region(a2, l, grows):
     split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a): the real (c, t, d, g,
     a) from ``a2`` = |s| in the form ``grows`` = :func:`_form` (s) selects.
     For s = a**2 > 0 the region grows: c = exp(-a*l), t = d = 0 and
-    g = sinh(a*l), so the sum is [[cosh, sinh/a], [a*sinh, cosh]] while the
-    exponentially large part stays a separate rank-one term.  For
-    s = -b**2 < 0 the split part vanishes (g = 0) and [[c, t], [d, c]] is
-    [[cos, sin/b], [-b*sin, cos]]; at s = 0 it is [[1, l], [0, 1]].
+    g = sinh(a*l), the exponentially large part of [[cosh, sinh/a], [a*sinh,
+    cosh]] kept as a rank-one term.  For s = -b**2 < 0, g = 0 and [[c, t],
+    [d, c]] is [[cos, sin/b], [-b*sin, cos]] of x = b*l, with cos = w - 1
+    and sin = h*w from h = tan(x/2), w = 2/(1 + h**2): each within 1.5 eps
+    of exact, and NaN where x/2 overflows.  At s = 0, [[1, l], [0, 1]].
     """
     a = np.sqrt(a2)
-    x = a * l
     if grows is not False:
+        x = a * l
         up = np.exp(-x), 0.0, 0.0, np.sinh(x), a
     if grows is not True:
-        sn = np.sin(x)
-        osc = np.cos(x), sn / a, -a * sn, 0.0, 1.0
+        h = np.tan(a * (0.5 * l))
+        w = 2.0 / (1.0 + h * h)
+        sn = h * w
+        osc = w - 1.0, sn / a, -a * sn, 0.0, 1.0
     if grows is True or grows is False:
         return up if grows else osc
     c, t, d, g, p = (np.where(grows, u, o) for u, o in zip(up, osc))

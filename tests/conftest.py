@@ -45,7 +45,9 @@ def where_region(s, l):
     """Region matrix of the transfer kernel in its elementwise form: both the
     growing and the oscillating form at every element, merged by np.where
     (a plain conditional on scalars).  Returns (c, t, d, g, a) as in
-    ``transfer._region``; the reference its sign dispatch must match."""
+    ``transfer._region``; the reference its sign dispatch must match.  The
+    oscillating form takes cos x and sin x from the half angle,
+    h = tan(x/2): cos x = 2/(1 + h**2) - 1 and sin x = h * 2/(1 + h**2)."""
     def where(cond, a, b):
         if isinstance(cond, np.ndarray):
             return np.where(cond, a, b)
@@ -54,8 +56,10 @@ def where_region(s, l):
     a = np.sqrt(np.abs(s))
     x = a * l
     grows = s > 0
-    sn = np.sin(x)
-    return (where(grows, np.exp(-x), np.cos(x)),
+    h = np.tan(a * (0.5 * l))
+    w = 2.0 / (1.0 + h * h)
+    sn = h * w
+    return (where(grows, np.exp(-x), w - 1.0),
             where(grows, 0.0, where(a == 0, l, sn / a)),
             where(grows, 0.0, -a * sn),
             where(grows, np.sinh(x), 0.0),

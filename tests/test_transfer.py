@@ -10,6 +10,7 @@ from conftest import (eager_amplitudes, parts_probabilities,
                       reference_entries)
 from deltaprime import (InvariantViolation, RectProfile, TransferMatrix,
                         piecewise_transfer, scattering, transfer_matrix)
+from deltaprime.boundary import _quiet
 from deltaprime.transfer import _form, _region, amplitudes, transfer_entries
 
 LAM1 = 15.418205716980063  # first adjacent resonance coupling, sigma_1**2
@@ -141,6 +142,12 @@ def kernel_inputs(draw):
 # entries, with and without a gap
 @example((0.5, 0.0, 1.0, [-1e6, -4e6, 2.0]))
 @example((0.5, 0.7, 1.0, [-1e6, -4e6]))
+# a scalar zero gap where both regions oscillate at a = sqrt(E) and
+# np.tan(a * (0.5 * l)) is exactly 1 (22.776546738526) or -1
+# (160653.97972111145) at lam = 0: cos x = 2/2 - 1 is +0.0 in the well,
+# which the zero-gap shortcut passes on, and L12 or L21 is a signed zero
+@example((2.0, 0.0, 518.7710813322594, [0.0, 1.0]))
+@example((2.0, 0.0, 25809701200.23129, [0.0, 1.0]))
 def test_kernel_matches_elementwise_reference_bit_for_bit(inputs):
     l, rho, E, lams = inputs
     arr = np.array(lams)
@@ -151,6 +158,54 @@ def test_kernel_matches_elementwise_reference_bit_for_bit(inputs):
         for got, want in zip(transfer_entries(l, rho, lam, E),
                              reference_entries(l, rho, lam, E)):
             assert_same_bits(got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1e300))
+@example(0.0)
+@example(2.0 * 22.776546738526)  # np.tan(x/2) == 1: cos x is 0.0 exactly
+@example(math.pi)
+def test_oscillating_form_is_within_two_eps_of_mpmath(x):
+    # cos x = 2/(1 + h**2) - 1 and sin x = h * 2/(1 + h**2) from
+    # h = tan(x/2): absolute errors of up to about 1.5 eps, against 0.25
+    # for libm's cos and sin
+    mpmath = pytest.importorskip("mpmath")
+    eps = 2.0 ** -52
+    c, t, d, g, a = _region(1.0, x, False)
+    c, t, d = float(c), float(t), float(d)
+    with mpmath.workdps(40):
+        cos, sin = mpmath.cos(mpmath.mpf(x)), mpmath.sin(mpmath.mpf(x))
+        assert abs(c - cos) <= 2.0 * eps
+        assert abs(t - sin) <= 2.0 * eps
+        assert abs(d + sin) <= 2.0 * eps
+    assert (g, a) == (0.0, 1.0)
+
+
+def test_oscillating_form_is_nan_past_overflow_and_at_nan():
+    # tan(inf) is NaN, as cos(inf) was; quiet under the kernel's errstate
+    with _quiet():
+        for x in (math.inf, math.nan):
+            assert all(math.isnan(v) for v in _region(1.0, x, False)[:3])
+            assert np.isnan(_region(np.array([1.0]), x, False)[0]).all()
+
+
+def test_entries_meet_the_50_digit_product_to_a_stated_error():
+    # errors in units of eps times each entry's term size |W||G||B|, over
+    # 3000 draws; the largest sit where q*l is next to a multiple of pi/2,
+    # where the rounding of q*l moves a vanishing cos or sin of the well
+    pytest.importorskip("mpmath")
+    from oracle import entry_errors
+    rng = np.random.default_rng(28)
+    n = 3000
+    l = 10.0 ** rng.uniform(-4.0, -1.0, n)
+    lam = rng.uniform(0.5, 400.0, n)
+    E = rng.choice([0.5, 1.0, 2.0], n)
+    rho = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 1.0, n))
+    got = np.array(transfer_entries(l, rho, lam, E)).T
+    worst = np.array([max(entry_errors(got[i], l[i], rho[i], lam[i], E[i]))
+                      for i in range(n)])
+    median, p99 = np.percentile(worst, [50, 99])
+    assert median <= 10.0 and p99 <= 300.0 and worst.max() <= 2e4
 
 
 def test_region_computes_one_form_when_signs_agree():
