@@ -356,7 +356,7 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
     is evaluated in blocks of ``SWEEP_BLOCK`` couplings.  Peaks are
     strict local maxima of |T|^2 over the grid, refined by a parabola
     through the three surrounding samples (the refinement never leaves the
-    neighbouring half-intervals).
+    neighbouring half-intervals, but for half an ulp of rounding).
     """
     samples = _integer("samples", samples)
     l, E = _real("l", l), _real("E", E)
@@ -374,8 +374,13 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
             raise ValueError(f"{name} must be finite, got {value}")
     if not lam_max > lam_min:
         raise ValueError(f"need lam_max > lam_min, got {lam_max} <= {lam_min}")
-
-    lams = np.linspace(lam_min, lam_max, samples)
+    step = (lam_max - lam_min) / (samples - 1)
+    if step == math.inf:
+        raise ValueError("lam_max - lam_min overflows to inf")
+    # np.linspace's arithmetic, bit for bit; its wrapper only for a 0 step
+    lams = (np.arange(samples, dtype=float) * step + lam_min if step != 0.0
+            else np.linspace(lam_min, lam_max, samples))
+    lams[-1] = lam_max
     rho = path.rho_of(l)
     one = samples <= SWEEP_BLOCK  # one block keeps amplitudes' own arrays
     t2, r2 = (None, None) if one else (np.empty(samples), np.empty(samples))
@@ -388,12 +393,14 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
         else:
             t2[block], r2[block] = amp.T2, amp.R2
 
-    h = lams[1] - lams[0]
-    i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
-    denom = t2[i - 1] - 2.0 * t2[i] + t2[i + 1]
-    off = np.divide(0.5 * h * (t2[i - 1] - t2[i + 1]), denom,
-                    out=np.zeros(len(i)), where=denom != 0.0)
-    peaks = [Peak(lam=float(lam), T2=float(t)) for lam, t in
-             zip(lams[i] + off, t2[i])]
+    # each parabola in Python floats: too few peaks to pay for numpy calls
+    lo, hi = lams[:2].tolist()
+    i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:]))
+    peaks = []
+    for lam, (a, b, c) in zip(lams[i + 1].tolist(),
+                              t2[np.add.outer(i, (0, 1, 2))].tolist()):
+        denom = (a - 2.0 * b) + c
+        off = 0.5 * (hi - lo) * (a - c) / denom if denom != 0.0 else 0.0
+        peaks.append(Peak(lam=lam + off, T2=b))
     return SweepResult(path=path, l=l, E=E, lambdas=lams, T2=t2, R2=r2,
                        peaks=peaks)

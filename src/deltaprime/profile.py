@@ -4,7 +4,8 @@ The shape is a barrier of height 1/(l*(l+rho)) on [0, l) followed, after a
 gap of width rho, by a well of the same depth on [l+rho, 2*l+rho).  Its area
 vanishes and its first moment equals -1 for every (l, rho), which is what
 makes the two-parameter family a regularization of the derivative of a
-delta function of strength ``lam``.
+delta function of strength ``lam``.  ``evaluate`` draws lam times that
+height; the transfer matrices take lam/l**2, the same only at rho = 0.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ class RectProfile:
         rho: separation between them, >= 0.
         lam: coupling constant multiplying the shape; any real value.
 
-    All three must be finite; NaN fails every check.
+    All three must be finite; NaN fails every check.  :attr:`height` is
+    lam/(l*(l+rho)); ``transfer_entries`` and ``piecewise_transfer`` use
+    lam/l**2, the same only at rho = 0.
     """
 
     l: float

@@ -657,8 +657,8 @@ def test_json_text_matches_json_dumps_on_every_cell_kind(extras):
 # around the caps (n = 112 is the largest resonance index) and path specs
 # whose constants overflow a gap, a chi or a g.
 _FUZZ_FLOATS = ("0", "-0.0", "1", "-1", "2", "-2", "0.5", "3.5", "nan",
-                "inf", "-inf", "1e308", "1e-308", "5e-324", "1e-7", "1e-6",
-                "1e6", "1e20", "-1e20", "112", "113")
+                "inf", "-inf", "1e308", "-1e308", "1e-308", "5e-324", "1e-7",
+                "1e-6", "1e6", "1e20", "-1e20", "112", "113")
 _FUZZ_INTS = ("-1", "0", "1", "2", "8", "13", "112", "113", "5000")
 _FUZZ_PATHS = ("adjacent", "linear", "linear:0.7", "quadratic:1",
                "power:1:1.5", "power:2:3", "barrier-first:0.5",
@@ -705,6 +705,8 @@ def _argvs(draw):
               "--l-end 1".split())
 @example(argv="limit-trace --l-start 1e308 --l-end 1e-6 --points 8 "
               "--lambda 1".split())
+@example(argv="sweep --lambda-min=-1e308 --lambda-max 1e308 "
+              "--samples 3".split())
 def test_argv_fuzz_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \

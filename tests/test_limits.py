@@ -4,10 +4,11 @@ import re
 import struct
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import eager_amplitudes
 from deltaprime import (DeltaPrimeError, NotARootError, PrecisionFloorError,
@@ -23,6 +24,8 @@ G1_C1 = 276.34588992287415
 
 ADJ = SqueezePath.adjacent()
 QUAD = SqueezePath.power_law(1.0, 2.0)
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
 
 
 def make_trace(path, lam, E=1.0, l_start=1e-1, l_end=1e-4, points=13):
@@ -478,6 +481,10 @@ def test_sweep_rejects_bad_arguments():
         transmission_sweep(ADJ, 1e-3, 1.0, np.inf, 10)
     with pytest.raises(ValueError, match="lam_min must be finite, got -inf"):
         transmission_sweep(ADJ, 1e-3, -np.inf, 60.0, 10)
+    # before np.linspace's overflow warning, which the test config makes an
+    # error
+    with pytest.raises(ValueError, match="lam_max - lam_min overflows"):
+        transmission_sweep(ADJ, 1e-3, -1e308, 1e308, 3)
 
 
 def test_sweep_matches_scalar_loop():
@@ -515,12 +522,106 @@ def test_blocked_sweep_equals_one_block(monkeypatch):
     assert blocked.peaks == whole.peaks
 
 
+def _stubbed_sweep(lam_min, lam_max, samples, t2=None):
+    """transmission_sweep with the transfer kernel and the extraction
+    stubbed out, so that only the grid and the peak search run: |T|**2 is
+    the row ``t2`` (one block), else zero."""
+    def amplitudes(lams, *_):
+        row = np.zeros(len(lams)) if t2 is None else t2
+        return SimpleNamespace(T2=row, R2=1.0 - row)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "transfer_entries",
+                   lambda l, rho, lam, E: (lam,) * 4)
+        mp.setattr(limits, "amplitudes", amplitudes)
+        return transmission_sweep(ADJ, 1e-3, lam_min, lam_max, samples)
+
+
+_GRID_ENDS = st.one_of(st.floats(-1e300, 1e300),
+                       st.sampled_from((0.0, -0.0, TINY, -TINY, 1.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ends=st.tuples(_GRID_ENDS, _GRID_ENDS),
+       samples=st.integers(2, 3 * limits.SWEEP_BLOCK))
+@example(ends=(-60.0, -1.0), samples=2000)
+@example(ends=(-50.0, 50.0), samples=101)
+@example(ends=(-1e300, 1e300), samples=3)
+@example(ends=(0.0, 5e-324), samples=3)  # the step underflows to 0
+@example(ends=(-0.0, 1.0), samples=2)
+@example(ends=(1.0, 60.0), samples=2 * limits.SWEEP_BLOCK + 7)
+def test_sweep_grid_is_linspace_bit_for_bit(ends, samples):
+    lam_min, lam_max = sorted(ends)
+    assume(lam_min < lam_max)
+    lams = _stubbed_sweep(lam_min, lam_max, samples).lambdas
+    assert lams.tobytes() == np.linspace(lam_min, lam_max, samples).tobytes()
+
+
+def _numpy_peaks(lams, t2):
+    """The parabola refinement as whole-array numpy operations: the
+    reference the sweep's Python-float loop matches bit for bit."""
+    h = lams[1] - lams[0]
+    i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
+    denom = t2[i - 1] - 2.0 * t2[i] + t2[i + 1]
+    off = np.divide(0.5 * h * (t2[i - 1] - t2[i + 1]), denom,
+                    out=np.zeros(len(i)), where=denom != 0.0)
+    return [(float(lam), float(t)) for lam, t in zip(lams[i] + off, t2[i])]
+
+
+def _peak_bits(peaks):
+    return [(_bits(lam), _bits(t2)) for lam, t2 in peaks]
+
+
+# |T|**2 rows over few distinct values, so that ties and plateaus are common
+_T2_ROWS = st.lists(st.one_of(st.sampled_from((0.0, TINY, 3 * TINY, 0.25,
+                                               0.5, 1.0)),
+                              st.floats(0.0, 1.0)), min_size=3, max_size=60)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(row=_T2_ROWS, lam_min=st.floats(-1e3, 1e3), span=st.floats(1e-3, 1e3))
+@example(row=[0.5, 1.0, 1.0, 0.5, 0.75, 0.25, 0.25, 0.5, 0.0],
+         lam_min=-0.0, span=8.0)  # a plateau is no peak
+@example(row=[0.0, TINY, 0.0, 2 * TINY, TINY], lam_min=1.0, span=0.1)
+def test_sweep_peaks_match_the_numpy_refinement_bit_for_bit(row, lam_min,
+                                                              span):
+    t2 = np.array(row)
+    res = _stubbed_sweep(lam_min, lam_min + span, len(row), t2)
+    assert all(type(p.lam) is float and type(p.T2) is float
+               for p in res.peaks)
+    assert (_peak_bits((p.lam, p.T2) for p in res.peaks)
+            == _peak_bits(_numpy_peaks(res.lambdas, t2)))
+
+
+@pytest.mark.parametrize("spec, l, lam_min, lam_max, E", EXTRACTION_SWEEPS)
+def test_kernel_sweep_peaks_match_the_numpy_refinement(spec, l, lam_min,
+                                                       lam_max, E):
+    res = transmission_sweep(SqueezePath.parse(spec), l, lam_min, lam_max,
+                             2000, E)
+    assert res.peaks
+    assert (_peak_bits((p.lam, p.T2) for p in res.peaks)
+            == _peak_bits(_numpy_peaks(res.lambdas, res.T2)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(row=_T2_ROWS, start=st.integers(-1000, 1000), e=st.integers(-8, 8))
+def test_sweep_peaks_stay_within_half_a_step(row, start, e):
+    # the docstring's claim, on grids of multiples of a power of two, whose
+    # points and half-steps are exact, so that it holds with no rounding
+    # slack; where the spacing nears the ulp of lam, lam + offset may round
+    # half an ulp past the half-step
+    h = 2.0 ** e
+    n = len(row)
+    res = _stubbed_sweep(start * h, (start + n - 1) * h, n, np.array(row))
+    lams = res.lambdas
+    assert lams[1] - lams[0] == h
+    maxima = [j for j in range(1, n - 1) if row[j - 1] < row[j] > row[j + 1]]
+    assert len(res.peaks) == len(maxima)
+    for j, p in zip(maxima, res.peaks):
+        assert abs(p.lam - lams[j]) <= h / 2 and p.T2 == row[j]
+
+
 def _bits(x):
     return None if x is None else struct.pack("<d", x)
-
-
-EPS = np.finfo(float).eps
-TINY = np.finfo(float).smallest_subnormal
 
 
 def _full_richardson(values, ratio):

@@ -1,9 +1,11 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from deltaprime import RectProfile
+from deltaprime import RectProfile, transfer_matrix
 
 
 def test_barrier_branch_value():
@@ -76,3 +78,31 @@ def test_moments_property(l, rho):
 def test_invalid_geometry_rejected(l, rho):
     with pytest.raises(ValueError):
         RectProfile(l=l, rho=rho)
+
+
+def _matched_from_height(p, E):
+    """Interface matching across the shape that ``evaluate`` draws: the
+    product well @ gap @ barrier of constant-potential slabs, psi'' =
+    (v - E) psi, with v = +-p.height."""
+    def slab(v, w):
+        kap = cmath.sqrt(E - v)
+        s, c = cmath.sin(kap * w), cmath.cos(kap * w)
+        return np.array([[c, s / kap], [-kap * s, c]])
+    return slab(-p.height, p.l) @ slab(0.0, p.rho) @ slab(p.height, p.l)
+
+
+def _mismatch(p, E):
+    tm = transfer_matrix(p, E)
+    got = np.array([[tm.l11, tm.l12], [tm.l21, tm.l22]])
+    want = _matched_from_height(p, E)
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("l, lam, E", [(1.0, 1.0, 0.5), (0.3, -2.0, 1.5),
+                                       (1e-2, 15.0, 1.0), (1e-3, 40.0, 2.0),
+                                       (0.5, 0.1, 3.0)])
+def test_height_matches_the_transfer_matrix_only_without_a_gap(l, lam, E):
+    # transfer_entries takes the height lam/l**2 at any gap; the shape's
+    # lam/(l*(l+rho)) is the same number only at rho = 0
+    assert _mismatch(RectProfile(l=l, rho=0.0, lam=lam), E) < 1e-12
+    assert _mismatch(RectProfile(l=l, rho=0.5, lam=lam), E) > 1e-6
