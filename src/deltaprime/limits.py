@@ -306,8 +306,8 @@ def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
     Returns the limiting connection matrix when the path carries resonances
     and ``lam`` sits on one (within 1e-9), else None, meaning the
     half-lines decouple and the point is opaque.  Only the two brackets
-    around sqrt(lam) are read, from the shared root table on c = 0 rules.
-    ``lam`` is one real number, as in :func:`trace`.
+    around sqrt(lam) are read, from the rule's root table where it holds
+    them.  ``lam`` is one real number, as in :func:`trace`.
     """
     lam = _real("lam", lam)
     if not 0 < lam < math.inf:

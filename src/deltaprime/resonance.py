@@ -14,6 +14,7 @@ a bound state with decay constant kappa.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._record import record
@@ -140,20 +141,22 @@ def _root(c: float, n: int) -> float:
     return root
 
 
-# Checked (sigma_n, chi_n) of tanh(s) = tan(s), n = 1, 2, ..., shared by every
-# c = 0 rule and grown by rebinding a new tuple (a concurrent reader sees a
-# shorter prefix at worst); it stops where chi overflows (_ADJACENT_COUNT).
-_ADJACENT_ROOTS: tuple[tuple[float, float], ...] = ()
-_ADJACENT_COUNT = 112
+_TABLE_COUNT = 112  # chi overflows from n = 113 at every c >= 0
+_TABLES = 32  # tables kept, each at most _TABLE_COUNT pairs, about 12.6 kB
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _table(c: float) -> list:
+    """One-slot holder of the checked (sigma_n, chi_n) at constant ``c``,
+    grown by rebinding a longer tuple; a concurrent reader sees a prefix."""
+    return [()]
 
 
 def _roots(c: float, count: int):
-    """The first ``count`` pairs (sigma_n, chi_n) at constant ``c``, and the
-    error that stopped them short of ``count``, or None.  Only c = 0 reads
-    and grows the shared table."""
-    global _ADJACENT_ROOTS
-    shared = c == 0.0
-    table, error = _ADJACENT_ROOTS if shared else (), None
+    """The first ``count`` pairs (sigma_n, chi_n) of the table at ``c``,
+    grown in index order, and the error that stopped them short, or None."""
+    holder = _table(c)
+    table, error = holder[0], None
     if len(table) < count:
         grown = list(table)
         try:
@@ -162,22 +165,18 @@ def _roots(c: float, count: int):
                 grown.append((sigma, _chi(sigma, c, n)))
         except DeltaPrimeError as exc:
             error = exc
-        table = tuple(grown)
-        if shared:
-            _ADJACENT_ROOTS = table
+        holder[0] = table = tuple(grown)
     return table[:count], error
 
 
 def _nth_root(path: SqueezePath, n: int) -> tuple[float, float | None]:
-    """(sigma_n, chi_n) of ``path``, from the shared table on c = 0 rules up
-    to its end, else from one solve of the n-th bracket with chi_n None;
-    a :class:`ValueError` unless n >= 1."""
+    """(sigma_n, chi_n) of ``path`` from its table, past the table's end from
+    one bracket solve with chi_n None; a ValueError unless n >= 1."""
     if not n >= 1:
         raise ValueError(f"resonance index n must be >= 1, got {n}")
     c = _linear_c(path)
-    if c == 0.0 and n <= _ADJACENT_COUNT:
-        return _roots(c, n)[0][n - 1]
-    return _root(c, n), None
+    roots = _roots(c, n)[0] if n <= _TABLE_COUNT else ()
+    return roots[-1] if len(roots) == n else (_root(c, n), None)
 
 
 def _record(path: SqueezePath, n: int, sigma: float,
@@ -198,8 +197,8 @@ def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
     Adjacent and power laws with tau > 2 share the adjacent resonance set
     with g = 0; tau = 2 adds the nonzero g (and a bound state); tau = 1 has
     its own roots.  Other rules give separated half-lines and raise, as does
-    a count that is no integer >= 1.  The shared roots and chi are read from
-    a table solved once per process.
+    a count that is no integer >= 1.  Roots and chi are read from the table
+    of the equation's constant c, solved once while it is kept.
     """
     count = _integer("count", count, "an integer >= 1")
     if count < 1:

@@ -384,24 +384,32 @@ def test_bc_fit_keeps_double_precision_at_large_chi(capsys):
     assert float(rows[0]["residual"]) <= 1e-12
 
 
-def test_bc_fit_solves_only_the_requested_bracket(capsys, monkeypatch):
+def test_bc_fit_solves_each_bracket_once_per_constant(capsys, monkeypatch):
+    # bc-fit --n 25 reads its rule's root table: a cold table is solved for
+    # n = 1 .. 25 in order, and a second call solves nothing
     calls = []
     solve = resonance._root
     monkeypatch.setattr(resonance, "_root",
                         lambda *a: calls.append(a) or solve(*a))
-    code, out, _ = run_cli(capsys, "bc-fit", "--path", "linear:0.7",
-                           "--n", "25")
-    assert code == 0
-    assert calls == [(0.7, 25)]
-    r = resonance_set(SqueezePath.parse("linear:0.7"), 25)[-1]
-    _, rows = parse_csv(out)
-    assert [rows[0][k] for k in ("n", "lambda", "chi", "g")] == \
-        [str(r.n), repr(r.lam), repr(r.chi), repr(r.g)]
+    for spec, c in [("adjacent", 0.0), ("linear:0.7", 0.7)]:
+        resonance._table.cache_clear()
+        for want in ([(c, n) for n in range(1, 26)], []):
+            del calls[:]
+            code, out, _ = run_cli(capsys, "bc-fit", "--path", spec,
+                                   "--n", "25")
+            assert code == 0
+            assert calls == want, spec
+            r = resonance_set(SqueezePath.parse(spec), 25)[-1]
+            _, rows = parse_csv(out)
+            assert [rows[0][k] for k in ("n", "lambda", "chi", "g")] == \
+                [str(r.n), repr(r.lam), repr(r.chi), repr(r.g)]
 
 
 @pytest.mark.parametrize("argv, n", [
     (["bc-fit", "--n", "200"], 200),
     (["bc-fit", "--path", "linear:0.7", "--n", "113"], 113),
+    # linear:1e12's table ends at n = 102, short of the n = 112 cap
+    (["bc-fit", "--path", "linear:1e12", "--n", "105"], 105),
 ])
 def test_bc_fit_past_the_root_table_is_numeric_error(capsys, argv, n):
     code, out, err = run_cli(capsys, *argv)

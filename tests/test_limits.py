@@ -920,7 +920,7 @@ def test_predict_matches_one_solve_per_bracket_bit_for_bit(spec):
 
 
 def test_predict_past_the_resonance_data():
-    # past the shared table (n = 112) each bracket is solved on its own: a
+    # past the root table (n = 112) each bracket is solved on its own: a
     # coupling between two roots matches none and forms no chi, a root's
     # own coupling forms it and raises where it overflows
     for lam in (1.3e5, 4e5, 1e6):
@@ -946,7 +946,9 @@ def test_predict_names_the_bracket_no_float_solves(lam, n, residual, sigma):
 
 
 def test_predict_solves_nothing_once_the_shared_table_holds_n(monkeypatch):
-    resonance_set(ADJ, 8)  # the table now holds n = 1 .. 8 at least
+    linear = SqueezePath.power_law(0.7, 1.0)
+    for path in (ADJ, linear):
+        resonance_set(path, 8)  # its table now holds n = 1 .. 8 at least
     calls = []
     solve = resonance._root
     monkeypatch.setattr(resonance, "_root",
@@ -954,11 +956,13 @@ def test_predict_solves_nothing_once_the_shared_table_holds_n(monkeypatch):
     for lam in [r.lam for r in resonance_set(QUAD, 6)] + [10.0, 400.0]:
         for path in (ADJ, QUAD, SqueezePath.power_law(2.1, 3.0)):
             predict(path, lam)
+    for lam in [r.lam for r in resonance_set(linear, 6)] + [10.0, 400.0]:
+        predict(linear, lam)
     assert calls == []
     # the table ends where chi overflows; n past it is solved directly
     with pytest.raises(DeltaPrimeError, match=r"\(n = 113,"):
         resonance_set(ADJ, 113)
-    assert len(resonance._ADJACENT_ROOTS) == resonance._ADJACENT_COUNT
+    assert len(resonance._table(0.0)[0]) == resonance._TABLE_COUNT
     sigma = resonance._root(0.0, 113)
     del calls[:]
     with pytest.raises(DeltaPrimeError, match=r"\(n = 113,"):

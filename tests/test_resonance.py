@@ -339,7 +339,7 @@ def test_g_quadratic_names_a_sigma_that_is_no_root(sigma):
 
 def test_g_quadratic_keeps_its_value_at_every_table_root():
     # the root test reads at most 5.5e-14 here, far under its tolerance
-    roots, error = resonance._roots(0.0, resonance._ADJACENT_COUNT)
+    roots, error = resonance._roots(0.0, resonance._TABLE_COUNT)
     assert error is None and len(roots) == 112
     for sigma, _ in roots:
         for c in (1.0, 1.3):
@@ -444,8 +444,9 @@ def test_resonance_set_dispatch():
 
 def test_each_root_is_checked_once_where_it_is_solved(monkeypatch):
     # the solver checks the residual of each root it solves; records built
-    # from the shared table or from solved roots check nothing again
-    resonance_set(SqueezePath.adjacent(), 60)  # fill the shared table
+    # from a table or from solved roots check nothing again
+    resonance._table.cache_clear()
+    resonance_set(SqueezePath.adjacent(), 60)  # fill the c = 0 table
     calls = dict.fromkeys(("_check_root", "_residual"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(resonance, name), _name=name):
@@ -458,15 +459,19 @@ def test_each_root_is_checked_once_where_it_is_solved(monkeypatch):
         run(*args)
         return calls["_check_root"], calls["_residual"]
 
+    # linear:0.7 solves its own table once, then reads it too
     for spec, want in [("quadratic:1.3", (0, 0)), ("linear:0.7", (0, 60)),
-                       ("adjacent", (0, 0))]:
+                       ("linear:0.7", (0, 0)), ("adjacent", (0, 0))]:
         assert count(resonance_set, SqueezePath.parse(spec), 60) == want
     # a sigma passed in from outside is checked once
     assert count(chi_linear, SIGMA1, 0.0) == (1, 1)
     assert count(g_quadratic, SIGMA1, 1.0) == (1, 1)
 
 
-SHARED_ROOT_RULES = ["adjacent", "quadratic:3", "power:2:3"]
+# each rule's table ends where chi overflows: at n = 112 on c = 0 rules
+TABLE_ENDS = {"adjacent": 112, "quadratic:3": 112, "power:2:3": 112,
+              "linear:0.1": 112, "linear:0.7": 111, "linear:3": 110,
+              "linear:1e12": 102}
 
 
 def reference_set(path, count):
@@ -485,41 +490,65 @@ def reference_set(path, count):
     return out
 
 
-@pytest.mark.parametrize("spec", SHARED_ROOT_RULES)
-def test_resonance_set_reads_the_shared_roots_bit_for_bit(monkeypatch, spec):
-    monkeypatch.setattr(resonance, "_ADJACENT_ROOTS", ())
+@pytest.mark.parametrize("spec", list(TABLE_ENDS))
+def test_resonance_set_reads_the_shared_roots_bit_for_bit(spec):
+    resonance._table.cache_clear()
     path = SqueezePath.parse(spec)
-    want = reference_set(path, MAX_INDEX)
+    end = TABLE_ENDS[spec]
+    want = reference_set(path, end)
     for _ in ("cold", "warm"):
         # repr shows every float to the last bit, -0.0 included
-        assert [repr(r) for r in resonance_set(path, MAX_INDEX)] == want
-        assert len(resonance._ADJACENT_ROOTS) == MAX_INDEX
+        assert [repr(r) for r in resonance_set(path, end)] == want
+        assert len(resonance._table(_linear_c(path))[0]) == end
     assert [repr(r) for r in resonance_set(path, 7)] == want[:7]
 
 
-def test_shared_roots_stop_where_chi_overflows(monkeypatch):
-    monkeypatch.setattr(resonance, "_ADJACENT_ROOTS", ())
-    raised = []
-    for _ in ("cold", "warm"):
-        with pytest.raises(DeltaPrimeError, match=r"chi .*\(n = 113,") as info:
-            resonance_set(SqueezePath.adjacent(), 150)
-        raised.append((type(info.value), str(info.value)))
-        assert len(resonance._ADJACENT_ROOTS) == MAX_INDEX
-    assert raised[0] == raised[1]
+def test_shared_roots_stop_where_chi_overflows():
+    for spec in ("adjacent", "linear:1e12"):
+        resonance._table.cache_clear()
+        path, end = SqueezePath.parse(spec), TABLE_ENDS[spec]
+        raised = []
+        for _ in ("cold", "warm"):
+            with pytest.raises(DeltaPrimeError,
+                               match=rf"chi .*\(n = {end + 1},") as info:
+                resonance_set(path, 150)
+            raised.append((type(info.value), str(info.value)))
+            assert len(resonance._table(_linear_c(path))[0]) == end
+        assert raised[0] == raised[1]
 
 
-def test_concurrent_callers_get_the_same_records(monkeypatch):
-    monkeypatch.setattr(resonance, "_ADJACENT_ROOTS", ())
-    path = SqueezePath.parse("quadratic:3")
-    start = threading.Barrier(4, timeout=30)
+def test_concurrent_callers_get_the_same_records():
+    for spec in ("quadratic:3", "linear:0.7"):
+        resonance._table.cache_clear()
+        path, end = SqueezePath.parse(spec), TABLE_ENDS[spec]
+        start = threading.Barrier(4, timeout=30)
 
-    def run(_):
-        start.wait()
-        return [repr(r) for r in resonance_set(path, MAX_INDEX)]
+        def run(_):
+            start.wait()
+            return [repr(r) for r in resonance_set(path, end)]
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(run, range(4)))
-    assert results == [reference_set(path, MAX_INDEX)] * 4
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, range(4)))
+        assert results == [reference_set(path, end)] * 4, spec
+
+
+def test_root_tables_are_bounded_and_rebuilt_bit_for_bit(monkeypatch):
+    # one table per constant c, at most _TABLES of them; an evicted
+    # constant's table is solved again to the same bits
+    resonance._table.cache_clear()
+    paths = [SqueezePath.power_law(0.1 * k, 1.0)
+             for k in range(1, resonance._TABLES + 5)]
+    first = [repr(r) for r in resonance_set(paths[0], 20)]
+    for path in paths[1:]:
+        resonance_set(path, 20)
+        assert resonance._table.cache_info().currsize <= resonance._TABLES
+    calls = []
+    solve = resonance._root
+    monkeypatch.setattr(resonance, "_root",
+                        lambda *a: calls.append(a) or solve(*a))
+    assert [repr(r) for r in resonance_set(paths[0], 20)] == first
+    assert calls == [(paths[0].c, n) for n in range(1, 21)]
+    assert resonance._table.cache_info().currsize == resonance._TABLES
 
 
 @pytest.mark.parametrize("path", [SqueezePath.adjacent(),
