@@ -94,21 +94,20 @@ def det_residual(l11, l12, l21, l22):
 
 
 def _residual(a, b, top):
-    return abs(a - b - 1.0) / top(top(1.0, abs(a)), abs(b))
+    return abs(a - b - 1.0) / top(abs(b), top(abs(a), 1.0))
 
 
 def _max(x, y):
     """Exact max(x, y) of two scalars, cheaper on every connection-matrix
-    check than a ufunc call or the builtin ``max``.  A NaN operand may be
-    dropped here, but it makes the residual's numerator NaN."""
+    check than a ufunc call or the builtin ``max``.  A NaN x gives y, so the
+    residual's scale is at least its last y = 1.0, never NaN or 0."""
     return x if x >= y else y
 
 
 def _quiet():
-    """numpy's warnings off, once numpy is loaded (scalar paths load none)."""
+    """All numpy warnings off once numpy is loaded (scalar paths load none)."""
     np = sys.modules.get("numpy")
-    return (np.errstate(over="ignore", invalid="ignore", divide="ignore")
-            if np is not None else contextlib.nullcontext())
+    return np.errstate(all="ignore") if np else contextlib.nullcontext()
 
 
 # not a slotted record: cached_property keeps R and T in the instance dict

@@ -22,8 +22,7 @@ from .errors import (InvariantViolation, PrecisionFloorError, _integer,
                      require)
 from .paths import SqueezePath
 from .resonance import _nth_root, _record, has_resonances
-from .transfer import (PRECISION_FLOOR, _check_energy, _entries, _gap,
-                       transfer_entries)
+from .transfer import PRECISION_FLOOR, _entries, _geometry, transfer_entries
 
 __all__ = [
     "LimitTrace",
@@ -58,11 +57,11 @@ SWEEP_BLOCK = 4096
 
 # Size caps, checked before anything is allocated.  A trace needs a few
 # dozen widths; 10**4 keeps the width-grid and trace-plan caches below
-# 8.4 MB: each of _GRID_CACHE_SIZE grids holds MAX_TRACE_POINTS widths, a
+# 9.7 MB: each of _GRID_CACHE_SIZE grids holds MAX_TRACE_POINTS widths, a
 # slope vector over half of them and at most 10 x 9 Richardson weights
-# (1.9 MB), and each of as many plans at most five arrays of MAX_TRACE_POINTS
-# (its grid, l**2, rho, cos(k*rho), sin(k*rho): 6.4 MB), in 8-byte floats.  A
-# sweep holds its couplings, |T|^2 and |R|^2 in full: 96 MB at
+# (1.9 MB), and each of as many plans at most six arrays of MAX_TRACE_POINTS
+# (its grid, l**2, l/2, rho, cos(k*rho), sin(k*rho): 7.7 MB), in 8-byte
+# floats.  A sweep holds its couplings, |T|^2 and |R|^2 in full: 96 MB at
 # MAX_SWEEP_SAMPLES.
 MAX_TRACE_POINTS = 10_000
 MAX_SWEEP_SAMPLES = 4_000_000
@@ -178,15 +177,13 @@ def _trace_plan(path: SqueezePath, E: float, l_start: float, l_end: float,
                 points: int) -> tuple:
     """What :func:`trace` reads that does not depend on the coupling, built
     once per (path, E, grid) and shared read-only: the widths ``ls`` of
-    :func:`_width_grid`, ls**2, the gaps ``rho_values`` along ``path`` and
-    the gap factors of :func:`transfer._gap` (arrays on the power rules,
-    scalars where the gap is constant)."""
+    :func:`_width_grid`, the gaps ``rho_values`` along ``path`` and their
+    :func:`transfer._geometry` (gap factors scalars on constant-gap rules)."""
     ls = _width_grid(l_start, l_end, points)[0]
     rho = path.rho_of(ls)  # a scalar on the constant-gap rules
-    _check_energy(E)
     with _quiet():
-        plan = ls, np.square(ls), np.zeros(points) + rho, _gap(E, rho)
-    for a in (*plan[:3], *plan[3]):
+        plan = ls, np.zeros(points) + rho, _geometry(ls, rho, E)
+    for a in (plan[1], *plan[2]):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return plan
@@ -234,9 +231,9 @@ def trace(path: SqueezePath, lam: float, E: float,
     if not 0 <= lam < math.inf:
         raise ValueError(f"coupling must be finite and >= 0, got {lam}")
 
-    ls, l2, rho_values, gap = _trace_plan(path, E, l_start, l_end, points)
+    ls, rho_values, geometry = _trace_plan(path, E, l_start, l_end, points)
     with _quiet():  # NaN fails the check
-        entries = _entries(l2, ls, lam, E, gap)
+        entries = _entries(geometry, lam)
         residual = det_residual(*entries)
     if not np.maximum.reduce(residual, axis=None) <= 1e-10:  # NaN fails
         require(residual <= 1e-10, InvariantViolation,
@@ -272,7 +269,7 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     size = np.abs(tail)
     # flat rows may hold 0, and the products and upper levels of a huge
     # entry overflow, keeping their signs
-    with np.errstate(all="ignore"):
+    with _quiet():
         top = np.maximum.reduce(size, axis=1).tolist()
         # fmin skips NaN, so a NaN marks no sign change
         turn = np.fmin.reduce(tail[:, :-1] * tail[:, 1:], axis=1).tolist()

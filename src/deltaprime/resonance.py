@@ -141,32 +141,32 @@ def _root(c: float, n: int) -> float:
     return root
 
 
-_TABLE_COUNT = 112  # chi overflows from n = 113 at every c >= 0
-_TABLES = 32  # tables kept, each at most _TABLE_COUNT pairs, about 12.6 kB
+_TABLES = 32  # tables kept, each at most 112 pairs, about 12.6 kB
 
 
 @functools.lru_cache(maxsize=_TABLES)
 def _table(c: float) -> list:
-    """One-slot holder of the checked (sigma_n, chi_n) at constant ``c``,
-    grown by rebinding a longer tuple; a concurrent reader sees a prefix."""
-    return [()]
+    """One-slot holder of (pairs, end), rebound as one tuple: the checked
+    (sigma_n, chi_n) at constant ``c`` and the error that ended them (chi
+    overflows by n = 113 at every c >= 0), None while they can grow."""
+    return [((), None)]
 
 
 def _roots(c: float, count: int):
     """The first ``count`` pairs (sigma_n, chi_n) of the table at ``c``,
-    grown in index order, and the error that stopped them short, or None."""
+    grown in index order up to its end, and that end where they fall short."""
     holder = _table(c)
-    table, error = holder[0], None
-    if len(table) < count:
+    table, end = holder[0]
+    if len(table) < count and end is None:
         grown = list(table)
         try:
             for n in range(len(grown) + 1, count + 1):
                 sigma = _root(c, n)  # checked by the solver
                 grown.append((sigma, _chi(sigma, c, n)))
         except DeltaPrimeError as exc:
-            error = exc
-        holder[0] = table = tuple(grown)
-    return table[:count], error
+            end = exc
+        holder[0] = table, end = tuple(grown), end
+    return table[:count], end if len(table) < count else None
 
 
 def _nth_root(path: SqueezePath, n: int) -> tuple[float, float | None]:
@@ -175,8 +175,8 @@ def _nth_root(path: SqueezePath, n: int) -> tuple[float, float | None]:
     if not n >= 1:
         raise ValueError(f"resonance index n must be >= 1, got {n}")
     c = _linear_c(path)
-    roots = _roots(c, n)[0] if n <= _TABLE_COUNT else ()
-    return roots[-1] if len(roots) == n else (_root(c, n), None)
+    roots, end = _roots(c, n)
+    return roots[-1] if end is None else (_root(c, n), None)
 
 
 def _record(path: SqueezePath, n: int, sigma: float,
@@ -203,12 +203,12 @@ def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
     count = _integer("count", count, "an integer >= 1")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    roots, error = _roots(_linear_c(path), count)
+    roots, end = _roots(_linear_c(path), count)
     # records first, so that an error at a lower index is raised first
     out = [_record(path, n, sigma, chi)
            for n, (sigma, chi) in enumerate(roots, 1)]
-    if error is not None:
-        raise error
+    if end is not None:  # a fresh instance: the kept one grows no traceback
+        raise type(end)(*end.args)
     return out
 
 

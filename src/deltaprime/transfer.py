@@ -76,7 +76,7 @@ def _form(s):
     return bool(s > 0) if s != 0 else np.False_
 
 
-def _region(a2, l, grows):
+def _region(a2, l, half, grows):
     """Propagation matrix of psi'' = s * psi over width ``l``, elementwise,
     split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a): the real (c, t, d, g,
     a) from ``a2`` = |s| in the form ``grows`` = :func:`_form` (s) selects.
@@ -84,15 +84,16 @@ def _region(a2, l, grows):
     g = sinh(a*l), the exponentially large part of [[cosh, sinh/a], [a*sinh,
     cosh]] kept as a rank-one term.  For s = -b**2 < 0, g = 0 and [[c, t],
     [d, c]] is [[cos, sin/b], [-b*sin, cos]] of x = b*l, with cos = w - 1
-    and sin = h*w from h = tan(x/2), w = 2/(1 + h**2): each within 1.5 eps
-    of exact, and NaN where x/2 overflows.  At s = 0, [[1, l], [0, 1]].
+    and sin = h*w from h = tan(b*half), w = 2/(1 + h**2), ``half`` = l/2:
+    each within 1.5 eps of exact, and NaN where x/2 overflows.  At s = 0,
+    [[1, l], [0, 1]].
     """
     a = np.sqrt(a2)
     if grows is not False:
         x = a * l
         up = np.exp(-x), 0.0, 0.0, np.sinh(x), a
     if grows is not True:
-        h = np.tan(a * (0.5 * l))
+        h = np.tan(a * half)
         w = 2.0 / (1.0 + h * h)
         sn = h * w
         osc = w - 1.0, sn / a, -a * sn, 0.0, 1.0
@@ -118,32 +119,35 @@ def transfer_entries(l, rho, lam, E):
     either way).  Valid for any real coupling and finite E > 0; callers
     validate the geometry (l > 0, rho >= 0, all finite).
     """
-    _check_energy(E)
     with _quiet():
-        return _entries(np.square(l), l, lam, E, _gap(E, rho))
+        return _entries(_geometry(l, rho, E), lam)
 
 
-def _gap(E, rho):
-    """The gap's factors (k, cos(k*rho), sin(k*rho)), k = sqrt(E)."""
+def _geometry(l, rho, E):
+    """What :func:`_entries` takes besides the coupling, after checking
+    ``E``: (l**2, l, l/2, E, k, cos(k*rho), sin(k*rho)), k = sqrt(E)."""
+    _check_energy(E)
     k = np.sqrt(E)
-    return k, np.cos(k * rho), np.sin(k * rho)
+    return np.square(l), l, 0.5 * l, E, k, np.cos(k * rho), np.sin(k * rho)
 
 
-def _entries(l2, l, lam, E, gap):
-    """The body of :func:`transfer_entries` on ``l2`` = l**2 and the gap
-    factors of :func:`_gap`, unchecked and under the caller's errstate."""
+def _entries(geometry, lam):
+    """The body of :func:`transfer_entries` on a :func:`_geometry` tuple,
+    unchecked and under the caller's errstate."""
+    l2, l, half, E, k, ckr, skr = geometry
     scale = lam / l2  # numpy division: l**2 may underflow
     s = scale - E
     grows = _form(s)
-    c, t, d, g, p = _region(s if grows is True else np.abs(s), l, grows)
+    c, t, d, g, p = _region(s if grows is True else np.abs(s), l, half,
+                            grows)
     # a barrier that grows everywhere has scale > E > 0, so the well's
     # s = -(scale + E) oscillates everywhere (g = 0): |s| is scale + E
     s = scale + E if grows is True else -(scale + E)
     wgrows = False if grows is True else _form(s)
-    wc, wt, wd, wg, wa = _region(s if grows is True else np.abs(s), l, wgrows)
+    wc, wt, wd, wg, wa = _region(s if grows is True else np.abs(s), l, half,
+                                 wgrows)
     cq, sq, dq = ((wc, wt, wd) if wgrows is False
                   else (wc + wg, wt + wg / wa, wd + wg * wa))
-    k, ckr, skr = gap
     # well @ gap, which is the oscillating well itself at a scalar zero gap
     if wgrows is False and type(skr) is not np.ndarray and skr == 0.0:
         n11, n12, n21, n22 = cq, sq, dq, cq

@@ -4,12 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltaprime import (ConnectionMatrix, InvariantViolation, ProductParams,
                         SingularParameterError, SqueezePath, bc_from_product,
                         bound_state, delta_prime_delta_matrix,
                         params_from_resonance, resonance_set, resonant_matrix,
                         resonant_scattering, scattering, seba_matrix)
+from deltaprime.boundary import det_residual
 
 CHI1 = -35.874573920759161
 G1_C1 = 276.34588992287415
@@ -219,3 +221,28 @@ def test_bound_state_rejects_kappa_zero():
     got = bound_state(cm)
     assert 0.0 not in got
     assert got == pytest.approx([2.5], rel=1e-12)
+
+
+@pytest.mark.parametrize("build, args", [
+    (seba_matrix, (math.inf,)), (seba_matrix, (-math.inf,)),
+    (delta_prime_delta_matrix, (0.0, math.inf)),
+    (resonant_matrix, (math.inf, 0.0))])
+def test_nan_entries_fail_the_determinant_check(build, args):
+    # a NaN entry product: the residual's scale keeps its 1.0, never 0, so
+    # the NaN numerator fails the check (was a bare ZeroDivisionError)
+    with pytest.raises(InvariantViolation,
+                       match=r"^connection matrix determinant nan != 1$"):
+        build(*args)
+
+
+EDGES = [0.0, -0.0, 5e-324, 1.0, -1.0, 1e154, 1e300, math.inf, -math.inf,
+         math.nan]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(*[st.sampled_from(EDGES)] * 4))
+def test_scalar_and_array_residuals_agree_bit_for_bit(entries):
+    got = det_residual(*entries)
+    with np.errstate(all="ignore"):
+        want = det_residual(*(np.array([v]) for v in entries))[0]
+    assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex()

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import eager_amplitudes
-from deltaprime import (DeltaPrimeError, NotARootError, PrecisionFloorError,
-                        RectProfile, SqueezePath, chi_linear, classify,
-                        g_quadratic, limits, piecewise_transfer, predict,
-                        resonance, resonance_set, resonant_matrix, scattering,
+from deltaprime import (DeltaPrimeError, InvariantViolation, NotARootError,
+                        PrecisionFloorError, RectProfile, SqueezePath,
+                        chi_linear, classify, g_quadratic, limits,
+                        piecewise_transfer, predict, resonance, resonance_set,
+                        resonant_matrix, resonant_scattering, scattering,
                         trace, transfer_matrix, transmission_sweep)
 from deltaprime.transfer import det_residual, transfer_entries
 
@@ -151,13 +152,14 @@ def test_an_int_grid_end_shares_the_float_grid():
 def test_trace_plan_is_shared_per_path_energy_and_grid():
     a, b = make_trace(QUAD, LAM1), make_trace(QUAD, 10.0)
     plan = limits._trace_plan(QUAD, 1.0, 1e-1, 1e-4, 13)
-    ls, l2, rho_values, gap = plan
+    ls, rho_values, geometry = plan
     assert a.rho_values is b.rho_values is rho_values
-    assert a.l_values is b.l_values is ls
-    arrays = [l2, rho_values, *(v for v in gap if isinstance(v, np.ndarray))]
-    assert len(arrays) == 4  # cos(k*rho) and sin(k*rho) vary on this rule
+    assert a.l_values is b.l_values is ls is geometry[1]
+    arrays = [v for v in (rho_values, *geometry) if isinstance(v, np.ndarray)]
+    # ls, l**2, l/2, and cos(k*rho) and sin(k*rho), which vary on this rule
+    assert len(arrays) == 6
     for path in (ADJ, SqueezePath.barrier_first(0.5)):  # a constant gap
-        factors = limits._trace_plan(path, 1.0, 1e-1, 1e-4, 13)[3]
+        factors = limits._trace_plan(path, 1.0, 1e-1, 1e-4, 13)[2][4:]
         assert not any(isinstance(v, np.ndarray) for v in factors)
     for v in arrays:
         assert not v.flags.writeable
@@ -174,13 +176,13 @@ def test_trace_plan_is_shared_per_path_energy_and_grid():
     for i in range(limits._GRID_CACHE_SIZE):
         make_trace(QUAD, LAM1, l_start=0.05 + 1e-3 * i, points=9 + i)
     fresh = limits._trace_plan(QUAD, 1.0, 1e-1, 1e-4, 13)
-    assert fresh[2] is not rho_values
+    assert fresh[1] is not rho_values
 
     def flat(p):
-        return [*p[:3], *p[3]]
+        return [*p[:2], *p[2]]
 
     for old, new in zip(flat(plan), flat(fresh)):
-        assert old is not new
+        assert old is not new or isinstance(old, float)
         assert np.asarray(old).tobytes() == np.asarray(new).tobytes()
     assert make_trace(QUAD, LAM1).entries.tobytes() == a.entries.tobytes()
 
@@ -962,7 +964,7 @@ def test_predict_solves_nothing_once_the_shared_table_holds_n(monkeypatch):
     # the table ends where chi overflows; n past it is solved directly
     with pytest.raises(DeltaPrimeError, match=r"\(n = 113,"):
         resonance_set(ADJ, 113)
-    assert len(resonance._table(0.0)[0]) == resonance._TABLE_COUNT
+    assert len(resonance._table(0.0)[0][0]) == 112
     sigma = resonance._root(0.0, 113)
     del calls[:]
     with pytest.raises(DeltaPrimeError, match=r"\(n = 113,"):
@@ -984,3 +986,46 @@ def test_traces_and_sweeps_compare_by_value():
     assert s.T2 is not t.T2
     assert s == t and not s != t
     assert s != transmission_sweep(ADJ, 1e-3, 1.0, 60.0, 301)
+
+
+def _errstate_runs():
+    """Results of each array layer, once under the default errstate and once
+    under a caller's ``np.errstate(all="raise")``."""
+    runs = []
+    for state in ("warn", "raise"):
+        with np.errstate(all=state):
+            tr = make_trace(ADJ, 1.2e5)
+            tm = transfer_matrix(RectProfile(0.01, 0.0, 1.2e5), 1.0)
+            amp = scattering(tm, 1.0)
+            res = resonant_scattering(1e200, 0.0, 1.0)
+            runs.append([
+                # a sweep whose hypot rescue in amplitudes underflows
+                transmission_sweep(ADJ, 0.01, 1.0, 4e5, 50),
+                tr, classify(tr), tm, (amp.R2, amp.T2, amp.R, amp.T),
+                (res.R2, res.T2, res.R, res.T)])
+    return runs
+
+
+def test_a_callers_errstate_changes_no_result():
+    # one warning scope, boundary._quiet, ignores all four kinds; with
+    # underflow left to the caller, "raise" made the sweep and
+    # resonant_scattering raise FloatingPointError from np.square
+    default, raising = _errstate_runs()
+    for a, b in zip(default, raising):
+        assert a == b
+
+
+def test_overflow_fronts_on_both_sides():
+    # the kernel's products of growing quantities overflow from about
+    # lam = 1.267e5 (transfer, trace) and 4.85e5-4.93e5 (a sweep at l from
+    # 1e-3 to 0.1, whose amplitudes rescue |Delta|**2 by hypot)
+    for l in (1.0, 0.01):
+        transfer_matrix(RectProfile(l, 0.0, 1.26e5), 1.0)
+        with pytest.raises(InvariantViolation, match="determinant residual"):
+            transfer_matrix(RectProfile(l, 0.0, 1.27e5), 1.0)
+    make_trace(ADJ, 1.265e5)
+    with pytest.raises(InvariantViolation, match="determinant residual"):
+        make_trace(ADJ, 1.27e5)
+    transmission_sweep(ADJ, 0.01, 1.0, 4.7e5, 50)
+    with pytest.raises(InvariantViolation, match="conservation residual"):
+        transmission_sweep(ADJ, 0.01, 5.0e5, 5.1e5, 50)

@@ -1,6 +1,7 @@
 import math
 import re
 import threading
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from conftest import (adjacent_root_oracle, g_quadratic_forms,
                       linear_root_oracle)
 from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
-                        bound_state, chi_linear, g_quadratic, resonance_set,
-                        resonant_matrix, resonant_scattering)
+                        bound_state, chi_linear, g_quadratic, predict,
+                        resonance_set, resonant_matrix, resonant_scattering)
 from deltaprime import resonance
 from deltaprime.resonance import (Resonance, _check_root, _index_of,
                                   _linear_c, _nth_root, _root)
@@ -339,7 +340,7 @@ def test_g_quadratic_names_a_sigma_that_is_no_root(sigma):
 
 def test_g_quadratic_keeps_its_value_at_every_table_root():
     # the root test reads at most 5.5e-14 here, far under its tolerance
-    roots, error = resonance._roots(0.0, resonance._TABLE_COUNT)
+    roots, error = resonance._roots(0.0, 112)
     assert error is None and len(roots) == 112
     for sigma, _ in roots:
         for c in (1.0, 1.3):
@@ -499,7 +500,7 @@ def test_resonance_set_reads_the_shared_roots_bit_for_bit(spec):
     for _ in ("cold", "warm"):
         # repr shows every float to the last bit, -0.0 included
         assert [repr(r) for r in resonance_set(path, end)] == want
-        assert len(resonance._table(_linear_c(path))[0]) == end
+        assert len(resonance._table(_linear_c(path))[0][0]) == end
     assert [repr(r) for r in resonance_set(path, 7)] == want[:7]
 
 
@@ -513,7 +514,7 @@ def test_shared_roots_stop_where_chi_overflows():
                                match=rf"chi .*\(n = {end + 1},") as info:
                 resonance_set(path, 150)
             raised.append((type(info.value), str(info.value)))
-            assert len(resonance._table(_linear_c(path))[0]) == end
+            assert len(resonance._table(_linear_c(path))[0][0]) == end
         assert raised[0] == raised[1]
 
 
@@ -560,3 +561,35 @@ def test_nth_root_rejects_an_index_below_1(path, n):
     with pytest.raises(ValueError,
                        match=rf"^resonance index n must be >= 1, got {n}$"):
         _nth_root(path, n)
+
+
+def test_an_ended_table_is_never_grown_again(monkeypatch):
+    # linear:1e12's table ends where chi overflows at n = 103; it keeps that
+    # error, and each raise is a new instance with a traceback of its own
+    resonance._table.cache_clear()
+    path, c = SqueezePath.parse("linear:1e12"), 1e12
+    lam = _root(c, 105) ** 2
+    calls = []
+    solve = resonance._root
+    monkeypatch.setattr(resonance, "_root",
+                        lambda *a: calls.append(a) or solve(*a))
+    raised = []
+    for want in ([(c, n) for n in range(1, 104)], [], []):
+        del calls[:]
+        with pytest.raises(DeltaPrimeError, match=r"\(n = 103,") as info:
+            resonance_set(path, 112)
+        assert calls == want
+        raised.append(info.value)
+    assert len({id(e) for e in raised}) == 3
+    assert len({str(e) for e in raised}) == 1
+    assert len({len(traceback.extract_tb(e.__traceback__))
+                for e in raised}) == 1
+    # past the end, predict fills a cold table to its end once, then
+    # solves only the bracket it asks for
+    resonance._table.cache_clear()
+    for want in ([(c, n) for n in range(1, 104)] + [(c, 105)], [(c, 105)],
+                 [(c, 105)]):
+        del calls[:]
+        with pytest.raises(DeltaPrimeError, match=r"\(n = 105,"):
+            predict(path, lam)
+        assert calls == want

@@ -171,7 +171,7 @@ def test_oscillating_form_is_within_two_eps_of_mpmath(x):
     # for libm's cos and sin
     mpmath = pytest.importorskip("mpmath")
     eps = 2.0 ** -52
-    c, t, d, g, a = _region(1.0, x, False)
+    c, t, d, g, a = _region(1.0, x, 0.5 * x, False)
     c, t, d = float(c), float(t), float(d)
     with mpmath.workdps(40):
         cos, sin = mpmath.cos(mpmath.mpf(x)), mpmath.sin(mpmath.mpf(x))
@@ -185,8 +185,10 @@ def test_oscillating_form_is_nan_past_overflow_and_at_nan():
     # tan(inf) is NaN, as cos(inf) was; quiet under the kernel's errstate
     with _quiet():
         for x in (math.inf, math.nan):
-            assert all(math.isnan(v) for v in _region(1.0, x, False)[:3])
-            assert np.isnan(_region(np.array([1.0]), x, False)[0]).all()
+            scalar = _region(1.0, x, 0.5 * x, False)
+            array = _region(np.array([1.0]), x, 0.5 * x, False)
+            assert all(math.isnan(v) for v in scalar[:3])
+            assert np.isnan(array[0]).all()
 
 
 def test_entries_meet_the_50_digit_product_to_a_stated_error():
@@ -221,7 +223,7 @@ def test_region_computes_one_form_when_signs_agree():
             np.testing.assert_array_equal(_form(s), s > 0)
         grows = _form(np.float64(0.0))
         assert grows is np.False_
-        c, t, d, g, a = _region(np.float64(0.0), 0.5, grows)
+        c, t, d, g, a = _region(np.float64(0.0), 0.5, 0.25, grows)
     assert (c, t, d, g, a) == (1.0, 0.5, 0.0, 0.0, 1.0)
 
 
