@@ -16,14 +16,14 @@ from .boundary import (ConnectionMatrix, ProductParams, ScatteringAmplitudes,
 from .errors import (DeltaPrimeError, InvariantViolation, NotARootError,
                      PrecisionFloorError, SingularParameterError)
 from .paths import SqueezePath
-from .resonance import (Resonance, chi_linear, g_quadratic, resonance_set,
-                        resonant_scattering)
+from .resonance import (Resonance, chi_linear, g_quadratic, predict,
+                        resonance_set, resonant_scattering)
 
 # The array layers load numpy, so they are imported on first use (PEP 562):
 # name -> defining module; a module's own name stands for the module.
 _LAZY = {name: module for module, names in (
     ("limits", ("limits", "EntryVerdict", "LimitTrace", "LimitVerdict",
-                "Peak", "SweepResult", "classify", "predict", "trace",
+                "Peak", "SweepResult", "classify", "trace",
                 "transmission_sweep")),
     ("profile", ("profile", "RectProfile")),
     ("transfer", ("transfer", "PRECISION_FLOOR", "TransferMatrix",
@@ -55,9 +55,9 @@ __all__ = [
     "DeltaPrimeError", "InvariantViolation", "NotARootError",
     "PrecisionFloorError", "SingularParameterError",
     "EntryVerdict", "LimitTrace", "LimitVerdict", "Peak", "SweepResult",
-    "classify", "predict", "trace", "transmission_sweep",
+    "classify", "trace", "transmission_sweep",
     "SqueezePath", "RectProfile",
-    "Resonance", "chi_linear", "g_quadratic", "resonance_set",
+    "Resonance", "chi_linear", "g_quadratic", "predict", "resonance_set",
     "resonant_scattering",
     "PRECISION_FLOOR", "ScatteringAmplitudes", "TransferMatrix",
     "piecewise_transfer", "transfer_matrix",

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from ._record import record
 from .errors import (DeltaPrimeError, InvariantViolation,
-                     SingularParameterError, require)
+                     SingularParameterError, _real, require)
 
 __all__ = [
     "UnitDetMatrix",
@@ -218,8 +218,8 @@ class ProductParams:
     ``lam_fit`` and the pole offset ``offset`` = 1/(1-chi), from which
     :func:`bc_from_product` forms 1 - alpha*lam without cancellation; alpha
     itself is only reported.  Hand-built parameters give alpha and beta
-    alone: lam_fit is then inf and the offset defaults to alpha - 1/lam_fit.
-    lam_fit = 0 raises :class:`SingularParameterError`.
+    alone, kept as floats: lam_fit is then inf and the offset defaults to
+    alpha - 1/lam_fit.  lam_fit = 0 raises :class:`SingularParameterError`.
     """
 
     alpha: float
@@ -231,12 +231,18 @@ class ProductParams:
         if self.lam_fit == 0.0:
             raise SingularParameterError("lam_fit = 0 has no term 1/lam_fit")
         if self.offset is None:
+            for name in ("alpha", "beta", "lam_fit"):
+                value = getattr(self, name)
+                if type(value) is not float:
+                    object.__setattr__(self, name, _real(name, value))
             object.__setattr__(self, "offset", self.alpha - 1.0 / self.lam_fit)
 
 
 def resonant_matrix(chi: float, g: float = 0.0) -> ConnectionMatrix:
     """Limiting matrix of a resonant squeeze: diag(chi, 1/chi) plus
     lower-left g."""
+    if type(chi) is not float or type(g) is not float:
+        chi, g = _real("chi", chi), _real("g", g)
     if chi == 0:
         raise ValueError("chi must be nonzero")
     return ConnectionMatrix(chi, 0.0, g, 1.0 / chi)
@@ -251,6 +257,8 @@ def seba_matrix(lam: float) -> ConnectionMatrix:
 def delta_prime_delta_matrix(gamma: float, lam: float) -> ConnectionMatrix:
     """The symmetrized-product matrix with an added delta term of strength
     gamma: lower-left entry gamma / (1 - lam**2/4)."""
+    if type(gamma) is not float or type(lam) is not float:
+        gamma, lam = _real("gamma", gamma), _real("lam", lam)
     if lam == 2.0 or lam == -2.0:
         raise SingularParameterError(
             f"lam = {lam} is a pole of A = (2+lam)/(2-lam)")
@@ -265,8 +273,9 @@ def bc_from_product(params: ProductParams, lam: float) -> ConnectionMatrix:
     Raises :class:`SingularParameterError` on the two poles 1 - alpha*lam = 0
     and 1 + (1-alpha)*lam = 0, ``ValueError`` on a non-finite ``lam``, and
     :class:`DeltaPrimeError` where an entry overflows (or is NaN, as with
-    alpha = inf).
+    alpha = inf).  ``lam`` is one real number (a numpy scalar too).
     """
+    lam = lam if type(lam) is float else _real("lam", lam)
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     # 1 - alpha*lam; at lam = lam_fit, lam/lam_fit = 1 exactly

@@ -50,11 +50,9 @@ def _fmt(v) -> str:
     numpy's integers register as ``numbers.Integral``."""
     if isinstance(v, numbers.Integral):
         return str(int(v))
-    if isinstance(v, complex):
-        if v.imag == 0.0:
-            return repr(float(v.real))
+    if isinstance(v, complex) and v.imag != 0.0:  # a NaN imaginary part too
         return repr(complex(v))
-    return repr(float(v))
+    return repr(float(v.real))
 
 
 def _cells(col) -> list[str]:
@@ -210,6 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "boundary-condition fits.")
     sub = parser.add_subparsers(dest="command", required=True)
     path = dict(default="adjacent", type=_path)
+    lam = dict(dest="lam", type=float, required=True, help="coupling constant")
 
     p = sub.add_parser("resonances", parents=[common], formatter_class=fmt_cls,
                        help="resonance table for a squeeze path")
@@ -221,8 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="transfer matrix and scattering at one point")
     p.add_argument("--l", type=float, required=True, help="barrier/well width")
     p.add_argument("--rho", type=float, default=0.0, help="gap width")
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
-                   help="coupling constant")
+    p.add_argument("--lambda", **lam)
     p.add_argument("--E", type=float, default=1.0, help="energy")
     p.add_argument("--check", action="store_true",
                    help="also run the interface-matching oracle and report "
@@ -232,8 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit-trace", parents=[common], formatter_class=fmt_cls,
                        help="trace matrix entries along a squeeze path")
     p.add_argument("--path", **path, help=_PATH_HELP)
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
-                   help="coupling constant")
+    p.add_argument("--lambda", **lam)
     p.add_argument("--E", type=float, default=1.0, help="probe energy")
     p.add_argument("--l-start", type=float, default=1e-1, help="largest width")
     p.add_argument("--l-end", type=float, default=1e-4, help="smallest width")
@@ -257,8 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="boundary conditions of the weighted product rule")
     p.add_argument("--alpha", type=float, required=True, help="side weight")
     p.add_argument("--beta", type=float, default=0.0, help="jump weight")
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
-                   help="coupling constant")
+    p.add_argument("--lambda", **lam)
     p.add_argument("--k", type=float, default=1.0, help="wavenumber")
     p.set_defaults(func=cmd_bc)
 

@@ -1,5 +1,5 @@
 """Typed errors shared across the library, the elementwise check that
-raises them, and the intake of integer arguments."""
+raises them, and the intake of integer and real arguments, without numpy."""
 
 import operator
 import sys
@@ -61,3 +61,18 @@ def _integer(name: str, value, kind: str = "an integer") -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float where it is one real number (a numpy scalar or
+    0-d array too, by ``ndim`` and ``dtype.kind``), else a ValueError."""
+    if type(value) is float:
+        return value
+    try:
+        if (getattr(value, "ndim", hasattr(value, "__len__")) == 0
+                and getattr(getattr(value, "dtype", None), "kind", "") != "c"
+                and not isinstance(value, (str, bytes, complex))):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be one real number, got {value!r}")

@@ -1,10 +1,11 @@
 """Numerical zero-range limits of the barrier-well pair along squeeze paths.
 
-The transfer-matrix entries are traced along a geometrically shrinking
-sequence of widths, each entry's limit is classified as divergent or
-convergent from a log-log slope fit plus Richardson extrapolation, and the
-outcome is compared against the analytic prediction: separated half-lines
-everywhere except on resonance-carrying paths at resonant couplings.
+The array layer: the transfer-matrix entries are traced along a
+geometrically shrinking sequence of widths, each entry's limit is classified
+as divergent or convergent from a log-log slope fit plus Richardson
+extrapolation, and transmission is swept over coupling grids.  The analytic
+limit that a verdict is checked against, :func:`predict`, is the scalar one
+of :mod:`.resonance`, re-exported here.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from dataclasses import fields
 import numpy as np
 
 from ._record import record
-from .boundary import (_quiet, ConnectionMatrix, amplitudes, det_residual,
-                       resonant_matrix)
+from .boundary import _quiet, amplitudes, det_residual
 from .errors import (InvariantViolation, PrecisionFloorError, _integer,
-                     require)
+                     _real, require)
 from .paths import SqueezePath
-from .resonance import _nth_root, _record, has_resonances
+from .resonance import predict  # re-exported: the scalar prediction
 from .transfer import PRECISION_FLOOR, _entries, _geometry, transfer_entries
 
 __all__ = [
@@ -48,7 +48,6 @@ CONVERGES = "converges"
 DIVERGENCE_SLOPE = -0.25
 _TINY_TAIL = 1e-6
 _RICHARDSON_DEPTH = 8
-_MATCH_TOL = 1e-9
 
 # Couplings per transfer-kernel call in a sweep: bounds the kernel's
 # temporaries (a few dozen arrays of this length) on long grids, while the
@@ -189,20 +188,6 @@ def _trace_plan(path: SqueezePath, E: float, l_start: float, l_end: float,
     return plan
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a float, where it is one real number (a numpy scalar or
-    a 0-d array too); else a :class:`ValueError` that names it."""
-    if type(value) is float:
-        return value
-    try:
-        if (np.ndim(value) == 0 and not np.iscomplexobj(value)
-                and not isinstance(value, (str, bytes))):
-            return float(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be one real number, got {value!r}")
-
-
 def trace(path: SqueezePath, lam: float, E: float,
           l_start: float, l_end: float, points: int) -> LimitTrace:
     """Evaluate the transfer matrix on a geometric width grid along ``path``.
@@ -295,31 +280,6 @@ def classify(tr: LimitTrace) -> LimitVerdict:
 
 def _named(tr: LimitTrace) -> str:
     return f"the trace of {tr.path.describe()} at lam = {tr.lam}, E = {tr.E}"
-
-
-def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
-    """Analytic zero-range limit of ``path`` at coupling ``lam``.
-
-    Returns the limiting connection matrix when the path carries resonances
-    and ``lam`` sits on one (within 1e-9), else None, meaning the
-    half-lines decouple and the point is opaque.  Only the two brackets
-    around sqrt(lam) are read, from the rule's root table where it holds
-    them.  ``lam`` is one real number, as in :func:`trace`.
-    """
-    lam = _real("lam", lam)
-    if not 0 < lam < math.inf:
-        raise ValueError(f"coupling must be positive and finite, got {lam}")
-    if not has_resonances(path):
-        return None
-    guess = int(math.sqrt(lam) // math.pi)
-    for n in (guess, guess + 1):
-        if n < 1:
-            continue
-        sigma, chi = _nth_root(path, n)
-        if abs(lam - sigma * sigma) <= _MATCH_TOL:
-            r = _record(path, n, sigma, chi)
-            return resonant_matrix(r.chi, r.g)
-    return None
 
 
 @record

@@ -67,9 +67,7 @@ class RectProfile:
         lo = self.l + self.rho
         out = np.where((x >= 0.0) & (x < self.l), h, 0.0)
         out = np.where((x >= lo) & (x < lo + self.l), -h, out)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
     def moments(self) -> tuple[float, float]:
         """Zeroth and first moment of the unit-coupling shape.

@@ -9,7 +9,7 @@ one root per bracket (n*pi, n*pi + pi/2), n >= 1.  On the linear rule
 rho = c*l the condition becomes tanh(s) / (1 + c*s*tanh(s)) = tan(s), which
 is the first one at c = 0.  Other rules carry no resonances.  Each root
 carries the limiting connection-matrix data (chi, g) and, when g != 0,
-a bound state with decay constant kappa.
+a bound state with decay constant kappa; :func:`predict` looks a coupling up.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import functools
 import math
 
 from ._record import record
-from .boundary import ScatteringAmplitudes, amplitudes
-from .errors import DeltaPrimeError, NotARootError, _integer, require
+from .boundary import (ConnectionMatrix, ScatteringAmplitudes, amplitudes,
+                       resonant_matrix)
+from .errors import DeltaPrimeError, NotARootError, _integer, _real, require
 from .paths import ADJACENT, POWER, SqueezePath
 
 __all__ = [
@@ -29,9 +30,11 @@ __all__ = [
     "g_quadratic",
     "resonant_scattering",
     "resonance_set",
+    "predict",
 ]
 
 _ROOT_TOL = 1e-10
+_MATCH_TOL = 1e-9
 
 
 @record
@@ -210,6 +213,25 @@ def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
     if end is not None:  # a fresh instance: the kept one grows no traceback
         raise type(end)(*end.args)
     return out
+
+
+def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
+    """Analytic zero-range limit of ``path`` at one real coupling ``lam``:
+    the limiting connection matrix where the path carries resonances and
+    ``lam`` sits on one (within 1e-9), read from the root table of the two
+    brackets around sqrt(lam); else None, the half-lines decoupled."""
+    lam = _real("lam", lam)
+    if not 0 < lam < math.inf:
+        raise ValueError(f"coupling must be positive and finite, got {lam}")
+    if not has_resonances(path):
+        return None
+    guess = int(math.sqrt(lam) // math.pi)
+    for n in (guess, guess + 1) if guess else (1,):  # brackets from n = 1
+        sigma, chi = _nth_root(path, n)
+        if abs(lam - sigma * sigma) <= _MATCH_TOL:
+            r = _record(path, n, sigma, chi)
+            return resonant_matrix(r.chi, r.g)
+    return None
 
 
 def chi_linear(sigma: float, c: float) -> float:

@@ -1,14 +1,15 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltaprime import (ConnectionMatrix, InvariantViolation, ProductParams,
-                        SingularParameterError, SqueezePath, bc_from_product,
-                        bound_state, delta_prime_delta_matrix,
+from deltaprime import (ConnectionMatrix, DeltaPrimeError, InvariantViolation,
+                        ProductParams, SingularParameterError, SqueezePath,
+                        bc_from_product, bound_state, delta_prime_delta_matrix,
                         params_from_resonance, resonance_set, resonant_matrix,
                         resonant_scattering, scattering, seba_matrix)
 from deltaprime.boundary import det_residual
@@ -233,6 +234,42 @@ def test_nan_entries_fail_the_determinant_check(build, args):
     with pytest.raises(InvariantViolation,
                        match=r"^connection matrix determinant nan != 1$"):
         build(*args)
+
+
+def _hand_built_params(alpha, lam_fit):
+    return bc_from_product(ProductParams(alpha=alpha, beta=0.0,
+                                         lam_fit=lam_fit), 1.0)
+
+
+@pytest.mark.parametrize("build, args", [
+    (seba_matrix, (1e300,)),
+    (lambda lam: bc_from_product(ProductParams(alpha=0.0, beta=1.0), lam),
+     (1e300,)),
+    (resonant_matrix, (5e-324, 1.0)),
+    (_hand_built_params, (1.0, 1e-320))])
+@pytest.mark.parametrize("cast", [float, np.float64])
+def test_numpy_scalars_fail_as_floats_do(build, args, cast):
+    # numpy scalars are read as floats: a numpy RuntimeWarning, which -W
+    # error turns into an exception of the wrong type, never comes up
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cm = build(*map(cast, args))
+        except (DeltaPrimeError, ValueError):
+            return
+    assert all(type(v) is float and math.isfinite(v)
+               for v in dataclasses.astuple(cm))
+    assert cm.det_residual() <= 1e-12
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (seba_matrix, "lam", "3"), (resonant_matrix, "chi", 1j),
+    (lambda g: resonant_matrix(2.0, g), "g", np.array([1.0])),
+    (lambda lam: bc_from_product(ProductParams(0.5, 0.0), lam), "lam", None),
+    (lambda alpha: ProductParams(alpha, 0.0), "alpha", np.complex64(1.0))])
+def test_boundary_names_an_argument_that_is_not_one_number(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be one real number"):
+        build(value)
 
 
 EDGES = [0.0, -0.0, 5e-324, 1.0, -1.0, 1e154, 1e300, math.inf, -math.inf,

@@ -894,7 +894,7 @@ def _reference_predict(path, lam):
     for n in (guess, guess + 1):
         if n >= 1:
             sigma = resonance._root(c, n)
-            if abs(lam - sigma * sigma) <= limits._MATCH_TOL:
+            if abs(lam - sigma * sigma) <= resonance._MATCH_TOL:
                 quadratic = path.kind == "power" and path.tau == 2.0
                 return resonant_matrix(
                     chi_linear(sigma, c),

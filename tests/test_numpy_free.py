@@ -7,6 +7,7 @@ test process has numpy loaded already (conftest imports it).
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltaprime import ProductParams, bc_from_product
+from deltaprime import ProductParams, SqueezePath, bc_from_product, predict
 from deltaprime.boundary import amplitudes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,8 +36,11 @@ def test_scalar_library_and_cli_paths_load_no_numpy():
         import contextlib, io, sys
         import deltaprime, deltaprime.cli
         from deltaprime import (SqueezePath, bc_from_product, bound_state,
-                                params_from_resonance, resonance_set,
+                                params_from_resonance, predict, resonance_set,
                                 resonant_scattering, scattering)
+        from deltaprime.resonance import has_resonances
+
+        ADJACENT = SqueezePath.adjacent()
 
         for spec in ("adjacent", "linear:0.7", "quadratic:1.3", "power:2:3"):
             for r in resonance_set(SqueezePath.parse(spec), 30):
@@ -45,6 +49,15 @@ def test_scalar_library_and_cli_paths_load_no_numpy():
                 bound_state(cm)
                 scattering(cm, 1.3)
                 resonant_scattering(r.chi, r.g, 0.7)
+        # the seven rules of demos/squeeze_paths.py, at lambda_1 of the rule
+        # (of the adjacent rule where it has none) and between two resonances
+        for path in (SqueezePath.barrier_first(0.5),
+                     *(SqueezePath.power_law(1.0, tau)
+                       for tau in (0.5, 1.0, 1.5, 2.0, 3.0)), ADJACENT):
+            own = has_resonances(path)
+            lam1 = resonance_set(path if own else ADJACENT, 1)[0].lam
+            assert (predict(path, lam1) is not None) is own
+            assert predict(path, 10.0) is None
         for argv in (["bc", "--alpha", "0.5", "--lambda", "1"],
                      ["bc", "--alpha", "0.2", "--beta", "1", "--lambda", "3",
                       "--k", "2", "--format", "json"],
@@ -60,6 +73,25 @@ def test_scalar_library_and_cli_paths_load_no_numpy():
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
         assert not loaded, loaded
     """)
+
+
+@pytest.mark.parametrize("value", [
+    np.complex64(1.0), np.array(1.0 + 0j), np.str_("3"), np.array([1.0])])
+def test_predict_rejects_what_is_not_one_real_number(value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"lam must be one real number, got {value!r}")):
+        predict(SqueezePath.adjacent(), value)
+
+
+def test_predict_is_one_object_in_every_module():
+    import deltaprime as dp
+    from deltaprime import errors, limits, resonance
+
+    assert dp.predict is limits.predict is resonance.predict
+    assert limits._real is errors._real and "numpy" not in vars(errors)
+    from_resonance = [name for name, value in vars(limits).items()
+                      if getattr(value, "__module__", "") == resonance.__name__]
+    assert from_resonance == ["predict"]
 
 
 def test_lazy_exports_are_the_defining_objects():

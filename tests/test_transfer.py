@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -329,6 +330,19 @@ def test_transfer_matrix_checks_its_determinant():
     with pytest.raises(InvariantViolation,
                        match=r"^determinant residual nan$"):
         transfer_matrix(RectProfile(0.01, 0.0, 5.1e5), 1.0)
+
+
+@pytest.mark.parametrize("profile", [
+    RectProfile(l=1e-300, rho=0.0, lam=1.0),  # l*l underflows to 0
+    RectProfile(l=1.0, rho=0.0, lam=1e300),   # the barrier's sinh overflows
+])
+def test_both_constructions_fail_typed_where_a_region_overflows(profile):
+    with pytest.raises(InvariantViolation,
+                       match=r"^determinant residual nan$"):
+        transfer_matrix(profile, 1.0)
+    message = f"{profile} overflows at E = 1.0"
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        piecewise_transfer(profile, 1.0)
 
 
 def test_rejects_nonpositive_energy():
