@@ -204,8 +204,9 @@ class ConnectionMatrix(UnitDetMatrix):
     l21: float
     l22: float
 
-    def __post_init__(self):
-        if not self.det_residual() <= 1e-12:
+    def __post_init__(self):  # det_residual() without the method call
+        if not _residual(self.l11 * self.l22, self.l12 * self.l21,
+                         _max) <= 1e-12:
             raise InvariantViolation(
                 f"connection matrix determinant {self.det} != 1")
 

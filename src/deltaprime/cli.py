@@ -25,7 +25,7 @@ from .boundary import (ProductParams, bc_from_product, bound_state,
                        params_from_resonance, scattering)
 from .errors import DeltaPrimeError, InvariantViolation
 from .paths import SqueezePath
-from .resonance import _nth_root, _record, resonance_set, resonant_scattering
+from .resonance import _nth_root, _records, resonance_set, resonant_scattering
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -181,7 +181,7 @@ def cmd_bc(args) -> tuple[dict, dict]:
 
 
 def cmd_bc_fit(args) -> tuple[dict, dict]:
-    r = _record(args.path, args.n, *_nth_root(args.path, args.n))
+    r = _records(args.path, args.n, (_nth_root(args.path, args.n),))[0]
     params = params_from_resonance(r.lam, r.chi, r.g)
     cm = bc_from_product(params, r.lam)
     residual = max(abs(cm.l11 - r.chi) / max(1.0, abs(r.chi)),

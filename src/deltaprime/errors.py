@@ -65,12 +65,15 @@ def _integer(name: str, value, kind: str = "an integer") -> int:
 
 def _real(name: str, value) -> float:
     """``value`` as a float where it is one real number (a numpy scalar or
-    0-d array too, by ``ndim`` and ``dtype.kind``), else a ValueError."""
+    unmasked 0-d array too, by ``ndim``, ``dtype.kind`` and ``mask``), else
+    a ValueError; complex numbers, strings and sequences are none."""
     if type(value) is float:
         return value
     try:
         if (getattr(value, "ndim", hasattr(value, "__len__")) == 0
-                and getattr(getattr(value, "dtype", None), "kind", "") != "c"
+                and getattr(getattr(value, "dtype", None), "kind", "")
+                not in ("c", "S", "U")
+                and not getattr(value, "mask", False)
                 and not isinstance(value, (str, bytes, complex))):
             return float(value)
     except (TypeError, ValueError, OverflowError):

@@ -9,7 +9,8 @@ one root per bracket (n*pi, n*pi + pi/2), n >= 1.  On the linear rule
 rho = c*l the condition becomes tanh(s) / (1 + c*s*tanh(s)) = tan(s), which
 is the first one at c = 0.  Other rules carry no resonances.  Each root
 carries the limiting connection-matrix data (chi, g) and, when g != 0,
-a bound state with decay constant kappa; :func:`predict` looks a coupling up.
+a bound state with decay constant kappa; a set's records are formed in one
+pass over its root table.  :func:`predict` looks a coupling up.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import functools
 import math
 
 from ._record import record
-from .boundary import (ConnectionMatrix, ScatteringAmplitudes, amplitudes,
-                       resonant_matrix)
+from .boundary import (ConnectionMatrix, ScatteringAmplitudes, _quiet,
+                       amplitudes, resonant_matrix)
 from .errors import DeltaPrimeError, NotARootError, _integer, _real, require
 from .paths import ADJACENT, POWER, SqueezePath
 
@@ -182,16 +183,22 @@ def _nth_root(path: SqueezePath, n: int) -> tuple[float, float | None]:
     return roots[-1] if end is None else (_root(c, n), None)
 
 
-def _record(path: SqueezePath, n: int, sigma: float,
-            chi: float | None = None) -> Resonance:
-    """The Resonance of ``path`` at its checked root ``sigma`` of bracket n
-    with entry ``chi``, formed here where it is None."""
-    if chi is None:
-        chi = _chi(sigma, _linear_c(path), n)
-    g = _g(sigma, path.c, n) if path.kind == POWER and path.tau == 2.0 else 0.0
-    kappa = -g / (chi + 1.0 / chi)  # the bound state's, when positive
-    return Resonance(n, sigma, sigma * sigma, chi, g,
-                     kappa if kappa > 0 else 0.0, path)
+def _records(path: SqueezePath, n0: int, pairs) -> list[Resonance]:
+    """The Resonances of ``path`` at its checked pairs (sigma, chi) of
+    brackets n0, n0 + 1, ..., chi formed here where it is None.  Only the
+    quadratic rule carries g and so a bound state; elsewhere both are 0."""
+    quadratic = path.kind == POWER and path.tau == 2.0
+    out = []
+    for n, (sigma, chi) in enumerate(pairs, n0):
+        if chi is None:
+            chi = _chi(sigma, _linear_c(path), n)
+        g = kappa = 0.0
+        if quadratic:
+            g = _g(sigma, path.c, n)
+            kappa = -g / (chi + 1.0 / chi)  # the bound state's, when positive
+            kappa = kappa if kappa > 0 else 0.0
+        out.append(Resonance(n, sigma, sigma * sigma, chi, g, kappa, path))
+    return out
 
 
 def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
@@ -207,9 +214,7 @@ def resonance_set(path: SqueezePath, count: int) -> list[Resonance]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     roots, end = _roots(_linear_c(path), count)
-    # records first, so that an error at a lower index is raised first
-    out = [_record(path, n, sigma, chi)
-           for n, (sigma, chi) in enumerate(roots, 1)]
+    out = _records(path, 1, roots)  # first: a lower index's error wins
     if end is not None:  # a fresh instance: the kept one grows no traceback
         raise type(end)(*end.args)
     return out
@@ -229,7 +234,7 @@ def predict(path: SqueezePath, lam: float) -> ConnectionMatrix | None:
     for n in (guess, guess + 1) if guess else (1,):  # brackets from n = 1
         sigma, chi = _nth_root(path, n)
         if abs(lam - sigma * sigma) <= _MATCH_TOL:
-            r = _record(path, n, sigma, chi)
+            r = _records(path, n, ((sigma, chi),))[0]
             return resonant_matrix(r.chi, r.g)
     return None
 
@@ -251,7 +256,10 @@ def _checked(form, sigma: float, c: float, c_root: float) -> float:
     """``form(sigma, c, n)`` of the root sigma of bracket n, checked in
     this order: c >= 0 (:class:`ValueError`), the bracket of sigma, the
     form's own overflow check, then sigma as a root of the equation at
-    constant ``c_root``."""
+    constant ``c_root``; each argument one real number (a numpy scalar
+    too, read as its float)."""
+    if type(sigma) is not float or type(c) is not float:
+        sigma, c = _real("sigma", sigma), _real("c", c)
     if not c >= 0:
         raise ValueError(f"path constant c must be >= 0, got {c}")
     n = _index_of(sigma)
@@ -307,4 +315,5 @@ def resonant_scattering(chi: float, g: float, k: float) -> ScatteringAmplitudes:
     T = (-1)**n * sqrt(1 - tanh(s)**4).  Scalars or arrays, elementwise.
     """
     require(chi != 0, ValueError, "chi must be nonzero, got {}", chi)
-    return amplitudes(chi, 0.0, g, 1.0 / chi, k)
+    with _quiet():  # 1/chi = inf at chi = 5e-324, unwarned on numpy too
+        return amplitudes(chi, 0.0, g, 1.0 / chi, k)

@@ -76,11 +76,24 @@ def test_scalar_library_and_cli_paths_load_no_numpy():
 
 
 @pytest.mark.parametrize("value", [
-    np.complex64(1.0), np.array(1.0 + 0j), np.str_("3"), np.array([1.0])])
+    np.complex64(1.0), np.array(1.0 + 0j), np.str_("3"), np.array([1.0]),
+    np.array("3"), np.array(b"3"), np.ma.masked_array(1.0, mask=True),
+    np.ma.masked])
 def test_predict_rejects_what_is_not_one_real_number(value):
+    # a string array and a masked value are no number, with no warning
     with pytest.raises(ValueError, match=re.escape(
             f"lam must be one real number, got {value!r}")):
         predict(SqueezePath.adjacent(), value)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, np.float64(1.5), np.array(1.5), np.ma.masked_array(1.5),
+    np.array(1.5, dtype=object), np.float32(1.5), 3 / 2])
+def test_an_unmasked_real_number_is_read_as_its_float(value):
+    from deltaprime.errors import _real
+
+    got = _real("lam", value)
+    assert type(got) is float and got == 1.5
 
 
 def test_predict_is_one_object_in_every_module():

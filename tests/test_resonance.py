@@ -12,8 +12,9 @@ from deltaprime import (DeltaPrimeError, NotARootError, SqueezePath,
                         bound_state, chi_linear, g_quadratic, predict,
                         resonance_set, resonant_matrix, resonant_scattering)
 from deltaprime import resonance
+from deltaprime.cli import main
 from deltaprime.resonance import (Resonance, _check_root, _index_of,
-                                  _linear_c, _nth_root, _root)
+                                  _linear_c, _nth_root, _records, _root)
 
 # frozen reference values (independent bisection + direct evaluation)
 SIGMA1 = 3.9266023120479188
@@ -593,3 +594,38 @@ def test_an_ended_table_is_never_grown_again(monkeypatch):
         with pytest.raises(DeltaPrimeError, match=r"\(n = 105,"):
             predict(path, lam)
         assert calls == want
+
+
+@pytest.mark.parametrize("spec", ["adjacent", "linear:0.7", "quadratic:1.3",
+                                  "power:2:3"])
+def test_a_set_and_a_one_pair_record_are_formed_alike(spec):
+    # resonance_set forms a table slice in one pass; predict and bc-fit
+    # form one pair, chi read from the table or formed where it is None
+    path, end = SqueezePath.parse(spec), TABLE_ENDS.get(spec, 112)
+    rs = resonance_set(path, end)
+    for n in range(1, end + 1):
+        sigma, chi = _nth_root(path, n)
+        one = repr(_records(path, n, ((sigma, chi),))[0])
+        assert repr(rs[n - 1]) == one == repr(
+            _records(path, n, ((sigma, None),))[0]), n
+        if path.tau != 2.0:  # g = 0 rules: +0.0, never -0.0
+            assert math.copysign(1.0, rs[n - 1].kappa) == 1.0
+            assert math.copysign(1.0, rs[n - 1].g) == 1.0
+        else:
+            assert rs[n - 1].kappa > 0.0
+
+
+def test_records_past_a_table_end_keep_their_messages(capsys):
+    path = SqueezePath.parse("linear:1e12")
+    with pytest.raises(DeltaPrimeError, match=re.escape(
+            "chi overflows at sigma = 323.58404331974873 (n = 103, "
+            "c = 1000000000000.0)")):
+        resonance_set(path, 112)
+    assert main(["bc-fit", "--path", "linear:1e12", "--n", "105"]) == 3
+    assert capsys.readouterr().err == (
+        "error: chi overflows at sigma = 329.8672286269283 (n = 105, "
+        "c = 1000000000000.0)\n")
+    # g is formed in the same pass, so its overflow at n = 5 still wins
+    with pytest.raises(DeltaPrimeError, match=re.escape(
+            "g overflows at sigma = 16.49336143134641 (n = 5, c = 1e+300)")):
+        resonance_set(SqueezePath.parse("quadratic:1e300"), 5)

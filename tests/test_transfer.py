@@ -130,7 +130,7 @@ def kernel_inputs(draw):
     return l, rho, E, draw(st.permutations(lams))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(kernel_inputs())
 # a zero gap, where an oscillating well is its own product with the gap,
 # with the barrier growing everywhere, oscillating everywhere, or mixed
@@ -228,7 +228,7 @@ def test_region_computes_one_form_when_signs_agree():
     assert (c, t, d, g, a) == (1.0, 0.5, 0.0, 0.0, 1.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.floats(1e-6, 1.0), st.floats(0.01, 10.0),
        st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8))
 def test_well_oscillates_wherever_the_barrier_grows(l, E, lams):
@@ -356,7 +356,7 @@ def test_rejects_nonpositive_energy():
         scattering(transfer_matrix(profile, 1.0), k=0.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(l=st.floats(1e-3, 1.0), rho=st.floats(0.0, 1.0),
        lam=st.floats(0.1, 30.0), E=st.floats(0.1, 10.0))
 def test_transfer_invariants_property(l, rho, lam, E):
@@ -390,7 +390,7 @@ def _assert_lazy_matches_eager(*args):
     _same_bits(amp.T, ref.T)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(l=st.floats(1e-3, 1.0), rho=st.floats(0.0, 1.0),
        lam=st.floats(-30.0, 60.0), E=st.floats(0.1, 10.0),
        x0=st.floats(0.0, 50.0))
