@@ -76,7 +76,7 @@ class UnitDetMatrix:
 
     def det_residual(self) -> float:
         """Scaled determinant residual, see :func:`det_residual`."""
-        return _residual(self.l11 * self.l22, self.l12 * self.l21, _max)
+        return _residual(self.l11 * self.l22, self.l12 * self.l21, _max, 1.0)
 
 
 def det_residual(l11, l12, l21, l22):
@@ -89,12 +89,18 @@ def det_residual(l11, l12, l21, l22):
     take ``np.maximum``, scalars a comparison; both are exact and agree.
     """
     a, np = l11 * l22, sys.modules.get("numpy")
-    top = np.maximum if np is not None and isinstance(a, np.ndarray) else _max
-    return _residual(a, l12 * l21, top)
+    if np is not None and isinstance(a, np.ndarray):
+        return _residual(a, l12 * l21, np.maximum, _unit(np))
+    return _residual(a, l12 * l21, _max, 1.0)
 
 
-def _residual(a, b, top):
-    return abs(a - b - 1.0) / top(abs(b), top(abs(a), 1.0))
+def _residual(a, b, top, one):
+    return abs(a - b - one) / top(abs(b), top(abs(a), one))
+
+
+@functools.cache
+def _unit(np):  # a 0-d 1.0, which a ufunc takes without converting it
+    return np.array(1.0)
 
 
 def _max(x, y):
@@ -206,7 +212,7 @@ class ConnectionMatrix(UnitDetMatrix):
 
     def __post_init__(self):  # det_residual() without the method call
         if not _residual(self.l11 * self.l22, self.l12 * self.l21,
-                         _max) <= 1e-12:
+                         _max, 1.0) <= 1e-12:
             raise InvariantViolation(
                 f"connection matrix determinant {self.det} != 1")
 

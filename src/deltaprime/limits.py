@@ -55,13 +55,13 @@ _RICHARDSON_DEPTH = 8
 SWEEP_BLOCK = 4096
 
 # Size caps, checked before anything is allocated.  A trace needs a few
-# dozen widths; 10**4 keeps the width-grid and trace-plan caches below
-# 9.7 MB: each of _GRID_CACHE_SIZE grids holds MAX_TRACE_POINTS widths, a
+# dozen widths; 10**4 keeps the width-grid and trace-plan caches within
+# 8.33 MB: each of _GRID_CACHE_SIZE grids holds MAX_TRACE_POINTS widths, a
 # slope vector over half of them and at most 10 x 9 Richardson weights
-# (1.9 MB), and each of as many plans at most six arrays of MAX_TRACE_POINTS
-# (its grid, l**2, l/2, rho, cos(k*rho), sin(k*rho): 7.7 MB), in 8-byte
-# floats.  A sweep holds its couplings, |T|^2 and |R|^2 in full: 96 MB at
-# MAX_SWEEP_SAMPLES.
+# (1.93 MB), and each of as many plans at most five arrays of
+# MAX_TRACE_POINTS of its own (l**2, l/2, rho, cos(k*rho), sin(k*rho); its
+# grid is the grid cache's: 6.4 MB), in 8-byte floats.  A sweep holds its
+# couplings, |T|^2 and |R|^2 in full: 96 MB at MAX_SWEEP_SAMPLES.
 MAX_TRACE_POINTS = 10_000
 MAX_SWEEP_SAMPLES = 4_000_000
 _GRID_CACHE_SIZE = 16
@@ -177,7 +177,7 @@ def _trace_plan(path: SqueezePath, E: float, l_start: float, l_end: float,
     """What :func:`trace` reads that does not depend on the coupling, built
     once per (path, E, grid) and shared read-only: the widths ``ls`` of
     :func:`_width_grid`, the gaps ``rho_values`` along ``path`` and their
-    :func:`transfer._geometry` (gap factors scalars on constant-gap rules)."""
+    :func:`transfer._geometry` (a zero gap's factors numpy scalars)."""
     ls = _width_grid(l_start, l_end, points)[0]
     rho = path.rho_of(ls)  # a scalar on the constant-gap rules
     with _quiet():
@@ -223,8 +223,7 @@ def trace(path: SqueezePath, lam: float, E: float,
     if not np.maximum.reduce(residual, axis=None) <= 1e-10:  # NaN fails
         require(residual <= 1e-10, InvariantViolation,
                 "determinant residual {} at l = {}", residual, ls)
-    return LimitTrace(path=path, lam=lam, E=E, l_values=ls,
-                      rho_values=rho_values, entries=np.array(entries).T)
+    return LimitTrace(path, lam, E, ls, rho_values, np.array(entries).T)
 
 
 def classify(tr: LimitTrace) -> LimitVerdict:
@@ -273,8 +272,9 @@ def classify(tr: LimitTrace) -> LimitVerdict:
         x = slopes[j] if divergent else levels[j][best[j] + 1]
         if not abs(x) < math.inf:  # NaN fails too
             raise ValueError(f"{_named(tr)}: {name} reads {x}, not finite")
-        verdicts[name] = (EntryVerdict(DIVERGENT, exponent=x) if divergent else
-                          EntryVerdict(CONVERGES, value=x, error=error[j]))
+        # positional: a keyword costs a record's __init__ 60 to 140 ns
+        verdicts[name] = (EntryVerdict(DIVERGENT, x) if divergent else
+                          EntryVerdict(CONVERGES, None, x, error[j]))
     return LimitVerdict(entries=verdicts)
 
 

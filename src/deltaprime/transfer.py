@@ -25,7 +25,7 @@ from dataclasses import field
 import numpy as np
 
 from ._record import record
-from .boundary import (_quiet, ScatteringAmplitudes, UnitDetMatrix,
+from .boundary import (_quiet, _unit, ScatteringAmplitudes, UnitDetMatrix,
                        amplitudes, det_residual, scattering)
 from .errors import InvariantViolation, require
 from .profile import RectProfile
@@ -47,6 +47,7 @@ __all__ = [
 # leave L21 one to three digits at the adjacent lambda_1 .. lambda_6 (relative
 # errors 2.2e-3 to 0.16 against 80 digits; 1.8e-7 to 1.4e-5 at l = 1e-4).
 PRECISION_FLOOR = 1e-6
+_ONE, _TWO = _unit(np), np.array(2.0)  # 0-d: see _geometry
 
 
 def _check_energy(E) -> None:
@@ -95,9 +96,10 @@ def _region(a2, l, half, grows):
         up = np.exp(-x), 0.0, 0.0, np.sinh(x), a
     if grows is not True:
         h = np.tan(a * half)
-        w = 2.0 / (1.0 + h * h)
+        one, two = (_ONE, _TWO) if type(h) is np.ndarray else (1.0, 2.0)
+        w = two / (one + h * h)
         sn = h * w
-        osc = w - 1.0, sn / a, -a * sn, 0.0, 1.0
+        osc = w - one, sn / a, -a * sn, 0.0, 1.0
     if grows is True or grows is False:
         return up if grows else osc
     c, t, d, g, p = (np.where(grows, u, o) for u, o in zip(up, osc))
@@ -121,15 +123,21 @@ def transfer_entries(l, rho, lam, E):
     validate the geometry (l > 0, rho >= 0, all finite).
     """
     with _quiet():
-        return _entries(_geometry(l, rho, E), lam)
+        return _entries(_geometry(l, rho, E, type(lam) is np.ndarray), lam)
 
 
-def _geometry(l, rho, E):
+def _geometry(l, rho, E, batch=False):
     """What :func:`_entries` takes besides the coupling, after checking
-    ``E``: (l**2, l, l/2, E, k, cos(k*rho), sin(k*rho)), k = sqrt(E)."""
+    ``E``: (l**2, l, l/2, E, k, cos(k*rho), sin(k*rho)), k = sqrt(E); beside
+    an array or a ``batch`` of couplings, each scalar but a zero gap's as a
+    0-d array."""
     _check_energy(E)
     k = np.sqrt(E)
-    return np.square(l), l, 0.5 * l, E, k, np.cos(k * rho), np.sin(k * rho)
+    ops = np.square(l), l, 0.5 * l, E, k, np.cos(k * rho), np.sin(k * rho)
+    if not batch and np.ndarray not in (type(ops[0]), type(ops[6])):
+        return ops  # scalars alone: numpy's scalar path is faster
+    n = 5 if type(ops[6]) is not np.ndarray and ops[6] == 0.0 else 7
+    return (*map(np.asarray, ops[:n]), *ops[n:])
 
 
 def _entries(geometry, lam):

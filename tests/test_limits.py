@@ -155,16 +155,25 @@ def test_trace_plan_is_shared_per_path_energy_and_grid():
     ls, rho_values, geometry = plan
     assert a.rho_values is b.rho_values is rho_values
     assert a.l_values is b.l_values is ls is geometry[1]
-    arrays = [v for v in (rho_values, *geometry) if isinstance(v, np.ndarray)]
-    # ls, l**2, l/2, and cos(k*rho) and sin(k*rho), which vary on this rule
-    assert len(arrays) == 6
-    for path in (ADJ, SqueezePath.barrier_first(0.5)):  # a constant gap
-        factors = limits._trace_plan(path, 1.0, 1e-1, 1e-4, 13)[2][4:]
-        assert not any(isinstance(v, np.ndarray) for v in factors)
-    for v in arrays:
-        assert not v.flags.writeable
+    # every operand the kernel multiplies by is a read-only float64 ndarray,
+    # 0-d where it is one number (E, k, a constant gap's cos and sin), but
+    # for the zero gap's numpy scalars, which its shortcut tests
+    for path, gap in ((QUAD, (13,)), (SqueezePath.barrier_first(0.5), ()),
+                      (ADJ, None)):
+        operands = limits._trace_plan(path, 1.0, 1e-1, 1e-4, 13)[2]
+        for v in operands if gap is not None else operands[:5]:
+            assert type(v) is np.ndarray and v.dtype == np.float64
+            assert not v.flags.writeable
+        assert [v.shape for v in operands[:5]] == 3 * [(13,)] + 2 * [()]
+        if gap is None:
+            assert [type(v) for v in operands[5:]] == 2 * [np.float64]
+            assert operands[6] == 0.0
+        else:
+            assert operands[5].shape == operands[6].shape == gap
+    for v in (rho_values, *geometry):
+        assert type(v) is np.ndarray and not v.flags.writeable
         with pytest.raises(ValueError):
-            v[0] = 1.0
+            v[...] = 1.0
     # another energy or path is another plan on the same grid
     for other in (make_trace(QUAD, LAM1, E=2.0),
                   make_trace(SqueezePath.power_law(0.7, 2.0), LAM1)):
@@ -239,6 +248,31 @@ def test_trace_and_sweep_cap_their_sizes():
     assert cap > 1_000_000
     with pytest.raises(ValueError, match=f"samples = {cap + 1} exceeds"):
         transmission_sweep(ADJ, 1e-3, 1.0, 60.0, cap + 1)
+
+
+def test_full_trace_caches_hold_what_the_size_cap_states():
+    # 16 grids and 16 plans on a varying gap at MAX_TRACE_POINTS, counting
+    # each array once (a plan's grid is the grid cache's own): 8.33 MB, the
+    # figure of limits' size-cap comment and README
+    held, size = {}, limits._GRID_CACHE_SIZE
+    limits._width_grid.cache_clear()
+    limits._trace_plan.cache_clear()
+    try:
+        for i in range(size):
+            grid = 1e-1 * (1.0 + 1e-3 * i), 1e-4, limits.MAX_TRACE_POINTS
+            maps, plan = limits._width_grid(*grid), limits._trace_plan(
+                QUAD, 1.0, *grid)
+            assert plan[0] is maps[0]
+            for a in (*maps, *plan[:2], *plan[2]):
+                held[id(a)] = a
+        assert limits._width_grid.cache_info().currsize == size
+        assert limits._trace_plan.cache_info().currsize == size
+        total = sum(a.nbytes for a in held.values())
+        assert len(held) == size * (3 + 5 + 2)  # E and k are 0-d
+        assert round(total / 1e6, 2) <= 8.33
+    finally:
+        limits._width_grid.cache_clear()
+        limits._trace_plan.cache_clear()
 
 
 def test_trace_rejects_a_grid_whose_richardson_powers_overflow():

@@ -211,6 +211,26 @@ def test_entries_meet_the_50_digit_product_to_a_stated_error():
     assert median <= 10.0 and p99 <= 300.0 and worst.max() <= 2e4
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+@pytest.mark.parametrize("l, lam", [
+    (0.1, LAM1),     # the barrier grows, the well oscillates
+    (0.5, 0.1),      # both oscillate
+    (0.5, 0.25),     # the barrier's s = lam/l**2 - E is 0 exactly
+    (0.5, -0.25)])   # the well's s = -(lam/l**2 + E) is 0 exactly
+def test_scalar_inputs_give_numpy_scalars_never_0d_arrays(l, rho, lam):
+    # beside an array coupling the kernel's coupling-free operands are 0-d
+    # arrays (but at a zero gap), and none may leak out: a 0-d array has
+    # shape () too
+    entries = transfer_entries(l, rho, lam, 1.0)
+    assert [type(v) for v in entries] == 4 * [np.float64]
+    boxed = transfer_entries(l, rho, np.array(lam), 1.0)
+    assert [type(v) for v in boxed] == 4 * [np.float64]
+    assert np.array(boxed).tobytes() == np.array(entries).tobytes()
+    tm = transfer_matrix(RectProfile(l=l, rho=rho, lam=lam), 1.0)
+    assert [type(v) for v in (tm.l11, tm.l12, tm.l21, tm.l22)] == 4 * [complex]
+    assert [complex(v) for v in entries] == [tm.l11, tm.l12, tm.l21, tm.l22]
+
+
 def test_region_computes_one_form_when_signs_agree():
     assert _form(np.array([2.0, 3.0])) is True
     assert _form(np.array([-2.0, -3.0])) is False
