@@ -169,32 +169,37 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
     numpy, save where the check fails or the squares overflow; a scalar
     phase factor comes from ``cmath.exp``, which rounds as ``np.exp``.
     """
-    require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
     with _quiet():
-        kl12, l21k = k * l12, l21 / k
-        s, d, u, v = l11 + l22, kl12 - l21k, l11 - l22, kl12 + l21k
-        # Delta = (s.real + d.imag) + i*(s.imag - d.real), u + i*v likewise
-        real = getattr(s, "dtype", None) == getattr(d, "dtype", None) == float
-        dr, di = (s, d) if real else (s.real + d.imag, s.imag - d.real)
-        nr, ni = (u, v) if real else (u.real - v.imag, u.imag + v.real)
-        size2 = dr * dr + di * di
-        try:
-            t2, r2 = 4.0 / size2, (nr * nr + ni * ni) / size2
-        except ZeroDivisionError:  # Python numbers: x/0 as numpy forms it
-            t2, r2 = math.inf, (nr * nr + ni * ni) * math.inf
-        residual = abs(r2 + t2 - 1.0)
-        np = sys.modules.get("numpy")  # none loaded: no array
-        if not (np.maximum.reduce(residual, axis=None, initial=-np.inf)
-                if np is not None and isinstance(residual, np.ndarray)
-                else residual) <= 1e-10:  # failed (NaN too), or overflowed
-            import numpy as np
+        return _amplitudes(l11, l12, l21, l22, k, x0)
 
-            over, size = size2 == math.inf, np.hypot(dr, di)
-            t2 = np.where(over, np.square(2.0 / size), t2)[()]
-            r2 = np.where(over, np.square(np.hypot(nr, ni) / size), r2)[()]
-            residual = abs(r2 + t2 - 1.0)
-            require(residual <= 1e-10, InvariantViolation,
-                    "conservation residual {}", residual)
+
+def _amplitudes(l11, l12, l21, l22, k, x0):
+    """The body of :func:`amplitudes`, under the caller's errstate."""
+    require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
+    kl12, l21k = k * l12, l21 / k
+    s, d, u, v = l11 + l22, kl12 - l21k, l11 - l22, kl12 + l21k
+    # Delta = (s.real + d.imag) + i*(s.imag - d.real), u + i*v likewise
+    real = getattr(s, "dtype", None) == getattr(d, "dtype", None) == float
+    dr, di = (s, d) if real else (s.real + d.imag, s.imag - d.real)
+    nr, ni = (u, v) if real else (u.real - v.imag, u.imag + v.real)
+    size2 = dr * dr + di * di
+    try:
+        t2, r2 = 4.0 / size2, (nr * nr + ni * ni) / size2
+    except ZeroDivisionError:  # Python numbers: x/0 as numpy forms it
+        t2, r2 = math.inf, (nr * nr + ni * ni) * math.inf
+    residual = abs(r2 + t2 - 1.0)
+    np = sys.modules.get("numpy")  # none loaded: no array
+    if not (np.maximum.reduce(residual, axis=None, initial=-np.inf)
+            if np is not None and isinstance(residual, np.ndarray)
+            else residual) <= 1e-10:  # failed (NaN too), or overflowed
+        import numpy as np
+
+        over, size = size2 == math.inf, np.hypot(dr, di)
+        t2 = np.where(over, np.square(2.0 / size), t2)[()]
+        r2 = np.where(over, np.square(np.hypot(nr, ni) / size), r2)[()]
+        residual = abs(r2 + t2 - 1.0)
+        require(residual <= 1e-10, InvariantViolation,
+                "conservation residual {}", residual)
     return ScatteringAmplitudes(r2, t2, (s, d, u, v, k, x0))
 
 

@@ -17,12 +17,12 @@ from dataclasses import fields
 import numpy as np
 
 from ._record import record
-from .boundary import _quiet, amplitudes, det_residual
+from .boundary import _amplitudes, _quiet, det_residual
 from .errors import (InvariantViolation, PrecisionFloorError, _integer,
                      _real, require)
 from .paths import SqueezePath
 from .resonance import predict  # re-exported: the scalar prediction
-from .transfer import PRECISION_FLOOR, _entries, _geometry, transfer_entries
+from .transfer import PRECISION_FLOOR, _entries, _geometry
 
 __all__ = [
     "LimitTrace",
@@ -144,7 +144,8 @@ def _width_grid(l_start: float, l_end: float, points: int) -> tuple:
     last two values and Richardson levels 1 .. m - 1 at the last point as
     combinations of the last m = min(points - 1, ``_RICHARDSON_DEPTH``) + 1
     values.  W is the extrapolation triangle run on the unit vectors, with
-    ratio**j and ratio**j - 1 for level j of the grid ratio."""
+    ratio**j and ratio**j - 1 for level j of the grid ratio.  Last, the
+    tail's length as a read-only 0-d float, by which classify centres."""
     ls = np.geomspace(l_start, l_end, points)
     x = np.log(ls[len(ls) // 2:])
     x -= x.mean()
@@ -165,7 +166,7 @@ def _width_grid(l_start: float, l_end: float, points: int) -> tuple:
     for f, f1 in powers[:m - 1]:
         level = (f * level[1:] - level[:-1]) / f1
         rows.append(level[-1])
-    maps = ls, x / xx, np.array(rows)
+    maps = ls, x / xx, np.array(rows), np.array(float(len(x)))
     for a in maps:
         a.flags.writeable = False
     return maps
@@ -177,14 +178,12 @@ def _trace_plan(path: SqueezePath, E: float, l_start: float, l_end: float,
     """What :func:`trace` reads that does not depend on the coupling, built
     once per (path, E, grid) and shared read-only: the widths ``ls`` of
     :func:`_width_grid`, the gaps ``rho_values`` along ``path`` and their
-    :func:`transfer._geometry` (a zero gap's factors numpy scalars)."""
+    :func:`transfer._geometry`, formed in :func:`trace`'s warning scope."""
     ls = _width_grid(l_start, l_end, points)[0]
     rho = path.rho_of(ls)  # a scalar on the constant-gap rules
-    with _quiet():
-        plan = ls, np.zeros(points) + rho, _geometry(ls, rho, E)
-    for a in (plan[1], *plan[2]):
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
+    plan = ls, np.zeros(points) + rho, _geometry(ls, rho, E)
+    for a in (plan[1], *plan[2][:7]):  # the flag and constants follow
+        a.flags.writeable = False
     return plan
 
 
@@ -216,8 +215,8 @@ def trace(path: SqueezePath, lam: float, E: float,
     if not 0 <= lam < math.inf:
         raise ValueError(f"coupling must be finite and >= 0, got {lam}")
 
-    ls, rho_values, geometry = _trace_plan(path, E, l_start, l_end, points)
     with _quiet():  # NaN fails the check
+        ls, rho_values, geometry = _trace_plan(path, E, l_start, l_end, points)
         entries = _entries(geometry, lam)
         residual = det_residual(*entries)
     if not np.maximum.reduce(residual, axis=None) <= 1e-10:  # NaN fails
@@ -244,7 +243,7 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     """
     ls, e, n = tr.l_values, tr.entries, len(tr.l_values)
     # l_values come from np.geomspace, which sets both ends exactly
-    grid, slope, weights = _width_grid(float(ls[0]), float(ls[-1]), n)
+    grid, slope, weights, count = _width_grid(float(ls[0]), float(ls[-1]), n)
     if ls is not grid and not np.array_equal(ls, grid):
         raise ValueError(f"{_named(tr)} is not on the geometric grid it spans")
     if getattr(e, "shape", None) != (n, 4) or e.dtype.kind != "f":
@@ -258,7 +257,7 @@ def classify(tr: LimitTrace) -> LimitVerdict:
         # fmin skips NaN, so a NaN marks no sign change
         turn = np.fmin.reduce(tail[:, :-1] * tail[:, 1:], axis=1).tolist()
         y = np.log(size)
-        y -= np.add.reduce(y, axis=1, keepdims=True) / y.shape[1]
+        y -= np.add.reduce(y, axis=1, keepdims=True) / count
         slopes = (y @ slope).tolist()
         levels = weights @ e[-weights.shape[1]:]
         change = np.abs(levels[1:] - levels[:-1])
@@ -341,14 +340,16 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
     rho = path.rho_of(l)
     one = samples <= SWEEP_BLOCK  # one block keeps amplitudes' own arrays
     t2, r2 = (None, None) if one else (np.empty(samples), np.empty(samples))
-    for start in range(0, samples, SWEEP_BLOCK):
-        block = slice(start, start + SWEEP_BLOCK)
-        entries = transfer_entries(l, rho, lams[block], E)
-        amp = amplitudes(*entries, math.sqrt(E), 2.0 * l + rho)
-        if one:
-            t2, r2 = amp.T2, amp.R2
-        else:
-            t2[block], r2[block] = amp.T2, amp.R2
+    k, x0 = math.sqrt(E), 2.0 * l + rho
+    with _quiet():  # l**2 may overflow
+        geometry = _geometry(l, rho, E, True)
+        for start in range(0, samples, SWEEP_BLOCK):
+            block = slice(start, start + SWEEP_BLOCK)
+            amp = _amplitudes(*_entries(geometry, lams[block]), k, x0)
+            if one:
+                t2, r2 = amp.T2, amp.R2
+            else:
+                t2[block], r2[block] = amp.T2, amp.R2
 
     # each parabola in Python floats: too few peaks to pay for numpy calls
     lo, hi = lams[:2].tolist()

@@ -19,8 +19,8 @@ import functools
 import math
 
 from ._record import record
-from .boundary import (ConnectionMatrix, ScatteringAmplitudes, _quiet,
-                       amplitudes, resonant_matrix)
+from .boundary import (ConnectionMatrix, ScatteringAmplitudes, _amplitudes,
+                       _quiet, resonant_matrix)
 from .errors import DeltaPrimeError, NotARootError, _integer, _real, require
 from .paths import ADJACENT, POWER, SqueezePath
 
@@ -316,4 +316,4 @@ def resonant_scattering(chi: float, g: float, k: float) -> ScatteringAmplitudes:
     """
     require(chi != 0, ValueError, "chi must be nonzero, got {}", chi)
     with _quiet():  # 1/chi = inf at chi = 5e-324, unwarned on numpy too
-        return amplitudes(chi, 0.0, g, 1.0 / chi, k)
+        return _amplitudes(chi, 0.0, g, 1.0 / chi, k, 0.0)

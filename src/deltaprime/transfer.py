@@ -48,6 +48,7 @@ __all__ = [
 # errors 2.2e-3 to 0.16 against 80 digits; 1.8e-7 to 1.4e-5 at l = 1e-4).
 PRECISION_FLOOR = 1e-6
 _ONE, _TWO = _unit(np), np.array(2.0)  # 0-d: see _geometry
+_ONE.flags.writeable = _TWO.flags.writeable = False
 
 
 def _check_energy(E) -> None:
@@ -78,7 +79,7 @@ def _form(s):
     return bool(s > 0) if s != 0 else np.False_
 
 
-def _region(a2, l, half, grows):
+def _region(a2, l, half, grows, one, two):
     """Propagation matrix of psi'' = s * psi over width ``l``, elementwise,
     split as [[c, t], [d, c]] + g * (1, a)^T (1, 1/a): the real (c, t, d, g,
     a) from ``a2`` = |s| in the form ``grows`` = :func:`_form` (s) selects.
@@ -88,7 +89,7 @@ def _region(a2, l, half, grows):
     [d, c]] is [[cos, sin/b], [-b*sin, cos]] of x = b*l, with cos = w - 1
     and sin = h*w from h = tan(b*half), w = 2/(1 + h**2), ``half`` = l/2:
     each within 1.5 eps of exact, and NaN where x/2 overflows.  At s = 0,
-    [[1, l], [0, 1]].
+    [[1, l], [0, 1]].  ``one`` and ``two`` are 1 and 2 (:func:`_geometry`).
     """
     a = np.sqrt(a2)
     if grows is not False:
@@ -96,7 +97,6 @@ def _region(a2, l, half, grows):
         up = np.exp(-x), 0.0, 0.0, np.sinh(x), a
     if grows is not True:
         h = np.tan(a * half)
-        one, two = (_ONE, _TWO) if type(h) is np.ndarray else (1.0, 2.0)
         w = two / (one + h * h)
         sn = h * w
         osc = w - one, sn / a, -a * sn, 0.0, 1.0
@@ -127,38 +127,37 @@ def transfer_entries(l, rho, lam, E):
 
 
 def _geometry(l, rho, E, batch=False):
-    """What :func:`_entries` takes besides the coupling, after checking
-    ``E``: (l**2, l, l/2, E, k, cos(k*rho), sin(k*rho)), k = sqrt(E); beside
-    an array or a ``batch`` of couplings, each scalar but a zero gap's as a
-    0-d array."""
+    """:func:`_entries`' operands but the coupling, ``E`` checked: (l**2, l,
+    l/2, E, k, cos(k*rho), sin(k*rho), gapless (a scalar zero gap), 1, 2);
+    beside an array or a ``batch`` of couplings, every operand an ndarray."""
     _check_energy(E)
     k = np.sqrt(E)
     ops = np.square(l), l, 0.5 * l, E, k, np.cos(k * rho), np.sin(k * rho)
+    gapless = type(ops[6]) is not np.ndarray and float(ops[6]) == 0.0
     if not batch and np.ndarray not in (type(ops[0]), type(ops[6])):
-        return ops  # scalars alone: numpy's scalar path is faster
-    n = 5 if type(ops[6]) is not np.ndarray and ops[6] == 0.0 else 7
-    return (*map(np.asarray, ops[:n]), *ops[n:])
+        return *ops, gapless, 1.0, 2.0  # scalars alone: faster unboxed
+    return (*map(np.asarray, ops), gapless, _ONE, _TWO)
 
 
 def _entries(geometry, lam):
     """The body of :func:`transfer_entries` on a :func:`_geometry` tuple,
     unchecked and under the caller's errstate."""
-    l2, l, half, E, k, ckr, skr = geometry
+    l2, l, half, E, k, ckr, skr, gapless, one, two = geometry
     scale = lam / l2  # numpy division: l**2 may underflow
     s = scale - E
     grows = _form(s)
     c, t, d, g, p = _region(s if grows is True else np.abs(s), l, half,
-                            grows)
+                            grows, one, two)
     # a barrier that grows everywhere has scale > E > 0, so the well's
     # s = -(scale + E) oscillates everywhere (g = 0): |s| is scale + E
     s = scale + E if grows is True else -(scale + E)
     wgrows = False if grows is True else _form(s)
     wc, wt, wd, wg, wa = _region(s if grows is True else np.abs(s), l, half,
-                                 wgrows)
+                                 wgrows, one, two)
     cq, sq, dq = ((wc, wt, wd) if wgrows is False
                   else (wc + wg, wt + wg / wa, wd + wg * wa))
     # well @ gap, which is the oscillating well itself at a scalar zero gap
-    if wgrows is False and type(skr) is not np.ndarray and skr == 0.0:
+    if wgrows is False and gapless:
         n11, n12, n21, n22 = cq, sq, dq, cq
     else:
         n11 = cq * ckr - k * sq * skr

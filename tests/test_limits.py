@@ -17,7 +17,7 @@ from deltaprime import (DeltaPrimeError, InvariantViolation, NotARootError,
                         piecewise_transfer, predict, resonance, resonance_set,
                         resonant_matrix, resonant_scattering, scattering,
                         trace, transfer_matrix, transmission_sweep)
-from deltaprime.transfer import det_residual, transfer_entries
+from deltaprime.transfer import _ONE, _TWO, det_residual, transfer_entries
 
 LAM1 = 15.418205716980063
 CHI1 = -35.874573920759161
@@ -156,21 +156,22 @@ def test_trace_plan_is_shared_per_path_energy_and_grid():
     assert a.rho_values is b.rho_values is rho_values
     assert a.l_values is b.l_values is ls is geometry[1]
     # every operand the kernel multiplies by is a read-only float64 ndarray,
-    # 0-d where it is one number (E, k, a constant gap's cos and sin), but
-    # for the zero gap's numpy scalars, which its shortcut tests
+    # 0-d where it is one number (E, k, a constant gap's cos and sin, the
+    # zero gap's included, and the constants 1 and 2); the shortcut reads
+    # the zero gap from the flag beside them, and no numpy scalar is held
     for path, gap in ((QUAD, (13,)), (SqueezePath.barrier_first(0.5), ()),
-                      (ADJ, None)):
+                      (ADJ, ())):
         operands = limits._trace_plan(path, 1.0, 1e-1, 1e-4, 13)[2]
-        for v in operands if gap is not None else operands[:5]:
+        numbers, gapless = (*operands[:7], *operands[8:]), operands[7]
+        for v in numbers:
             assert type(v) is np.ndarray and v.dtype == np.float64
             assert not v.flags.writeable
-        assert [v.shape for v in operands[:5]] == 3 * [(13,)] + 2 * [()]
-        if gap is None:
-            assert [type(v) for v in operands[5:]] == 2 * [np.float64]
-            assert operands[6] == 0.0
-        else:
-            assert operands[5].shape == operands[6].shape == gap
-    for v in (rho_values, *geometry):
+        assert [v.shape for v in numbers] == (3 * [(13,)] + 2 * [()]
+                                              + 2 * [gap] + 2 * [()])
+        assert gapless is (path == ADJ)
+        assert operands[8] is _ONE and operands[9] is _TWO
+        assert (_ONE.item(), _TWO.item()) == (1.0, 2.0)
+    for v in (rho_values, *geometry[:7], *geometry[8:]):
         assert type(v) is np.ndarray and not v.flags.writeable
         with pytest.raises(ValueError):
             v[...] = 1.0
@@ -188,11 +189,12 @@ def test_trace_plan_is_shared_per_path_energy_and_grid():
     assert fresh[1] is not rho_values
 
     def flat(p):
-        return [*p[:2], *p[2]]
+        return [*p[:2], *p[2][:7]]
 
     for old, new in zip(flat(plan), flat(fresh)):
-        assert old is not new or isinstance(old, float)
-        assert np.asarray(old).tobytes() == np.asarray(new).tobytes()
+        assert old is not new
+        assert old.tobytes() == new.tobytes()
+    assert fresh[2][7:] == plan[2][7:]
     assert make_trace(QUAD, LAM1).entries.tobytes() == a.entries.tobytes()
 
 
@@ -263,12 +265,13 @@ def test_full_trace_caches_hold_what_the_size_cap_states():
             maps, plan = limits._width_grid(*grid), limits._trace_plan(
                 QUAD, 1.0, *grid)
             assert plan[0] is maps[0]
-            for a in (*maps, *plan[:2], *plan[2]):
+            for a in (*maps, *plan[:2], *plan[2][:7]):
                 held[id(a)] = a
         assert limits._width_grid.cache_info().currsize == size
         assert limits._trace_plan.cache_info().currsize == size
         total = sum(a.nbytes for a in held.values())
-        assert len(held) == size * (3 + 5 + 2)  # E and k are 0-d
+        # a grid's tail length, E and k are 0-d
+        assert len(held) == size * (4 + 5 + 2)
         assert round(total / 1e6, 2) <= 8.33
     finally:
         limits._width_grid.cache_clear()
@@ -566,9 +569,8 @@ def _stubbed_sweep(lam_min, lam_max, samples, t2=None):
         row = np.zeros(len(lams)) if t2 is None else t2
         return SimpleNamespace(T2=row, R2=1.0 - row)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(limits, "transfer_entries",
-                   lambda l, rho, lam, E: (lam,) * 4)
-        mp.setattr(limits, "amplitudes", amplitudes)
+        mp.setattr(limits, "_entries", lambda geometry, lam: (lam,) * 4)
+        mp.setattr(limits, "_amplitudes", amplitudes)
         return transmission_sweep(ADJ, 1e-3, lam_min, lam_max, samples)
 
 
@@ -698,7 +700,7 @@ def _best_index(change):
 
 
 def _grid_maps(ls):
-    return limits._width_grid(float(ls[0]), float(ls[-1]), len(ls))[1:]
+    return limits._width_grid(float(ls[0]), float(ls[-1]), len(ls))[1:3]
 
 
 def _level_bounds(weights, values):
@@ -1047,6 +1049,41 @@ def test_a_callers_errstate_changes_no_result():
     default, raising = _errstate_runs()
     for a, b in zip(default, raising):
         assert a == b
+
+
+def test_each_public_array_call_enters_one_warning_scope(monkeypatch):
+    # the public call enters boundary._quiet once and runs its helpers
+    # under it: a sweep of one block or three, a trace on a cold plan and
+    # on a warm one, classify, resonant_scattering on arrays and
+    # transfer_matrix; scattering(transfer_matrix(...)) is two calls
+    entered = []
+
+    class Counting(np.errstate):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    def scopes(call, *args):
+        entered.clear()
+        call(*args)
+        return len(entered)
+
+    tr, profile = make_trace(ADJ, LAM1), RectProfile(0.01, 0.3, 30.0)
+    limits._width_grid.cache_clear()
+    limits._trace_plan.cache_clear()
+    monkeypatch.setattr(np, "errstate", Counting)
+    counts = [
+        scopes(transmission_sweep, ADJ, 1e-3, 1.0, 60.0, 2000),
+        scopes(transmission_sweep, ADJ, 1e-3, 1.0, 60.0,
+               2 * limits.SWEEP_BLOCK + 7),
+        scopes(make_trace, QUAD, LAM1),  # cold: the caches were cleared
+        scopes(make_trace, QUAD, LAM1),
+        scopes(classify, tr),
+        scopes(resonant_scattering, np.array([CHI1, 2.0]),
+               np.array([0.0, G1_C1]), 1.0),
+        scopes(transfer_matrix, profile, 1.0)]
+    assert counts == 7 * [1]
+    assert scopes(lambda: scattering(transfer_matrix(profile, 1.0), 1.0)) == 2
 
 
 def test_overflow_fronts_on_both_sides():

@@ -12,7 +12,8 @@ from conftest import (eager_amplitudes, parts_probabilities,
 from deltaprime import (InvariantViolation, RectProfile, TransferMatrix,
                         piecewise_transfer, scattering, transfer_matrix)
 from deltaprime.boundary import _quiet
-from deltaprime.transfer import _form, _region, amplitudes, transfer_entries
+from deltaprime.transfer import (_ONE, _TWO, _form, _region, amplitudes,
+                                 transfer_entries)
 
 LAM1 = 15.418205716980063  # first adjacent resonance coupling, sigma_1**2
 SIGMA1 = 3.926602312047919
@@ -172,7 +173,7 @@ def test_oscillating_form_is_within_two_eps_of_mpmath(x):
     # for libm's cos and sin
     mpmath = pytest.importorskip("mpmath")
     eps = 2.0 ** -52
-    c, t, d, g, a = _region(1.0, x, 0.5 * x, False)
+    c, t, d, g, a = _region(1.0, x, 0.5 * x, False, 1.0, 2.0)
     c, t, d = float(c), float(t), float(d)
     with mpmath.workdps(40):
         cos, sin = mpmath.cos(mpmath.mpf(x)), mpmath.sin(mpmath.mpf(x))
@@ -186,8 +187,8 @@ def test_oscillating_form_is_nan_past_overflow_and_at_nan():
     # tan(inf) is NaN, as cos(inf) was; quiet under the kernel's errstate
     with _quiet():
         for x in (math.inf, math.nan):
-            scalar = _region(1.0, x, 0.5 * x, False)
-            array = _region(np.array([1.0]), x, 0.5 * x, False)
+            scalar = _region(1.0, x, 0.5 * x, False, 1.0, 2.0)
+            array = _region(np.array([1.0]), x, 0.5 * x, False, _ONE, _TWO)
             assert all(math.isnan(v) for v in scalar[:3])
             assert np.isnan(array[0]).all()
 
@@ -231,6 +232,20 @@ def test_scalar_inputs_give_numpy_scalars_never_0d_arrays(l, rho, lam):
     assert [complex(v) for v in entries] == [tm.l11, tm.l12, tm.l21, tm.l22]
 
 
+def test_a_boxed_zero_gap_matches_the_scalar_call_where_the_well_grows():
+    # below zero the well grows, so the zero-gap shortcut is off and the
+    # two region forms merge: the array call multiplies by the zero gap's
+    # 0-d cos and sin, and every bit stays the per-coupling scalar call's
+    def bits(x):
+        return "nan" if math.isnan(x) else float(x).hex()
+
+    lams = np.linspace(-80.0, 80.0, 321)
+    got = np.array(transfer_entries(1e-2, 0.0, lams, 1.0)).T
+    for lam, row in zip(lams.tolist(), got):
+        want = transfer_entries(1e-2, 0.0, lam, 1.0)
+        assert [bits(v) for v in row] == [bits(v) for v in want]
+
+
 def test_region_computes_one_form_when_signs_agree():
     assert _form(np.array([2.0, 3.0])) is True
     assert _form(np.array([-2.0, -3.0])) is False
@@ -244,7 +259,7 @@ def test_region_computes_one_form_when_signs_agree():
             np.testing.assert_array_equal(_form(s), s > 0)
         grows = _form(np.float64(0.0))
         assert grows is np.False_
-        c, t, d, g, a = _region(np.float64(0.0), 0.5, 0.25, grows)
+        c, t, d, g, a = _region(np.float64(0.0), 0.5, 0.25, grows, 1.0, 2.0)
     assert (c, t, d, g, a) == (1.0, 0.5, 0.0, 0.0, 1.0)
 
 
