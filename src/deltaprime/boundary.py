@@ -35,7 +35,6 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 from ._record import record
 from .errors import (DeltaPrimeError, InvariantViolation,
@@ -116,34 +115,14 @@ def _quiet():
     return np.errstate(all="ignore") if np else contextlib.nullcontext()
 
 
-# not a slotted record: cached_property keeps R and T in the instance dict
-@dataclass(frozen=True)
+@record
 class ScatteringAmplitudes:
-    """Left-incidence reflection and transmission amplitudes, scalars or
-    arrays of one shape: |R|**2 and |T|**2, and R and T formed on first
-    access from the parts (s, d, u, v, k, x0) of :func:`amplitudes`; that
-    access raises where k*x0 (ValueError), R or T is not finite."""
+    """Left-incidence |R|**2, |T|**2, R and T; scalars or same-shape arrays."""
 
     R2: float
     T2: float
-    _parts: tuple = field(repr=False, compare=False)
-
-    R = property(lambda self: self._complex[0])
-    T = property(lambda self: self._complex[1])
-
-    @functools.cached_property
-    def _complex(self) -> tuple:
-        s, d, u, v, k, x0 = self._parts
-        with _quiet():
-            require(abs(k * x0) < math.inf, ValueError,
-                    "phase k*x0 = {} is not finite", k * x0)
-            delta, phase = s - 1j * d, -1j * k * x0
-            R, T = -(u + 1j * v) / delta, 2.0 / delta * (
-                cmath.exp(phase) if isinstance(phase, complex)
-                else sys.modules["numpy"].exp(phase))
-            require((abs(R) < math.inf) & (abs(T) < math.inf),
-                    InvariantViolation, "R = {}, T = {}: not finite", R, T)
-        return R, T
+    R: complex
+    T: complex
 
     @property
     def conservation_residual(self) -> float:
@@ -161,13 +140,13 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
     |R|**2 = |u + i*v|**2/|Delta|**2 are formed in real arithmetic from the
     real and imaginary parts, or from s, d, u and v where these are float64
     (the parts are s, -d, u and v up to signs of zero, and the squares, by
-    hypot where they overflow, drop signs); R and T only when read.  Flux
-    conservation, |R|**2 + |T|**2 = 1 to 1e-10, is the one check.  It
-    rejects non-finite amplitudes and, as a real matrix has |Delta|**2 =
-    |u + i*v|**2 + 4*det and so a residual 4*|1 - det|/|Delta|**2, every
-    real matrix with |Delta| < 2 - 1e-9.  Plain Python numbers load no
-    numpy, save where the check fails or the squares overflow; a scalar
-    phase factor comes from ``cmath.exp``, which rounds as ``np.exp``.
+    hypot where they overflow, drop signs); then R = -(u + i*v)/Delta and
+    T = 2*exp(-i*k*x0)/Delta, checked finite as k*x0 is (ValueError).  Flux
+    conservation, |R|**2 + |T|**2 = 1 to 1e-10, rejects non-finite
+    probabilities and, as a real matrix has |Delta|**2 = |u + i*v|**2 +
+    4*det, every real matrix with |Delta| < 2 - 1e-9.  Plain Python numbers
+    load no numpy, save where the check fails or the squares overflow;
+    ``cmath.exp`` forms a scalar phase factor, rounding as ``np.exp``.
     """
     with _quiet():
         return _amplitudes(l11, l12, l21, l22, k, x0)
@@ -175,6 +154,21 @@ def amplitudes(l11, l12, l21, l22, k, x0=0.0) -> ScatteringAmplitudes:
 
 def _amplitudes(l11, l12, l21, l22, k, x0):
     """The body of :func:`amplitudes`, under the caller's errstate."""
+    t2, r2, (s, d, u, v) = _probabilities(l11, l12, l21, l22, k)
+    require(abs(k * x0) < math.inf, ValueError,
+            "phase k*x0 = {} is not finite", k * x0)
+    delta, phase = s - 1j * d, -1j * k * x0
+    R, T = -(u + 1j * v) / delta, 2.0 / delta * (
+        cmath.exp(phase) if isinstance(phase, complex)
+        else sys.modules["numpy"].exp(phase))
+    require((abs(R) < math.inf) & (abs(T) < math.inf),
+            InvariantViolation, "R = {}, T = {}: not finite", R, T)
+    return ScatteringAmplitudes(r2, t2, R, T)
+
+
+def _probabilities(l11, l12, l21, l22, k):
+    """(|T|**2, |R|**2, (s, d, u, v)) of :func:`amplitudes`, with its
+    wavenumber and flux checks, under the caller's errstate."""
     require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
     kl12, l21k = k * l12, l21 / k
     s, d, u, v = l11 + l22, kl12 - l21k, l11 - l22, kl12 + l21k
@@ -200,7 +194,7 @@ def _amplitudes(l11, l12, l21, l22, k, x0):
         residual = abs(r2 + t2 - 1.0)
         require(residual <= 1e-10, InvariantViolation,
                 "conservation residual {}", residual)
-    return ScatteringAmplitudes(r2, t2, (s, d, u, v, k, x0))
+    return t2, r2, (s, d, u, v)
 
 
 @record
@@ -317,8 +311,11 @@ def params_from_resonance(lam_n: float, chi_n: float, g_n: float) -> ProductPara
     :func:`bc_from_product` recovers (chi_n, g_n) to a few ulps.  chi = 1
     (the pure-delta regime) and lam = 0 have no inverse here
     (:class:`SingularParameterError`); inputs that give a non-finite alpha
-    or beta raise ``ValueError``.
+    or beta, and arguments other than real numbers, raise ``ValueError``.
     """
+    if not type(lam_n) is type(chi_n) is type(g_n) is float:
+        lam_n, chi_n, g_n = (_real("lam_n", lam_n), _real("chi_n", chi_n),
+                             _real("g_n", g_n))
     if chi_n == 1.0:
         raise SingularParameterError(
             "chi = 1 is the pure-delta regime; 1/(1-chi) is undefined")

@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from ._record import record
-from .boundary import _amplitudes, _quiet, det_residual
+from .boundary import _probabilities, _quiet, det_residual
 from .errors import (InvariantViolation, PrecisionFloorError, _integer,
                      _real, require)
 from .paths import SqueezePath
@@ -338,18 +338,18 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
             else np.linspace(lam_min, lam_max, samples))
     lams[-1] = lam_max
     rho = path.rho_of(l)
-    one = samples <= SWEEP_BLOCK  # one block keeps amplitudes' own arrays
+    one = samples <= SWEEP_BLOCK  # one block keeps the extraction's arrays
     t2, r2 = (None, None) if one else (np.empty(samples), np.empty(samples))
-    k, x0 = math.sqrt(E), 2.0 * l + rho
+    k = math.sqrt(E)
     with _quiet():  # l**2 may overflow
         geometry = _geometry(l, rho, E, True)
         for start in range(0, samples, SWEEP_BLOCK):
             block = slice(start, start + SWEEP_BLOCK)
-            amp = _amplitudes(*_entries(geometry, lams[block]), k, x0)
+            t2b, r2b, _ = _probabilities(*_entries(geometry, lams[block]), k)
             if one:
-                t2, r2 = amp.T2, amp.R2
+                t2, r2 = t2b, r2b
             else:
-                t2[block], r2[block] = amp.T2, amp.R2
+                t2[block], r2[block] = t2b, r2b
 
     # each parabola in Python floats: too few peaks to pay for numpy calls
     lo, hi = lams[:2].tolist()

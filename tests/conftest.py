@@ -101,8 +101,9 @@ def g_quadratic_forms(sigma, c, n):
 
 def eager_amplitudes(l11, l12, l21, l22, k, x0=0.0):
     """The complex scattering extraction that ``boundary.amplitudes`` used to
-    run eagerly: Delta, R and T as complex values, then abs(.)**2.  The
-    reference its lazily formed R and T must match bit for bit; no checks."""
+    run: Delta, R and T as complex values, then abs(.)**2.  The reference
+    that its R and T, formed from the parts of the real extraction, must
+    match bit for bit; no checks."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         delta = l11 + l22 - 1j * (k * l12 - l21 / k)
         R = -(l11 - l22 + 1j * (k * l12 + l21 / k)) / delta

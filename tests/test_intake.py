@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from deltaprime import (ConnectionMatrix, DeltaPrimeError, ProductParams,
                         ScatteringAmplitudes, SqueezePath, bc_from_product,
                         chi_linear, delta_prime_delta_matrix, g_quadratic,
-                        predict, resonant_matrix, resonant_scattering,
-                        seba_matrix)
+                        params_from_resonance, predict, resonant_matrix,
+                        resonant_scattering, seba_matrix)
 
 SIGMA1 = 3.9266023120479185  # first root of tanh(s) = tan(s)
 EDGES = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, 1e300, math.inf, math.nan,
@@ -31,6 +31,7 @@ CALLS = {  # name: (function, number of menu arguments)
         ProductParams(a, b, lam_fit), 1.0), 3),
     "chi_linear": (chi_linear, 2),
     "g_quadratic": (g_quadratic, 2),
+    "params_from_resonance": (params_from_resonance, 3),
     "resonant_scattering": (resonant_scattering, 3),
     **{f"predict {p.describe()}": (lambda lam, p=p: predict(p, lam), 1)
        for p in PATHS},
@@ -50,7 +51,7 @@ def _outcome(fn, args):
         try:
             got = fn(*args)
             if isinstance(got, ScatteringAmplitudes):
-                # R and T are read, so checked finite; numpy's complex
+                # R and T were checked finite in the call; numpy's complex
                 # division rounds them apart from Python's in the last bit
                 assert abs(complex(got.R)) + abs(complex(got.T)) < math.inf
                 assert got.conservation_residual <= 1e-10
@@ -60,6 +61,10 @@ def _outcome(fn, args):
     if isinstance(got, ConnectionMatrix):
         assert got.det_residual() <= 1e-12
         return tuple(map(_bits, (got.l11, got.l12, got.l21, got.l22)))
+    if isinstance(got, ProductParams):  # lam_fit is lam_n, inf included
+        assert type(got.lam_fit) is float
+        return (*map(_bits, (got.alpha, got.beta, got.offset)),
+                got.lam_fit.hex())
     return got if got is None else _bits(got)
 
 

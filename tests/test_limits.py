@@ -4,7 +4,6 @@ import re
 import struct
 import warnings
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -565,12 +564,12 @@ def _stubbed_sweep(lam_min, lam_max, samples, t2=None):
     """transmission_sweep with the transfer kernel and the extraction
     stubbed out, so that only the grid and the peak search run: |T|**2 is
     the row ``t2`` (one block), else zero."""
-    def amplitudes(lams, *_):
+    def probabilities(lams, *_):
         row = np.zeros(len(lams)) if t2 is None else t2
-        return SimpleNamespace(T2=row, R2=1.0 - row)
+        return row, 1.0 - row, None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limits, "_entries", lambda geometry, lam: (lam,) * 4)
-        mp.setattr(limits, "_amplitudes", amplitudes)
+        mp.setattr(limits, "_probabilities", probabilities)
         return transmission_sweep(ADJ, 1e-3, lam_min, lam_max, samples)
 
 
@@ -1055,7 +1054,8 @@ def test_each_public_array_call_enters_one_warning_scope(monkeypatch):
     # the public call enters boundary._quiet once and runs its helpers
     # under it: a sweep of one block or three, a trace on a cold plan and
     # on a warm one, classify, resonant_scattering on arrays and
-    # transfer_matrix; scattering(transfer_matrix(...)) is two calls
+    # transfer_matrix; scattering(transfer_matrix(...)) is two calls.
+    # Reading R and T enters none: they are formed in the call
     entered = []
 
     class Counting(np.errstate):
@@ -1083,7 +1083,14 @@ def test_each_public_array_call_enters_one_warning_scope(monkeypatch):
                np.array([0.0, G1_C1]), 1.0),
         scopes(transfer_matrix, profile, 1.0)]
     assert counts == 7 * [1]
-    assert scopes(lambda: scattering(transfer_matrix(profile, 1.0), 1.0)) == 2
+
+    def read(amp):
+        return amp.R, amp.T
+
+    assert scopes(lambda: read(scattering(transfer_matrix(profile, 1.0),
+                                          1.0))) == 2
+    assert scopes(lambda: read(resonant_scattering(
+        np.array([CHI1, 2.0]), np.array([0.0, G1_C1]), 1.0))) == 1
 
 
 def test_overflow_fronts_on_both_sides():

@@ -47,7 +47,6 @@ def _samples():
 
 SAMPLES = _samples()
 CLASSES = list(SAMPLES)
-SLOTTED = [cls for cls in CLASSES if cls is not ScatteringAmplitudes]
 
 
 def _ids(cls):
@@ -68,7 +67,7 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
         del x.extra
 
 
-@pytest.mark.parametrize("cls", SLOTTED, ids=_ids)
+@pytest.mark.parametrize("cls", CLASSES, ids=_ids)
 def test_records_keep_no_instance_dict(cls):
     x = SAMPLES[cls]
     assert not hasattr(x, "__dict__")
@@ -76,12 +75,6 @@ def test_records_keep_no_instance_dict(cls):
         vars(x)
     with pytest.raises(TypeError):
         weakref.ref(x)
-
-
-def test_scattering_amplitudes_cache_r_and_t_in_their_dict():
-    amp = scattering(SAMPLES[ConnectionMatrix], 0.7)
-    assert "_complex" not in vars(amp)
-    assert (amp.R, amp.T) == vars(amp)["_complex"]
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_ids)
