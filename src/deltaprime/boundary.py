@@ -38,7 +38,7 @@ import sys
 
 from ._record import record
 from .errors import (DeltaPrimeError, InvariantViolation,
-                     SingularParameterError, _real, require)
+                     SingularParameterError, _real, _real_fields, require)
 
 __all__ = [
     "UnitDetMatrix",
@@ -237,10 +237,7 @@ class ProductParams:
         if self.lam_fit == 0.0:
             raise SingularParameterError("lam_fit = 0 has no term 1/lam_fit")
         if self.offset is None:
-            for name in ("alpha", "beta", "lam_fit"):
-                value = getattr(self, name)
-                if type(value) is not float:
-                    object.__setattr__(self, name, _real(name, value))
+            _real_fields(self, "alpha", "beta", "lam_fit")
             object.__setattr__(self, "offset", self.alpha - 1.0 / self.lam_fit)
 
 

@@ -66,38 +66,21 @@ def _cells(col) -> list[str]:
     return [_fmt(v) for v in col]
 
 
-# JSON spellings of the float cells whose repr is not a JSON number
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_cell(cell: str) -> str:
-    """JSON value of a cell: an int's or a finite float's repr as it is,
-    NaN and +-inf spelled as ``json`` spells them, and a complex repr
-    ("...j" or "(...j)") as a string."""
+def _value(cell: str):
+    """The value ``json`` writes as a CSV cell: an int, a float (NaN and
+    +-inf too) or a complex repr ("...j" or "(...j)") kept as a string."""
     if cell[-1] in "j)":
-        return f'"{cell}"'
-    return _JSON_FLOATS.get(cell, cell)
+        return cell
+    return int(cell) if cell.lstrip("-").isdigit() else float(cell)
 
 
 def _emit(args, cols: dict, extras: dict | None = None) -> None:
     """Write a table given as columns: name -> array or list, all one length.
-
-    The JSON text equals ``json.dumps({"rows": [...], **extras}, indent=2)``
-    but builds the rows from the CSV cells: the indenting encoder is slow,
-    pure Python.
-    """
+    JSON is ``{"rows": [...], **extras}`` over the CSV cells."""
     cells = [_cells(col) for col in cols.values()]
     if args.format == "json":
-        keys = (f"      {json.dumps(name)}: " for name in cols)
-        fields = [[key + _json_cell(c) for c in col]
-                  for key, col in zip(keys, cells)]
-        rows = ["    {\n" + ",\n".join(row) + "\n    }"
-                for row in zip(*fields)]
-        items = ['  "rows": [\n' + ",\n".join(rows) + "\n  ]"]
-        items += [f"  {json.dumps(key)}: "
-                  + json.dumps(value, indent=2).replace("\n", "\n  ")
-                  for key, value in (extras or {}).items()]
-        text = "{\n" + ",\n".join(items) + "\n}\n"
+        rows = [dict(zip(cols, map(_value, row))) for row in zip(*cells)]
+        text = json.dumps({"rows": rows, **(extras or {})}, indent=2) + "\n"
     else:
         lines = [",".join(cols), *map(",".join, zip(*cells))]
         text = "\n".join(lines) + "\n"

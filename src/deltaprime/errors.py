@@ -79,3 +79,11 @@ def _real(name: str, value) -> float:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be one real number, got {value!r}")
+
+
+def _real_fields(record, *names) -> None:
+    """Read the named fields of a frozen ``record`` through :func:`_real`."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not float:
+            object.__setattr__(record, name, _real(name, value))

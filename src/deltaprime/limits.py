@@ -330,13 +330,9 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
             raise ValueError(f"{name} must be finite, got {value}")
     if not lam_max > lam_min:
         raise ValueError(f"need lam_max > lam_min, got {lam_max} <= {lam_min}")
-    step = (lam_max - lam_min) / (samples - 1)
-    if step == math.inf:
+    if lam_max - lam_min == math.inf:
         raise ValueError("lam_max - lam_min overflows to inf")
-    # np.linspace's arithmetic, bit for bit; its wrapper only for a 0 step
-    lams = (np.arange(samples, dtype=float) * step + lam_min if step != 0.0
-            else np.linspace(lam_min, lam_max, samples))
-    lams[-1] = lam_max
+    lams = np.linspace(lam_min, lam_max, samples)
     rho = path.rho_of(l)
     one = samples <= SWEEP_BLOCK  # one block keeps the extraction's arrays
     t2, r2 = (None, None) if one else (np.empty(samples), np.empty(samples))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
+from .errors import _real_fields
 
 __all__ = ["SqueezePath", "BARRIER_FIRST", "ADJACENT", "POWER"]
 
@@ -38,6 +39,7 @@ class SqueezePath:
     tau: float = 0.0
 
     def __post_init__(self):
+        _real_fields(self, "rho", "c", "tau")
         if self.kind == BARRIER_FIRST:
             if not 0 < self.rho < math.inf:
                 raise ValueError("barrier-first separation must be positive "
@@ -115,7 +117,7 @@ class SqueezePath:
 
     def describe(self) -> str:
         """The spec that :meth:`parse` reads back as this very rule."""
-        rho, c, tau = (repr(float(v)).removesuffix(".0")
+        rho, c, tau = (repr(v).removesuffix(".0")
                        for v in (self.rho, self.c, self.tau))
         if self.kind == BARRIER_FIRST:
             return f"barrier-first:{rho}"

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from ._record import record
+from .errors import _real_fields
 
 __all__ = ["RectProfile"]
 
@@ -43,6 +44,7 @@ class RectProfile:
     lam: float = 1.0
 
     def __post_init__(self):
+        _real_fields(self, "l", "rho", "lam")
         if not 0 < self.l < math.inf:
             raise ValueError(f"width l must be positive and finite, got {self.l}")
         if not 0 <= self.rho < math.inf:

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,6 +467,44 @@ def test_json_format(capsys):
     assert doc["verdict"]["variant"] == "resonant"
 
 
+README_COMMANDS = [
+    line.split()[1:] for line in
+    (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    if line.startswith("deltaprime ")]
+
+
+def _csv_value(cell):
+    """A CSV cell read back: an int, a complex repr as a string, else a
+    float."""
+    if cell.endswith(("j", ")")):
+        return cell
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_json_carries_the_csv_cells(capsys, argv):
+    code, csv_text, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    code, text, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(text)
+    _, rows = parse_csv(csv_text)
+    assert doc.pop("rows") == [{k: _csv_value(v) for k, v in row.items()}
+                               for row in rows]
+    assert doc == (trailing_json(csv_text) if "\n\n" in csv_text else {})
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_readme_commands_cover_every_subcommand():
+    assert ({argv[0] for argv in README_COMMANDS}
+            == {"resonances", "transfer", "limit-trace", "sweep", "bc",
+                "bc-fit"})
+
+
 def test_output_is_byte_deterministic(capsys):
     args = ("resonances", "--path", "quadratic:2", "--count", "4")
     _, first, _ = run_cli(capsys, *args)
@@ -574,8 +613,8 @@ def test_help_lists_defaults(capsys):
 
 
 def _jsonable(v):
-    """JSON value of one cell, as ``json`` takes it; :func:`_emit` writes
-    the same text through :func:`_json_cell`."""
+    """JSON value of one cell, as ``json`` takes it; :func:`_emit` reads
+    the same value back from the cell's CSV text."""
     if isinstance(v, numbers.Integral):
         return int(v)
     if isinstance(v, complex):
