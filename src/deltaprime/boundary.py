@@ -169,7 +169,8 @@ def _amplitudes(l11, l12, l21, l22, k, x0):
 def _probabilities(l11, l12, l21, l22, k):
     """(|T|**2, |R|**2, (s, d, u, v)) of :func:`amplitudes`, with its
     wavenumber and flux checks, under the caller's errstate."""
-    require(k > 0, ValueError, "wavenumber must be positive, got {}", k)
+    require((k > 0) & (k < math.inf), ValueError,
+            "wavenumber must be positive and finite, got {}", k)
     kl12, l21k = k * l12, l21 / k
     s, d, u, v = l11 + l22, kl12 - l21k, l11 - l22, kl12 + l21k
     # Delta = (s.real + d.imag) + i*(s.imag - d.real), u + i*v likewise

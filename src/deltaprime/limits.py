@@ -46,7 +46,6 @@ CONVERGES = "converges"
 # while genuinely convergent entries fit flat or decaying slopes; the
 # threshold splits that gap.
 DIVERGENCE_SLOPE = -0.25
-_TINY_TAIL = 1e-6
 _RICHARDSON_DEPTH = 8
 
 # Couplings per transfer-kernel call in a sweep: bounds the kernel's
@@ -219,9 +218,8 @@ def trace(path: SqueezePath, lam: float, E: float,
         ls, rho_values, geometry = _trace_plan(path, E, l_start, l_end, points)
         entries = _entries(geometry, lam)
         residual = det_residual(*entries)
-    if not np.maximum.reduce(residual, axis=None) <= 1e-10:  # NaN fails
-        require(residual <= 1e-10, InvariantViolation,
-                "determinant residual {} at l = {}", residual, ls)
+    require(residual <= 1e-10, InvariantViolation,
+            "determinant residual {} at l = {}", residual, ls)
     return LimitTrace(path, lam, E, ls, rho_values, np.array(entries).T)
 
 
@@ -230,8 +228,8 @@ def classify(tr: LimitTrace) -> LimitVerdict:
 
     An entry is divergent when the least-squares log-log slope of its
     magnitude against l over the last half of the trace is at or below
-    ``DIVERGENCE_SLOPE`` (negative: it grows as l shrinks).  Entries below
-    1e-6 in the tail, or changing sign there, carry no usable slope and are
+    ``DIVERGENCE_SLOPE`` (negative: it grows as l shrinks).  Entries that
+    change sign or touch zero in the tail carry no usable slope and are
     classified by their extrapolated value instead: the Richardson level,
     for a power-series error model, that changes least from the level below
     it, with that change as the error (a NaN change, where a level
@@ -253,7 +251,6 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     # flat rows may hold 0, and the products and upper levels of a huge
     # entry overflow, keeping their signs
     with _quiet():
-        top = np.maximum.reduce(size, axis=1).tolist()
         # fmin skips NaN, so a NaN marks no sign change
         turn = np.fmin.reduce(tail[:, :-1] * tail[:, 1:], axis=1).tolist()
         y = np.log(size)
@@ -266,8 +263,7 @@ def classify(tr: LimitTrace) -> LimitVerdict:
     levels, error = levels.T.tolist(), error.tolist()
     verdicts = {}
     for j, name in enumerate(ENTRY_NAMES):
-        flat = top[j] < _TINY_TAIL or turn[j] <= 0.0
-        divergent = not flat and slopes[j] <= DIVERGENCE_SLOPE
+        divergent = not turn[j] <= 0.0 and slopes[j] <= DIVERGENCE_SLOPE
         x = slopes[j] if divergent else levels[j][best[j] + 1]
         if not abs(x) < math.inf:  # NaN fails too
             raise ValueError(f"{_named(tr)}: {name} reads {x}, not finite")
@@ -334,18 +330,14 @@ def transmission_sweep(path: SqueezePath, l: float, lam_min: float,
         raise ValueError("lam_max - lam_min overflows to inf")
     lams = np.linspace(lam_min, lam_max, samples)
     rho = path.rho_of(l)
-    one = samples <= SWEEP_BLOCK  # one block keeps the extraction's arrays
-    t2, r2 = (None, None) if one else (np.empty(samples), np.empty(samples))
-    k = math.sqrt(E)
+    t2, r2 = np.empty(samples), np.empty(samples)
     with _quiet():  # l**2 may overflow
         geometry = _geometry(l, rho, E, True)
+        k = math.sqrt(E)
         for start in range(0, samples, SWEEP_BLOCK):
             block = slice(start, start + SWEEP_BLOCK)
-            t2b, r2b, _ = _probabilities(*_entries(geometry, lams[block]), k)
-            if one:
-                t2, r2 = t2b, r2b
-            else:
-                t2[block], r2[block] = t2b, r2b
+            t2[block], r2[block], _ = _probabilities(
+                *_entries(geometry, lams[block]), k)
 
     # each parabola in Python floats: too few peaks to pay for numpy calls
     lo, hi = lams[:2].tolist()

@@ -305,10 +305,13 @@ def test_sweep_samples_usage_error(capsys):
      "scattering energy must be positive and finite, got 0.0"),
     ("transfer --l 1e-3 --lambda 1 --E inf",
      "scattering energy must be positive and finite, got inf"),
+    ("sweep --E=-1", "scattering energy must be positive and finite, got -1.0"),
     ("bc --alpha 0.5 --lambda 1 --k 0",
-     "wavenumber must be positive, got 0.0"),
+     "wavenumber must be positive and finite, got 0.0"),
     ("bc --alpha 0.5 --lambda 1 --k nan",
-     "wavenumber must be positive, got nan"),
+     "wavenumber must be positive and finite, got nan"),
+    ("bc --alpha 0.5 --lambda 1 --k inf",
+     "wavenumber must be positive and finite, got inf"),
     ("bc-fit --n 0", "resonance index n must be >= 1, got 0"),
     ("bc-fit --n=-1", "resonance index n must be >= 1, got -1"),
 ])

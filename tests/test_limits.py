@@ -778,7 +778,7 @@ def _reference_classify(tr):
         vt = v[half:]
         with np.errstate(over="ignore"):  # a product overflows with its sign
             crosses = bool(np.any(vt[:-1] * vt[1:] <= 0.0))
-        if not (np.all(np.abs(vt) < limits._TINY_TAIL) or crosses):
+        if not crosses:
             y = np.log(np.abs(vt))
             y -= y.mean()
             slope = float(x @ y / (x @ x))

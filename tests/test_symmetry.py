@@ -13,7 +13,7 @@ transmits the same |T|**2.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from deltaprime import (PRECISION_FLOOR, RectProfile, SqueezePath, classify,
                         piecewise_transfer, trace, transfer_matrix,
@@ -118,14 +118,13 @@ ENTRY_BOUND, VALUE_BOUND, EXPONENT_BOUND = 1e4, 5e4, 2e3
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(geometry=GEOMETRY, j=st.integers(-6, 6), gap=st.booleans(),
+@given(geometry=GEOMETRY, j=st.integers(-20, 6), gap=st.booleans(),
        resonant=st.booleans())
+@example(geometry=(0.1, 0.0, 2.0 ** -7, 1.0), j=-19, gap=False,
+         resonant=False)
 def test_trace_and_classify_scale_to_a_measured_bound(geometry, j, gap,
                                                       resonant):
-    # s <= 2**6 keeps l_end / s above the width floor; below, classify
-    # calls a tail under an absolute 1e-6 flat, which no scaling keeps (at
-    # s = 2**-19 an L21 of lam = 2**-7 turns from divergent to converges),
-    # so s >= 2**-6
+    # s <= 2**6 keeps l_end / s above the width floor
     _, rho, lam, E = geometry
     s = 2.0 ** j
     lam = 15.418205716980063 if resonant else abs(lam)  # lambda_1 or >= 0

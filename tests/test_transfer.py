@@ -295,7 +295,8 @@ def test_batch_checks_name_first_failing_element():
     diag = np.array([1.0, 2.0, 1.0])
     with pytest.raises(InvariantViolation, match="conservation residual 0.75"):
         amplitudes(diag, zeros, zeros, diag, 1.0)
-    with pytest.raises(ValueError, match="wavenumber must be positive, got nan"):
+    with pytest.raises(ValueError,
+                       match="wavenumber must be positive and finite, got nan"):
         amplitudes(ones, zeros, zeros, ones, np.array([1.0, np.nan, 0.0]))
     nan_middle = np.array([1.0, np.nan, 1.0])
     with pytest.raises(InvariantViolation, match="conservation residual nan"):
