@@ -2,11 +2,11 @@
 
 Subcommands: resonances, transfer, limit-trace, sweep, bc, bc-fit.  Output
 is deterministic CSV (header row, shortest round-trip floats) or JSON with
-the same key names; commands whose result has a non-tabular part (limit
-verdicts, peak lists, bound states) append it as a JSON block.  Each
-subcommand returns its columns and that block, and :func:`main` writes
-them; argparse parses the options and the library checks them.  Exit codes:
-0 success, 2 for an option argparse rejects (a path spec too) or an
+the same key names; a non-tabular part of a result (limit verdicts, peak
+lists, bound states) follows as a JSON block.  Each call is parsed once, by
+its subcommand's parser; the subcommand returns its columns and that block,
+:func:`main` writes them and the library checks the values.  Exit codes: 0
+success, 2 for an option argparse rejects (a path spec too) or an
 unwritable ``--out``, 3 with the library's message for any other failure.
 
 Only the subcommands that build arrays load numpy, when they run.
@@ -175,7 +175,8 @@ def cmd_bc_fit(args) -> tuple[dict, dict]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name."""
     fmt_cls = argparse.ArgumentDefaultsHelpFormatter
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -190,17 +191,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "squeeze-path limits, transmission sweeps and "
                     "boundary-condition fits.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(
+            name, parents=[common], formatter_class=fmt_cls, help=help)
+        p.set_defaults(func=func)
+        return p
+
     path = dict(default="adjacent", type=_path)
     lam = dict(dest="lam", type=float, required=True, help="coupling constant")
 
-    p = sub.add_parser("resonances", parents=[common], formatter_class=fmt_cls,
-                       help="resonance table for a squeeze path")
+    p = command("resonances", cmd_resonances,
+                "resonance table for a squeeze path")
     p.add_argument("--path", **path, help=_RESONANT_PATH_HELP)
     p.add_argument("--count", type=int, default=5, help="number of resonances")
-    p.set_defaults(func=cmd_resonances)
 
-    p = sub.add_parser("transfer", parents=[common], formatter_class=fmt_cls,
-                       help="transfer matrix and scattering at one point")
+    p = command("transfer", cmd_transfer,
+                "transfer matrix and scattering at one point")
     p.add_argument("--l", type=float, required=True, help="barrier/well width")
     p.add_argument("--rho", type=float, default=0.0, help="gap width")
     p.add_argument("--lambda", **lam)
@@ -208,10 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="also run the interface-matching oracle and report "
                         "the comparison residual")
-    p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("limit-trace", parents=[common], formatter_class=fmt_cls,
-                       help="trace matrix entries along a squeeze path")
+    p = command("limit-trace", cmd_limit_trace,
+                "trace matrix entries along a squeeze path")
     p.add_argument("--path", **path, help=_PATH_HELP)
     p.add_argument("--lambda", **lam)
     p.add_argument("--E", type=float, default=1.0, help="probe energy")
@@ -219,10 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-end", type=float, default=1e-4, help="smallest width")
     p.add_argument("--points", type=int, default=13,
                    help="trace points (minimum 8)")
-    p.set_defaults(func=cmd_limit_trace)
 
-    p = sub.add_parser("sweep", parents=[common], formatter_class=fmt_cls,
-                       help="transmission curve over a coupling grid")
+    p = command("sweep", cmd_sweep, "transmission curve over a coupling grid")
     p.add_argument("--path", **path, help=_PATH_HELP)
     p.add_argument("--l", type=float, default=1e-3, help="barrier/well width")
     p.add_argument("--lambda-min", dest="lambda_min", type=float, default=1.0,
@@ -231,26 +236,26 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="upper end of the coupling grid")
     p.add_argument("--samples", type=int, default=2000, help="grid samples")
     p.add_argument("--E", type=float, default=1.0, help="energy")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bc", parents=[common], formatter_class=fmt_cls,
-                       help="boundary conditions of the weighted product rule")
+    p = command("bc", cmd_bc,
+                "boundary conditions of the weighted product rule")
     p.add_argument("--alpha", type=float, required=True, help="side weight")
     p.add_argument("--beta", type=float, default=0.0, help="jump weight")
     p.add_argument("--lambda", **lam)
     p.add_argument("--k", type=float, default=1.0, help="wavenumber")
-    p.set_defaults(func=cmd_bc)
 
-    p = sub.add_parser("bc-fit", parents=[common], formatter_class=fmt_cls,
-                       help="fit product weights to a resonance")
+    p = command("bc-fit", cmd_bc_fit, "fit product weights to a resonance")
     p.add_argument("--path", **path, help=_RESONANT_PATH_HELP)
     p.add_argument("--n", type=int, required=True, help="resonance index")
-    p.set_defaults(func=cmd_bc_fit)
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:  # one parse, by the subcommand's parser
+        parser, argv = commands[argv[0]], argv[1:]
+    args = parser.parse_args(argv)
     try:
         _emit(args, *args.func(args))
     except (DeltaPrimeError, ValueError) as exc:

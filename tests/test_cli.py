@@ -270,7 +270,7 @@ def test_sweep_peaks_block(capsys):
 
 
 def test_sweep_csv_cells_are_the_library_values_bit_for_bit(capsys):
-    args = _build_parser().parse_args(["sweep"])
+    args = _build_parser()[1]["sweep"].parse_args([])
     res = transmission_sweep(args.path, args.l,
                              args.lambda_min, args.lambda_max, args.samples,
                              args.E)
@@ -600,10 +600,40 @@ def test_limit_trace_near_resonance_passes_determinant_check(capsys):
     assert trailing_json(out)["verdict"]["variant"] == "resonant"
 
 
-def test_missing_subcommand_exits_2():
+def test_missing_subcommand_exits_2(capsys, monkeypatch):
+    # an argv naming no subcommand gets the top-level parser's usage
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in ([], ["nosuch"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == ("usage: deltaprime [-h] {resonances,transfer,"
+                            "limit-trace,sweep,bc,bc-fit} ...")
+        assert lines[-1].startswith("deltaprime: error: ")
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([])
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("    ")}
+    assert listed >= {"resonances", "transfer", "limit-trace", "sweep", "bc",
+                      "bc-fit"}
+
+
+def test_an_option_the_subcommand_does_not_take_is_its_parsers_error(capsys):
+    # each call is parsed by its subcommand's parser alone, which names
+    # itself in the usage line and the error
+    with pytest.raises(SystemExit) as exc:
+        main(["transfer", "--l", "1", "--lambda", "1", "--bogus", "3"])
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: deltaprime transfer ")
+    assert captured.err.endswith("deltaprime transfer: error: unrecognized "
+                                 "arguments: --bogus 3\n")
 
 
 def test_help_lists_defaults(capsys):
@@ -728,6 +758,8 @@ _FUZZ_OPTIONS = {
            "lambda": _FUZZ_FLOATS, "k": _FUZZ_FLOATS},
     "bc-fit": {"path": _FUZZ_PATHS, "n": _FUZZ_INTS},
 }
+# a token no subcommand takes, now and then: its parser rejects it
+_FUZZ_STRAYS = (None,) * 8 + ("--bogus=1", "extra")
 _NON_FINITE_WORD = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
@@ -744,7 +776,8 @@ def _argvs(draw):
         if value is not None:
             # "--opt=value", so argparse never reads "-inf" as an option
             argv.append(f"--{name}={value}")
-    return argv
+    stray = draw(st.sampled_from(_FUZZ_STRAYS))  # None: none appended
+    return argv if stray is None else [*argv, stray]
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -767,8 +800,60 @@ def test_argv_fuzz_exits_cleanly(argv):
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
     assert code in (0, 2, 3), err.getvalue()
+    if argv[-1] in _FUZZ_STRAYS:
+        assert code == 2, err.getvalue()
     assert not caught, [str(w.message) for w in caught]
     if code == 0:
         assert not _NON_FINITE_WORD.search(out.getvalue())
     else:
         assert err.getvalue()
+
+
+def _ci_edge_argvs():
+    """The argvs of CI's edge-input step, one per line of its here-document:
+    the expected exit code, the argv and, after " => ", the first line of
+    stderr."""
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows"
+                / "tests.yml").read_text(encoding="utf-8")
+    block = workflow.split("<<'ARGVS'\n")[1].split("ARGVS\n")[0]
+    return [line.split(" => ")[0].split()[1:] for line in block.splitlines()
+            if line.strip()]
+
+
+def _parse(parser, args):
+    """The namespace parser makes of args, without ``command`` and with a
+    NaN option as the string "nan" so that two parses compare equal; or the
+    exit code and stderr of its rejection."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            ns = vars(parser.parse_args(args))
+    except SystemExit as exc:
+        return exc.code, err.getvalue()
+    return {k: "nan" if v != v else v for k, v in ns.items() if k != "command"}
+
+
+def _assert_both_routes_agree(argv):
+    """The subcommand's own parser parses argv as the top-level parser
+    does; a stray token each reports under its own usage line."""
+    parser, commands = _build_parser()
+    own, top = _parse(commands[argv[0]], argv[1:]), _parse(parser, argv)
+    if isinstance(own, dict) or "unrecognized arguments" not in own[1]:
+        assert own == top
+    else:
+        assert own[0] == top[0] == 2
+        assert (own[1].rpartition(" error: ")[2]
+                == top[1].rpartition(" error: ")[2])
+
+
+@pytest.mark.parametrize("argv", [
+    argv for argv in README_COMMANDS + _ci_edge_argvs()
+    if argv[0] in _build_parser()[1]], ids=" ".join)
+def test_subcommand_parser_parses_as_the_top_level_parser(argv):
+    _assert_both_routes_agree(argv)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argvs())
+def test_subcommand_parser_parses_fuzz_argvs_as_the_top_level_parser(argv):
+    _assert_both_routes_agree(argv)
